@@ -6,10 +6,8 @@ __version__ = "0.1.0"
 from .errors import (
     ConfigError,
     DesignFailureError,
-    DimensionError,
     FramingError,
     FstackError,
-    InvalidSizeError,
     InvalidSpecError,
     PlanningError,
     RateMismatchError,
@@ -20,10 +18,8 @@ from .errors import (
 __all__ = [
     "ConfigError",
     "DesignFailureError",
-    "DimensionError",
     "FramingError",
     "FstackError",
-    "InvalidSizeError",
     "InvalidSpecError",
     "PlanningError",
     "RateMismatchError",

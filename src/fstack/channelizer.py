@@ -150,8 +150,11 @@ class MetricsReport:
 # stages
 
 
-def coarse_analyze(config, stacked):
-    """Split the stacked real input into the occupied sub-band streams."""
+def _coarse_frames(config, stacked):
+    """Coarse analysis of the stacked real input into all N channels.
+
+    Returns the (frames, N) channel array and the bank's warm-up in frames.
+    """
     f_s = config.plan.inputs.f_s
     if abs(stacked.rate_hz - f_s) > 1e-6:
         raise RateMismatchError(f"stacked rate {stacked.rate_hz} != plan f_s {f_s}")
@@ -160,14 +163,22 @@ def coarse_analyze(config, stacked):
     n = config.num_coarse_channels
     bank = AnalysisBank(config.coarse_prototype)
     usable = (len(stacked) // n) * n
-    frames = bank.process_block(stacked.samples[:usable])
+    return bank.process_block(stacked.samples[:usable]), bank.warmup_frames
+
+
+def _occupied_streams(config, frames, label):
+    """The occupied columns of a coarse (frames, N) array as sub-band streams."""
     rate = config.subband_rate_hz
-    out = {}
-    for sub in config.occupied_subbands:
-        out[sub] = SignalBuffer(
-            frames[:, sub], rate, "complex", label=f"{stacked.label}|coarse{sub}"
-        )
-    return out
+    return {
+        sub: SignalBuffer(frames[:, sub], rate, "complex", label=f"{label}|coarse{sub}")
+        for sub in config.occupied_subbands
+    }
+
+
+def coarse_analyze(config, stacked):
+    """Split the stacked real input into the occupied sub-band streams."""
+    frames, _ = _coarse_frames(config, stacked)
+    return _occupied_streams(config, frames, stacked.label)
 
 
 def coarse_synthesize(config, subbands):
@@ -266,17 +277,14 @@ def aligned_mse(reference, output, delay, trim=0):
     return mse, (mse / sig if sig > 0 else 0.0)
 
 
-def _channel_power_table(config, signal):
+def _channel_power_table(frames, warmup_frames):
     """Per-coarse-channel power, dB relative to the strongest channel.
 
-    Covers all N channels (not just the occupied set) so the reserved
-    DC/Nyquist channels and the conjugate images are visible in reports.
+    Reads all N columns of the coarse (frames, N) array (not just the
+    occupied set) so the reserved DC/Nyquist channels and the conjugate
+    images are visible in reports.
     """
-    bank = AnalysisBank(config.coarse_prototype)
-    n = config.num_coarse_channels
-    usable = (signal.size // n) * n
-    frames = bank.process_block(signal[:usable])
-    skip = min(frames.shape[0] // 4, 16 * bank.warmup_frames)
+    skip = min(frames.shape[0] // 4, 16 * warmup_frames)
     body = frames[skip:] if frames.shape[0] > skip else frames
     power = np.mean(np.abs(body) ** 2, axis=0)
     peak = float(np.max(power)) if power.size else 1.0
@@ -314,7 +322,8 @@ def end_to_end(config, stimulus, adc_bits=None, snr_db=None, seed=1234,
         report.extras["note"] = "empty stimulus or no occupied sub-bands"
         return report
 
-    subbands = coarse_analyze(config, x)
+    coarse, warmup_frames = _coarse_frames(config, x)
+    subbands = _occupied_streams(config, coarse, x.label)
 
     processed = {}
     spectra = {}
@@ -343,7 +352,7 @@ def end_to_end(config, stimulus, adc_bits=None, snr_db=None, seed=1234,
     trim = min(pipeline_warmup_samples(config), max(0, (span - 4096) // 3))
     mse, rel = aligned_mse(stimulus.samples, restacked.samples, delay, trim=trim)
 
-    leakage = _channel_power_table(config, x.samples)
+    leakage = _channel_power_table(coarse, warmup_frames)
     extras["expected_delay"] = theory
     extras["occupied_subbands"] = len(config.occupied_subbands)
     extras["fine_channels_occupied"] = config.total_fine_channels_occupied

@@ -14,8 +14,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import complexity, frontend
 from .channelizer import (
     ChannelPlan,
@@ -339,7 +337,6 @@ def main(argv=None):
         cfg.full_scale_fine = args.full_scale
         out_dir = cfg.output_dir
         os.makedirs(out_dir, exist_ok=True)
-        np.random.seed(cfg.seed)  # belt and braces; all generators are seeded
         return COMMANDS[args.command](cfg, out_dir)
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)

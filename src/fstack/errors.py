@@ -5,14 +5,6 @@ class FstackError(Exception):
     """Base class for all package errors."""
 
 
-class InvalidSizeError(FstackError):
-    """Transform size rejected (zero, negative or non-integer)."""
-
-
-class DimensionError(FstackError):
-    """Vector length does not match the transform plan size."""
-
-
 class InvalidSpecError(FstackError):
     """Filter specification outside its valid domain."""
 

@@ -24,8 +24,8 @@ gain.
 Operation counters follow the per-frame accounting model: branch work
 counted as complex-by-real operations (2 mults per tap; each all-pass
 first-order section 1 coefficient multiply and 2 additions, doubled for
-complex data), and the transform charged with the analytic butterfly
-model rather than measured from the mixed-radix implementation.
+complex data), and the transform (computed by numpy.fft) charged with
+the analytic butterfly model.
 """
 
 import math
@@ -34,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import lfilter
 
-from . import fftcore
 from .complexity import fir_candidate_cost, ifft_cost, iir_candidate_cost
 from .errors import FramingError
 from .filter_design import AllPassPrototype, FirPrototype, polyphase_decompose
@@ -183,7 +182,6 @@ class AnalysisBank:
         self.prototype = prototype
         self.num_branches = prototype.spec.num_branches
         self._branches = _branch_family(prototype)
-        self._plan = fftcore.make_plan(self.num_branches, "inverse")
         self._hist = np.zeros(self.num_branches - 1, dtype=np.complex128)
         self._frame_cost = _frame_cost(prototype, self.num_branches)
         self.counters = OperationCounters()
@@ -224,7 +222,7 @@ class AnalysisBank:
             branch_in[:, br] = self._branches[br].run(stream)
         if n > 1:
             self._hist = ext[ext.size - (n - 1) :].copy()
-        frames = fftcore.transform_many(self._plan, branch_in)
+        frames = np.fft.ifft(branch_in, axis=1)
         adds, mults = self._frame_cost
         self.counters.real_adds += n_frames * adds
         self.counters.real_mults += n_frames * mults
@@ -252,7 +250,6 @@ class SynthesisBank:
         self.prototype = prototype
         self.num_branches = prototype.spec.num_branches
         self._branches = _synthesis_family(prototype)
-        self._plan = fftcore.make_plan(self.num_branches, "forward")
         n = self.num_branches
         dc = prototype.dc_gain
         self.gain = gain if gain is not None else n * n / (dc * dc)
@@ -279,7 +276,7 @@ class SynthesisBank:
         n_frames = frames.shape[0]
         if n_frames == 0:
             return np.zeros(0, dtype=np.complex128)
-        branch_in = fftcore.transform_many(self._plan, frames)
+        branch_in = np.fft.fft(frames, axis=1)
         out = np.empty((n_frames, n), dtype=np.complex128)
         for br in range(n):
             out[:, n - 1 - br] = self._branches[br].run(branch_in[:, br])
@@ -298,31 +295,12 @@ class SynthesisBank:
         return self.process_block(values[None, :])
 
 
-# function-style aliases for the bank operations ------------------------------
-
-
-def afb_process(bank, samples):
-    return bank.process_frame(samples)
-
-
-def sfb_process(bank, frame):
-    return bank.process_frame(frame)
-
-
 def matched_cascade_delay(prototype):
     """Exact delay (input samples) of an analysis->synthesis cascade."""
     n = prototype.spec.num_branches
     if isinstance(prototype, FirPrototype):
         return n * math.ceil(prototype.length / n) - 1
     return 2 * prototype.sections_per_branch * n - 1
-
-
-def counters(bank):
-    return bank.counters
-
-
-def reset(bank):
-    bank.reset()
 
 
 # ---------------------------------------------------------------------------

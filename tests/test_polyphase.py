@@ -5,17 +5,13 @@ import pytest
 
 from fstack import complexity
 from fstack.errors import FramingError
-from fstack.filter_design import fir_from_taps
+from fstack.filter_design import AllPassPrototype, PrototypeSpec, fir_from_taps
 from fstack.polyphase import (
     AnalysisBank,
     SynthesisBank,
-    afb_process,
-    counters,
     direct_channelize_oracle,
     matched_cascade_delay,
     prototype_impulse_response,
-    reset,
-    sfb_process,
 )
 
 
@@ -78,7 +74,7 @@ class TestStreamingEquivalence:
         block_bank = AnalysisBank(proto)
         frames_block = block_bank.process_block(x)
         stream_bank = AnalysisBank(proto)
-        rows = [afb_process(stream_bank, x[4 * k : 4 * (k + 1)]).values for k in range(50)]
+        rows = [stream_bank.process_frame(x[4 * k : 4 * (k + 1)]).values for k in range(50)]
         np.testing.assert_allclose(np.asarray(rows), frames_block, atol=1e-12)
 
     def test_superposition(self, iir_small, rng):
@@ -94,8 +90,8 @@ class TestStreamingEquivalence:
         bank = AnalysisBank(proto)
         x = rng.standard_normal(4 * 40)
         first = bank.process_block(x)
-        reset(bank)
-        assert counters(bank).frames == 0
+        bank.reset()
+        assert bank.counters.frames == 0
         np.testing.assert_allclose(bank.process_block(x), first, atol=1e-14)
 
 
@@ -135,12 +131,20 @@ class TestOracleEquivalence:
         head = proto.length // 8 + 1
         assert rel_err(y0[head:], ref[head:] / 8.0) < 0.05
 
-    @pytest.mark.parametrize("n", [2, 4, 8, 20])
+    @pytest.mark.parametrize("n", [2, 4, 8, 14, 20, 22])
     def test_matches_bank_both_kinds(self, n, iir_small, fir_small, iir20, fir20, rng):
-        protos = {
-            "iir": iir20 if n == 20 else iir_small[n],
-            "fir": fir20 if n == 20 else fir_small[n],
-        }
+        if n in (14, 22):
+            # prime factors 7 and 11: arbitrary prototypes of both kinds
+            spec = PrototypeSpec(1.0, 0.4 / n, 0.6 / n, 0.01, 0.01, n, "iir")
+            protos = {
+                "iir": AllPassPrototype(n, 3, np.full((n - 1, 3), 0.05 + 0j), spec),
+                "fir": fir_from_taps(rng.standard_normal(3 * n), n),
+            }
+        else:
+            protos = {
+                "iir": iir20 if n == 20 else iir_small[n],
+                "fir": fir20 if n == 20 else fir_small[n],
+            }
         samples = 4096 - (4096 % n)
         x = rng.standard_normal(samples) + 1j * rng.standard_normal(samples)
         for proto in protos.values():
@@ -176,7 +180,7 @@ class TestReconstruction:
 
     def test_zero_frames_give_zero_output(self, iir_small):
         bank = SynthesisBank(iir_small[4])
-        out = sfb_process(bank, np.zeros(4, dtype=complex))
+        out = bank.process_frame(np.zeros(4, dtype=complex))
         np.testing.assert_array_equal(out, 0.0)
 
     @pytest.mark.parametrize("kind", ["iir", "fir"])
@@ -225,24 +229,22 @@ class TestCounters:
         proto = fir_from_taps(np.ones(320), 16)
         bank = AnalysisBank(proto)
         bank.process_frame(np.zeros(16))
-        assert counters(bank).real_adds == pytest.approx(896.0)
-        assert counters(bank).real_mults == pytest.approx(736.0)
+        assert bank.counters.real_adds == pytest.approx(896.0)
+        assert bank.counters.real_mults == pytest.approx(736.0)
 
     def test_recursive_frame_model(self, rng):
-        from fstack.filter_design import AllPassPrototype, PrototypeSpec
-
         spec = PrototypeSpec(1.0, 0.02, 1.0 / 16 - 0.02, 0.01, 0.01, 16, "iir")
         proto = AllPassPrototype(16, 10, np.full((15, 10), 0.1 + 0j), spec)
         bank = AnalysisBank(proto)
         bank.process_frame(rng.standard_normal(16))
-        assert counters(bank).real_adds == pytest.approx(888.0)
-        assert counters(bank).real_mults == pytest.approx(396.0)
+        assert bank.counters.real_adds == pytest.approx(888.0)
+        assert bank.counters.real_mults == pytest.approx(396.0)
 
     def test_reset_zeroes_counters(self, fir_small):
         bank = AnalysisBank(fir_small[4])
         bank.process_block(np.ones(4 * 9))
-        reset(bank)
-        c = counters(bank)
+        bank.reset()
+        c = bank.counters
         assert (c.real_adds, c.real_mults, c.frames) == (0.0, 0.0, 0)
 
     @pytest.mark.parametrize("n", [4, 16, 64])
@@ -255,8 +257,6 @@ class TestCounters:
         a1, p1 = complexity.fir_candidate_cost(n, l_fir)
         assert bank.counters.real_adds == frames * a1
         assert bank.counters.real_mults == frames * p1
-
-        from fstack.filter_design import AllPassPrototype, PrototypeSpec
 
         spec = PrototypeSpec(1.0, 0.4 / n, 0.6 / n, 0.01, 0.01, n, "iir")
         iir = AllPassPrototype(n, 3, np.full((n - 1, 3), 0.05 + 0j), spec)
