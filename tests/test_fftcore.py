@@ -1,19 +1,23 @@
-"""Transform engine tests: plans, kernels, round trips, oracle equality."""
+"""Transform convention tests: the numpy.fft calls the banks make.
+
+``AnalysisBank`` applies ``np.fft.ifft(x, axis=1)`` (inverse kernel, 1/N
+scaling) and ``SynthesisBank`` applies ``np.fft.fft(x, axis=1)`` (forward
+kernel, unscaled) to (frames, N) arrays.  These tests pin that convention
+against an independent O(N^2) DFT, at the channelizer sizes and at sizes
+with large prime factors.
+"""
 
 import numpy as np
 import pytest
 
-from fstack.errors import DimensionError, InvalidSizeError
-from fstack import fftcore
-
 
 def dft_oracle(x, inverse=False):
-    """Brute-force O(N^2) DFT, written independently of the engine."""
+    """Brute-force O(N^2) DFT, written independently of numpy.fft."""
     x = np.asarray(x, dtype=complex)
     n = x.size
     sign = 1.0 if inverse else -1.0
     k = np.arange(n)
-    kernel = np.exp(sign * 2j * np.pi * np.outer(k, k) / n)
+    kernel = np.exp(sign * 2j * np.pi * (np.outer(k, k) % n) / n)
     out = kernel @ x
     return out / n if inverse else out
 
@@ -23,82 +27,52 @@ def rel_err(a, b):
     return np.max(np.abs(a - b)) / scale
 
 
+def forward(x):
+    """The synthesis-bank transform, applied to one frame."""
+    return np.fft.fft(np.asarray(x, dtype=complex)[None, :], axis=1)[0]
+
+
+def inverse(x):
+    """The analysis-bank transform, applied to one frame."""
+    return np.fft.ifft(np.asarray(x, dtype=complex)[None, :], axis=1)[0]
+
+
 class TestPlans:
-    def test_size_20_factorization(self):
-        plan = fftcore.make_plan(20, "forward")
-        assert plan.factorization == (4, 5)
-        assert np.prod(plan.factorization) == 20
-
     def test_size_one_is_identity(self):
-        plan = fftcore.make_plan(1, "forward")
-        assert plan.factorization == ()
-        assert fftcore.transform(plan, [3.0 + 1j])[0] == 3.0 + 1j
-
-    def test_prime_outside_radix_set_goes_direct(self):
-        assert fftcore.make_plan(13).is_direct
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 10, 40, 64, 360, 1280, 2048])
-    def test_factorizations_multiply_back(self, n):
-        plan = fftcore.make_plan(n)
-        assert not plan.is_direct
-        assert int(np.prod(plan.factorization)) == n
-        assert set(plan.factorization) <= {2, 3, 4, 5}
-
-    def test_zero_size_rejected(self):
-        with pytest.raises(InvalidSizeError):
-            fftcore.make_plan(0)
-        with pytest.raises(InvalidSizeError):
-            fftcore.make_plan(-4)
-
-    def test_bad_direction_rejected(self):
-        with pytest.raises(ValueError):
-            fftcore.make_plan(8, "backward")
-
-    def test_plan_is_immutable(self):
-        plan = fftcore.make_plan(8)
-        with pytest.raises(Exception):
-            plan.size = 16
+        assert forward([3.0 + 1j])[0] == 3.0 + 1j
+        assert inverse([3.0 + 1j])[0] == 3.0 + 1j
 
 
 class TestTransform:
     def test_impulse_transforms_to_ones(self):
-        plan = fftcore.make_plan(16, "forward")
         x = np.zeros(16)
         x[0] = 1.0
-        np.testing.assert_allclose(fftcore.transform(plan, x), np.ones(16), atol=1e-14)
+        np.testing.assert_allclose(forward(x), np.ones(16), atol=1e-14)
 
     def test_tone_lands_at_bin_three(self):
         # positive-frequency tone under the forward kernel exp(-j2 pi k m / N)
         n = 20
-        plan = fftcore.make_plan(n, "forward")
         x = np.exp(2j * np.pi * np.arange(n) * 3 / n)
-        spectrum = fftcore.transform(plan, x)
         expected = np.zeros(n, dtype=complex)
         expected[3] = n
-        np.testing.assert_allclose(spectrum, expected, atol=1e-12)
+        np.testing.assert_allclose(forward(x), expected, atol=1e-12)
 
     def test_matches_direct_oracle_length_20(self, rng):
         x = rng.standard_normal(20) + 1j * rng.standard_normal(20)
-        plan = fftcore.make_plan(20, "forward")
-        assert rel_err(fftcore.transform(plan, x), dft_oracle(x)) < 1e-12
+        assert rel_err(forward(x), dft_oracle(x)) < 1e-12
 
     def test_input_not_modified(self, rng):
-        x = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+        x = rng.standard_normal((3, 40)) + 1j * rng.standard_normal((3, 40))
         keep = x.copy()
-        fftcore.transform(fftcore.make_plan(40), x)
+        np.fft.fft(x, axis=1)
+        np.fft.ifft(x, axis=1)
         np.testing.assert_array_equal(x, keep)
 
-    def test_length_mismatch(self):
-        plan = fftcore.make_plan(8)
-        with pytest.raises(DimensionError):
-            fftcore.transform(plan, np.zeros(9))
-
     def test_batch_matches_single(self, rng):
-        plan = fftcore.make_plan(20, "inverse")
         xs = rng.standard_normal((7, 20)) + 1j * rng.standard_normal((7, 20))
-        batch = fftcore.transform_many(plan, xs)
+        batch = np.fft.ifft(xs, axis=1)
         for row_in, row_out in zip(xs, batch):
-            np.testing.assert_allclose(fftcore.transform(plan, row_in), row_out)
+            np.testing.assert_allclose(dft_oracle(row_in, inverse=True), row_out)
 
 
 class TestProperties:
@@ -107,36 +81,29 @@ class TestProperties:
     @pytest.mark.parametrize("n", SIZES)
     def test_round_trip(self, n, rng):
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        fwd = fftcore.make_plan(n, "forward")
-        inv = fftcore.make_plan(n, "inverse")
-        back = fftcore.transform(inv, fftcore.transform(fwd, x))
+        back = inverse(forward(x))
         assert np.max(np.abs(back - x)) < 1e-10
 
     @pytest.mark.parametrize("n", [2, 5, 13, 20, 64, 1280, 2048])
     def test_parseval(self, n, rng):
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        spectrum = fftcore.transform(fftcore.make_plan(n, "forward"), x)
+        spectrum = forward(x)
         time_energy = np.sum(np.abs(x) ** 2)
         freq_energy = np.sum(np.abs(spectrum) ** 2) / n
         assert abs(time_energy - freq_energy) / time_energy < 1e-10
 
     @pytest.mark.parametrize("n", [4, 20, 360])
     def test_linearity(self, n, rng):
-        plan = fftcore.make_plan(n, "forward")
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         a, b = 1.7 - 0.3j, -0.4 + 2.1j
-        lhs = fftcore.transform(plan, a * x + b * y)
-        rhs = a * fftcore.transform(plan, x) + b * fftcore.transform(plan, y)
+        lhs = forward(a * x + b * y)
+        rhs = a * forward(x) + b * forward(y)
         assert rel_err(lhs, rhs) < 1e-10
 
     @pytest.mark.parametrize("n", [2, 4, 5, 8, 10, 16, 20, 40, 64, 1280, 2048])
     def test_mixed_radix_equals_direct(self, n, rng):
+        # numpy's composite-size FFT against the explicit DFT, both kernels
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        for direction in ("forward", "inverse"):
-            plan = fftcore.make_plan(n, direction)
-            assert not plan.is_direct
-            direct = fftcore.TransformPlan(n, direction, "direct")
-            got = fftcore.transform(plan, x)
-            want = fftcore.transform(direct, x)
-            assert rel_err(got, want) < 1e-10
+        assert rel_err(forward(x), dft_oracle(x)) < 1e-10
+        assert rel_err(inverse(x), dft_oracle(x, inverse=True)) < 1e-10
