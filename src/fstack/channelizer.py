@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfft, next_fast_len, rfft
 
 from .errors import ConfigError, InvalidSpecError, RateMismatchError
 from .frontend import SignalBuffer, adc_quantize, add_awgn
@@ -247,15 +247,20 @@ def pipeline_warmup_samples(config):
 
 
 def find_delay(reference, output, max_lag=None):
-    """Integer lag of the cross-correlation peak (output vs reference)."""
+    """Integer lag of the cross-correlation peak (output vs reference).
+
+    Searches lags 0..``max_lag`` (at most ``output.size - 1``).  One
+    transform of length >= ``reference.size + max_lag`` holds every
+    searched lag without wrap-around.
+    """
     ref = np.asarray(reference, dtype=float)
     out = np.asarray(output, dtype=float)
-    if max_lag is None:
-        max_lag = out.size - 1
-    corr = fftconvolve(out, ref[::-1], mode="full")
-    lags = np.arange(-(ref.size - 1), out.size)
-    keep = (lags >= 0) & (lags <= max_lag)
-    return int(lags[keep][np.argmax(np.abs(corr[keep]))])
+    max_lag = out.size - 1 if max_lag is None else min(max_lag, out.size - 1)
+    if max_lag < 0:
+        raise InvalidSpecError("no lag to search: empty output or negative max_lag")
+    nfft = next_fast_len(ref.size + max_lag, real=True)
+    corr = irfft(rfft(out, nfft) * np.conj(rfft(ref, nfft)), nfft)[: max_lag + 1]
+    return int(np.argmax(np.abs(corr)))
 
 
 def aligned_mse(reference, output, delay, trim=0):

@@ -22,7 +22,8 @@ class DesignFailureError(FstackError):
 
 
 class FramingError(FstackError):
-    """Filter-bank input is not a whole number of commutator revolutions."""
+    """Filter-bank input is not a whole number of commutator revolutions,
+    or holds a NaN or Inf sample."""
 
 
 class PlanningError(FstackError):

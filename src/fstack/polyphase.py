@@ -21,18 +21,28 @@ member N-n and replaces the pure n_fos-sample delay of branch 0 by an
 delay.  Output gain is scaled so a matched cascade has unity passband
 gain.
 
-Operation counters follow the per-frame accounting model: branch work
-counted as complex-by-real operations (2 mults per tap; each all-pass
-first-order section 1 coefficient multiply and 2 additions, doubled for
-complex data), and the transform (computed by numpy.fft) charged with
-the analytic butterfly model.
+Realisation: each all-pass branch is one chain of second-order sections
+run by a single ``scipy.signal.sosfilt`` call that carries its state;
+every conjugate pair of first-order sections becomes one real biquad,
+and the pure delay of branch 0 is written as exact delay sections, so
+real input stays real until the transform.  The FIR family is one
+(K, N) tap matrix with K-1 frames of history, and all N branches are
+filtered at once by a frequency-domain convolution along the frame
+axis.
+
+Operation counters do not count what the realisation executes; they
+follow the per-frame accounting model: branch work counted as
+complex-by-real operations (2 mults per tap; each all-pass first-order
+section 1 coefficient multiply and 2 additions, doubled for complex
+data), and the transform (computed by numpy.fft) charged with the
+analytic butterfly model.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
+from scipy.signal import fftconvolve, lfilter, sosfilt
 
 from .complexity import fir_candidate_cost, ifft_cost, iir_candidate_cost
 from .errors import FramingError
@@ -66,90 +76,112 @@ class ChannelFrame:
     warm_up: bool = False
 
 
-class _FirBranch:
+# Column block of the FIR family's frequency-domain convolution: bounds
+# its scratch memory at full-scale bank sizes (N = 1280 and up).
+_FIR_COLUMN_BLOCK = 128
+
+
+class _FirFamily:
+    """All N FIR branches: a (K, N) tap matrix and K-1 frames of history.
+
+    ``run`` convolves column n of its (frames, N) input with tap column
+    n along the frame axis.
+    """
+
     def __init__(self, taps):
-        taps = np.asarray(taps, dtype=float)
-        self.taps = taps if taps.size else np.zeros(1)
-        self._zi = np.zeros(max(self.taps.size - 1, 0), dtype=np.complex128)
+        self.taps = taps
+        self.reset()
 
-    def run(self, x):
-        if self.taps.size == 1:
-            return self.taps[0] * x
-        y, self._zi = lfilter(self.taps, [1.0], x, zi=self._zi)
+    def reset(self):
+        self._hist = np.zeros((self.taps.shape[0] - 1, self.taps.shape[1]))
+
+    def run(self, u):
+        ext = np.concatenate([self._hist, u])
+        y = np.empty(u.shape, dtype=np.result_type(ext, self.taps))
+        for c in range(0, u.shape[1], _FIR_COLUMN_BLOCK):
+            cols = slice(c, c + _FIR_COLUMN_BLOCK)
+            y[:, cols] = fftconvolve(ext[:, cols], self.taps[:, cols], mode="valid", axes=0)
+        self._hist = ext[ext.shape[0] - self._hist.shape[0] :].copy()
         return y
 
-    def reset(self):
-        self._zi = np.zeros_like(self._zi)
 
+class _AllPassFamily:
+    """N branches, each one chain of second-order sections with its state."""
 
-class _DelayBranch:
-    def __init__(self, delay, scale):
-        self.delay = delay
+    def __init__(self, sections, scale):
+        self.sections = sections
         self.scale = scale
-        self._zi = np.zeros(delay, dtype=np.complex128)
-
-    def run(self, x):
-        if self.delay == 0:
-            return self.scale * x
-        buf = np.concatenate([self._zi, np.asarray(x, dtype=np.complex128)])
-        self._zi = buf[buf.size - self.delay :].copy()
-        return self.scale * buf[: x.size]
+        self.reset()
 
     def reset(self):
-        self._zi = np.zeros_like(self._zi)
+        self._zi = [np.zeros((sos.shape[0], 2)) for sos in self.sections]
 
-
-class _AllPassChain:
-    """Cascade of first-order all-pass sections with per-section state."""
-
-    def __init__(self, alphas, scale):
-        self.alphas = np.asarray(alphas, dtype=np.complex128)
-        self.scale = scale
-        self._zi = [np.zeros(1, dtype=np.complex128) for _ in self.alphas]
-
-    def run(self, x):
-        y = self.scale * np.asarray(x, dtype=np.complex128)
-        for idx, a in enumerate(self.alphas):
-            y, self._zi[idx] = lfilter([a, 1.0], [1.0, a], y, zi=self._zi[idx])
+    def run(self, u):
+        y = np.empty(u.shape, dtype=np.result_type(u, *self.sections, *self._zi))
+        for br, sos in enumerate(self.sections):
+            y[:, br], self._zi[br] = sosfilt(sos, u[:, br], zi=self._zi[br])
+        y *= self.scale
         return y
 
-    def reset(self):
-        self._zi = [np.zeros(1, dtype=np.complex128) for _ in self.alphas]
+
+def _allpass_sos(alphas):
+    """Sections of a chain of first-order all-pass sections (a + z^-1)/(1 + a z^-1).
+
+    Each exact conjugate pair multiplies out to the real biquad
+    [|a|^2, 2 Re a, 1, 1, 2 Re a, |a|^2]; any other section keeps its
+    first-order row, so the rows are complex only if some complex
+    section has no conjugate.
+    """
+    rows, rest = [], list(alphas)
+    while rest:
+        a = rest.pop()
+        if a.imag and np.conj(a) in rest:
+            rest.remove(np.conj(a))
+            mag2, re2 = a.real**2 + a.imag**2, 2.0 * a.real
+            rows.append([mag2, re2, 1.0, 1.0, re2, mag2])
+        else:
+            rows.append([a, 1.0, 0.0, 1.0, a, 0.0])
+    sos = np.array(rows)
+    return sos if sos.imag.any() else sos.real.copy()
 
 
-def _padded_branches(prototype):
-    """Polyphase branches zero-padded to equal length (a whole revolution)."""
+def _delay_sos(delay):
+    """A pure delay of ``delay`` samples as exact sections (z^-2, z^-1 or 1)."""
+    rows = [[0.0, 0.0, 1.0, 1.0, 0.0, 0.0]] * (delay // 2)
+    if delay % 2:
+        rows.append([0.0, 1.0, 0.0, 1.0, 0.0, 0.0])
+    return np.array(rows or [[1.0, 0.0, 0.0, 1.0, 0.0, 0.0]])
+
+
+def _fir_taps(prototype):
+    """(K, N) tap matrix: column n is polyphase branch n, zero-padded to K."""
     n = prototype.spec.num_branches
-    branches = polyphase_decompose(prototype, n)
-    length = max(len(b) for b in branches)
-    return [np.concatenate([b, np.zeros(length - len(b))]) for b in branches]
+    taps = prototype.coefficients
+    k = max(math.ceil(taps.size / n), 1)
+    return np.concatenate([taps, np.zeros(k * n - taps.size)]).reshape(k, n)
 
 
 def _branch_family(prototype):
     """Analysis branch filters 0..N-1 of the prototype, gains included."""
     if isinstance(prototype, FirPrototype):
-        return [_FirBranch(taps) for taps in _padded_branches(prototype)]
+        return _FirFamily(_fir_taps(prototype))
     if isinstance(prototype, AllPassPrototype):
         n = prototype.num_branches
-        family = [_DelayBranch(prototype.branch0_delay, 1.0 / n)]
-        family.extend(
-            _AllPassChain(prototype.alphas[i], 1.0 / n) for i in range(n - 1)
-        )
-        return family
+        sections = [_delay_sos(prototype.branch0_delay)]
+        sections.extend(_allpass_sos(prototype.alphas[i]) for i in range(n - 1))
+        return _AllPassFamily(sections, 1.0 / n)
     raise TypeError(f"unsupported prototype {type(prototype).__name__}")
 
 
 def _synthesis_family(prototype):
     """Synthesis branch filters 0..N-1 (see module docstring for the pairing)."""
     if isinstance(prototype, FirPrototype):
-        return [_FirBranch(taps) for taps in reversed(_padded_branches(prototype))]
+        return _FirFamily(_fir_taps(prototype)[:, ::-1].copy())
     if isinstance(prototype, AllPassPrototype):
         n = prototype.num_branches
-        family = [_DelayBranch(prototype.branch0_delay - 1, 1.0 / n)]
-        family.extend(
-            _AllPassChain(prototype.alphas[n - 1 - i], 1.0 / n) for i in range(1, n)
-        )
-        return family
+        sections = [_delay_sos(prototype.branch0_delay - 1)]
+        sections.extend(_allpass_sos(prototype.alphas[n - 1 - i]) for i in range(1, n))
+        return _AllPassFamily(sections, 1.0 / n)
     raise TypeError(f"unsupported prototype {type(prototype).__name__}")
 
 
@@ -169,6 +201,11 @@ def _frame_cost(prototype, num_branches):
     return iir_candidate_cost(n, prototype.num_branches * prototype.sections_per_branch)
 
 
+def _require_finite(x):
+    if not np.isfinite(x).all():
+        raise FramingError("filter-bank input holds NaN or Inf samples")
+
+
 def _warmup_frames(prototype, num_branches):
     if isinstance(prototype, FirPrototype):
         return math.ceil(prototype.length / num_branches)
@@ -182,7 +219,7 @@ class AnalysisBank:
         self.prototype = prototype
         self.num_branches = prototype.spec.num_branches
         self._branches = _branch_family(prototype)
-        self._hist = np.zeros(self.num_branches - 1, dtype=np.complex128)
+        self._hist = np.zeros(self.num_branches - 1)
         self._frame_cost = _frame_cost(prototype, self.num_branches)
         self.counters = OperationCounters()
         self.frames_processed = 0
@@ -193,9 +230,8 @@ class AnalysisBank:
         return _warmup_frames(self.prototype, self.num_branches)
 
     def reset(self):
-        for br in self._branches:
-            br.reset()
-        self._hist = np.zeros_like(self._hist)
+        self._branches.reset()
+        self._hist = np.zeros(self.num_branches - 1)
         self.counters.reset()
         self.frames_processed = 0
         self.samples_consumed = 0
@@ -212,17 +248,16 @@ class AnalysisBank:
             raise FramingError(
                 f"input must be a 1-D multiple of N={n} samples, got shape {x.shape}"
             )
+        _require_finite(x)
         n_frames = x.size // n
         if n_frames == 0:
             return np.zeros((0, n), dtype=np.complex128)
-        ext = np.concatenate([self._hist, x.astype(np.complex128)])
-        branch_in = np.empty((n_frames, n), dtype=np.complex128)
-        for br in range(n):
-            stream = ext[n - 1 - br :: n][:n_frames]
-            branch_in[:, br] = self._branches[br].run(stream)
-        if n > 1:
-            self._hist = ext[ext.size - (n - 1) :].copy()
-        frames = np.fft.ifft(branch_in, axis=1)
+        x = x.astype(np.complex128 if np.iscomplexobj(x) else float, copy=False)
+        ext = np.concatenate([self._hist, x])
+        # row k of the delay line, reversed, holds x[k*N - n] in column n
+        branch_in = ext[: n_frames * n].reshape(n_frames, n)[:, ::-1]
+        self._hist = ext[ext.size - (n - 1) :].copy()
+        frames = np.fft.ifft(self._branches.run(branch_in), axis=1)
         adds, mults = self._frame_cost
         self.counters.real_adds += n_frames * adds
         self.counters.real_mults += n_frames * mults
@@ -262,8 +297,7 @@ class SynthesisBank:
         return _warmup_frames(self.prototype, self.num_branches)
 
     def reset(self):
-        for br in self._branches:
-            br.reset()
+        self._branches.reset()
         self.counters.reset()
         self.frames_processed = 0
 
@@ -273,13 +307,12 @@ class SynthesisBank:
         n = self.num_branches
         if frames.ndim != 2 or frames.shape[1] != n:
             raise FramingError(f"expected (frames, {n}) input, got {frames.shape}")
+        _require_finite(frames)
         n_frames = frames.shape[0]
         if n_frames == 0:
             return np.zeros(0, dtype=np.complex128)
-        branch_in = np.fft.fft(frames, axis=1)
-        out = np.empty((n_frames, n), dtype=np.complex128)
-        for br in range(n):
-            out[:, n - 1 - br] = self._branches[br].run(branch_in[:, br])
+        # branch n feeds output slot k*N + N-1-n
+        out = self._branches.run(np.fft.fft(frames, axis=1))[:, ::-1]
         adds, mults = self._frame_cost
         self.counters.real_adds += n_frames * adds
         self.counters.real_mults += n_frames * mults
@@ -313,6 +346,8 @@ def prototype_impulse_response(prototype, min_length=None, tol=1e-16):
     For the all-pass kind the branch recursions are run until the tail
     falls below ``tol`` relative to the peak, so convolving with the
     result matches the streaming bank to well below the test tolerances.
+    The branches run as complex first-order ``lfilter`` sections, a
+    realisation independent of the banks' second-order sections.
     """
     if isinstance(prototype, FirPrototype):
         return prototype.coefficients.copy()
@@ -321,12 +356,12 @@ def prototype_impulse_response(prototype, min_length=None, tol=1e-16):
     if min_length is not None:
         k = max(k, math.ceil(min_length / n))
     while True:
-        imp = np.zeros(k, dtype=np.complex128)
-        imp[0] = 1.0
-        rows = []
-        for branch in _branch_family(prototype):
-            rows.append(branch.run(imp.copy()))
-        rows = np.asarray(rows)
+        rows = np.zeros((n, k), dtype=np.complex128)
+        rows[0, prototype.branch0_delay] = 1.0 / n
+        for branch_idx in range(1, n):
+            rows[branch_idx, 0] = 1.0 / n
+            for a in prototype.alphas[branch_idx - 1]:
+                rows[branch_idx] = lfilter([a, 1.0], [1.0, a], rows[branch_idx])
         peak = np.max(np.abs(rows))
         tail = np.max(np.abs(rows[:, -max(2, k // 20) :]))
         if tail <= tol * peak or k >= (1 << 22) // n:
@@ -344,11 +379,12 @@ def direct_channelize_oracle(prototype, num_branches, x, channel):
     Deliberately the slow textbook path (O(L*N) per output sample): the
     prototype is modulated up to the channel centre, convolved with the
     input at the full rate, and decimated, with scaling matched to the
-    analysis bank.
+    analysis bank.  Only the first ``x.size`` outputs are read, so the
+    response is truncated to ``x.size`` taps before the convolution.
     """
     x = np.asarray(x, dtype=np.complex128)
     n = num_branches
-    h = prototype_impulse_response(prototype, min_length=x.size)
+    h = prototype_impulse_response(prototype, min_length=x.size)[: x.size]
     h_mod = h * np.exp(2j * np.pi * channel * np.arange(h.size) / n)
     full = np.convolve(x, h_mod)
     n_frames = x.size // n

@@ -6,6 +6,7 @@ optimizers for every test module.
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from fstack.channelizer import end_to_end
 from fstack.cli import (
@@ -29,6 +30,10 @@ REF_FO = 10e6
 REF_FC = 1650.75e6
 REF_B = 48.5e6
 REF_N = 20
+
+# property tests draw the same examples on every run, with no deadline
+settings.register_profile("fstack", derandomize=True, deadline=None, max_examples=25)
+settings.load_profile("fstack")
 
 
 @pytest.fixture(scope="session")

@@ -267,6 +267,37 @@ class TestDelayEstimator:
         y = np.concatenate([np.zeros(137), x])
         assert find_delay(x, y) == 137
 
+    @pytest.mark.parametrize(
+        "ref_size, out_size, max_lag",
+        [
+            (200, 300, None),
+            (200, 300, 0),
+            (200, 300, 17),
+            (200, 300, 150),
+            (200, 300, 5000),  # clamped to out_size - 1
+            (64, 400, 40),  # out_size > ref_size + max_lag
+            (300, 120, None),  # out_size < ref_size
+            (300, 120, 33),
+            (1, 25, None),
+        ],
+    )
+    def test_matches_explicit_correlation(self, ref_size, out_size, max_lag, rng):
+        for _ in range(4):
+            ref = rng.standard_normal(ref_size)
+            out = rng.standard_normal(out_size)
+            # np.correlate "full" index i is lag i - (ref_size - 1)
+            corr = np.correlate(out, ref, mode="full")[ref_size - 1 :]
+            window = out_size if max_lag is None else max_lag + 1
+            expected = int(np.argmax(np.abs(corr[:window])))
+            assert find_delay(ref, out, max_lag=max_lag) == expected
+
+    def test_empty_lag_window_rejected(self, rng):
+        x = rng.standard_normal(64)
+        with pytest.raises(InvalidSpecError):
+            find_delay(x, np.zeros(0))
+        with pytest.raises(InvalidSpecError):
+            find_delay(x, x, max_lag=-1)
+
     def test_insufficient_overlap_rejected(self, rng):
         x = rng.standard_normal(64)
         with pytest.raises(InvalidSpecError):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fstack import complexity
 from fstack.errors import FramingError
@@ -51,6 +53,38 @@ class TestFraming:
         with pytest.raises(FramingError):
             bank.process_block(np.zeros((5, 3)))
 
+    @pytest.mark.parametrize("kind", ["iir", "fir"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, kind, bad, iir_small, fir_small, rng):
+        proto = (iir_small if kind == "iir" else fir_small)[4]
+        clean = rng.standard_normal(4 * 16)
+        dirty = clean.copy()
+        dirty[9] = bad
+        bank = AnalysisBank(proto)
+        with pytest.raises(FramingError):
+            bank.process_block(dirty)
+        dirty_complex = clean.astype(complex)
+        dirty_complex[9] = complex(1.0, bad)
+        with pytest.raises(FramingError):
+            bank.process_block(dirty_complex)
+        with pytest.raises(FramingError):
+            bank.process_frame(dirty[8:12])
+        # a rejected block leaves the bank's state untouched
+        np.testing.assert_array_equal(
+            bank.process_block(clean), AnalysisBank(proto).process_block(clean)
+        )
+        frames = rng.standard_normal((16, 4)) + 1j * rng.standard_normal((16, 4))
+        dirty_frames = frames.copy()
+        dirty_frames[5, 2] = complex(1.0, bad)
+        synth = SynthesisBank(proto)
+        with pytest.raises(FramingError):
+            synth.process_block(dirty_frames)
+        with pytest.raises(FramingError):
+            synth.process_frame(dirty_frames[5])
+        np.testing.assert_array_equal(
+            synth.process_block(frames), SynthesisBank(proto).process_block(frames)
+        )
+
     def test_frame_metadata(self, fir_small):
         bank = AnalysisBank(fir_small[4])
         first = bank.process_frame(np.ones(4))
@@ -93,6 +127,48 @@ class TestStreamingEquivalence:
         bank.reset()
         assert bank.counters.frames == 0
         np.testing.assert_allclose(bank.process_block(x), first, atol=1e-14)
+
+
+class TestChunking:
+    """Any split into whole-frame blocks equals one block (both kinds, both ways)."""
+
+    FRAMES = 48
+
+    @staticmethod
+    def _blocks(data, cuts, real):
+        """Blocks between the cut frames; block i is real where ``real[i]`` is true."""
+        edges = [0, *sorted(cuts), data.shape[0]]
+        return [
+            data[lo:hi].real if i < len(real) and real[i] else data[lo:hi]
+            for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:]))
+        ]
+
+    @pytest.mark.parametrize("direction", ["analysis", "synthesis"])
+    @pytest.mark.parametrize("kind", ["iir", "fir"])
+    @given(
+        n=st.sampled_from([2, 4, 8]),
+        cuts=st.lists(st.integers(0, FRAMES), max_size=5),
+        real=st.lists(st.booleans(), max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_any_split_equals_one_block(
+        self, direction, kind, n, cuts, real, seed, iir_small, fir_small
+    ):
+        proto = (iir_small if kind == "iir" else fir_small)[n]
+        gen = np.random.default_rng(seed)
+        shape = (self.FRAMES, n)
+        data = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+        blocks = self._blocks(data, cuts, real)
+        whole = np.concatenate([b.astype(complex) for b in blocks])
+        if direction == "analysis":
+            bank = AnalysisBank(proto)
+            chunked = np.concatenate([bank.process_block(b.reshape(-1)) for b in blocks])
+            single = AnalysisBank(proto).process_block(whole.reshape(-1))
+        else:
+            bank = SynthesisBank(proto)
+            chunked = np.concatenate([bank.process_block(b) for b in blocks])
+            single = SynthesisBank(proto).process_block(whole)
+        assert rel_err(chunked, single) <= 1e-12
 
 
 class TestOracleEquivalence:
@@ -152,6 +228,25 @@ class TestOracleEquivalence:
             for ch in range(0, n, max(1, n // 4)):
                 oracle = direct_channelize_oracle(proto, n, x, ch)
                 assert rel_err(frames[:, ch], oracle) < 1e-10
+
+
+    @pytest.mark.parametrize(
+        "alphas",
+        [
+            [0.3 + 0.4j, 0.3 - 0.4j, -0.2 + 0j],  # a conjugate pair and a real section
+            [0.3 + 0.4j, 0.1 - 0.2j, 0.25 + 0j],  # complex sections with no exact conjugate
+        ],
+    )
+    def test_arbitrary_sections_match_oracle(self, alphas, rng):
+        n = 4
+        spec = PrototypeSpec(1.0, 0.4 / n, 0.6 / n, 0.01, 0.01, n, "iir")
+        rows = [np.roll(alphas, br) for br in range(n - 1)]
+        proto = AllPassPrototype(n, 3, np.array(rows), spec)
+        x = rng.standard_normal(n * 256) + 1j * rng.standard_normal(n * 256)
+        frames = AnalysisBank(proto).process_block(x)
+        for ch in range(n):
+            oracle = direct_channelize_oracle(proto, n, x, ch)
+            assert rel_err(frames[:, ch], oracle) < 1e-10
 
 
 class TestChannelSelectivity:
