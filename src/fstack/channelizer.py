@@ -306,7 +306,9 @@ def end_to_end(config, stimulus, adc_bits=None, snr_db=None, seed=1234,
     stimulus -> [AWGN] -> [ADC] -> coarse analysis -> fine analysis ->
     fine synthesis -> coarse synthesis -> metrics against the clean
     stimulus.  Impairments are optional; the float path is the
-    transparency benchmark.
+    transparency benchmark.  A stimulus shorter than the expected delay
+    plus ``pipeline_warmup_samples`` raises ``InvalidSpecError``: its
+    aligned span could not reach steady state.
     """
     x = stimulus
     extras = {}
@@ -326,6 +328,13 @@ def end_to_end(config, stimulus, adc_bits=None, snr_db=None, seed=1234,
         report = MetricsReport(0, 0.0, 0.0, extras=extras)
         report.extras["note"] = "empty stimulus or no occupied sub-bands"
         return report
+    theory = config.expected_delay_samples()
+    needed = theory + pipeline_warmup_samples(config)
+    if len(x) < needed:
+        raise InvalidSpecError(
+            f"stimulus of {len(x)} samples is too short to measure: the pipeline "
+            f"needs at least {needed} (expected delay {theory} plus warm-up)"
+        )
 
     coarse, warmup_frames = _coarse_frames(config, x)
     subbands = _occupied_streams(config, coarse, x.label)
@@ -345,12 +354,6 @@ def end_to_end(config, stimulus, adc_bits=None, snr_db=None, seed=1234,
             buf.samples[:shortest], buf.rate_hz, "complex", buf.label
         )
     restacked = coarse_synthesize(config, processed)
-    if len(restacked) == 0:
-        report = MetricsReport(0, 0.0, 0.0, extras=extras)
-        report.extras["note"] = "stimulus shorter than one fine-stage frame"
-        return report
-
-    theory = config.expected_delay_samples()
     delay = find_delay(stimulus.samples, restacked.samples,
                        max_lag=min(len(restacked) - 1, 2 * theory + 1024))
     span = min(len(stimulus), len(restacked) - delay)

@@ -25,11 +25,15 @@ from .channelizer import (
 from .config import load_config
 from .errors import ConfigError, DesignFailureError, FstackError
 from .filter_design import (
+    FirPrototype,
     PrototypeSpec,
     attenuation_to_ripple,
     design_fir_equiripple,
     design_iir_nthband_alp,
+    estimate_fir_length,
     export_coefficients,
+    kaiser_taps,
+    measure_fir,
     ripple_pp_db_to_linear,
     verify_allpass,
 )
@@ -114,13 +118,11 @@ def build_fine_prototype(cfg, channel_plan):
         num_branches=n_f,
         kind="fir",
     )
-    from .filter_design import _kaiser_taps, estimate_fir_length, FirPrototype, measure_fir
-
     est = estimate_fir_length(spec.passband_ripple, spec.stopband_ripple, spec.delta_f)
     if est > FINE_REMEZ_LIMIT:
         length = n_f * math.ceil(est / n_f)
         for _ in range(64):
-            taps = _kaiser_taps(length, spec)
+            taps = kaiser_taps(length, spec)
             pass_dev, stop_max = measure_fir(taps, spec, grid_mult=4)
             if pass_dev <= spec.passband_ripple and stop_max <= spec.stopband_ripple:
                 return FirPrototype(taps, spec)

@@ -241,7 +241,8 @@ def measure_fir(taps, spec, grid_mult=16):
     return pass_dev, stop_max
 
 
-def _kaiser_taps(length, spec):
+def kaiser_taps(length, spec):
+    """Kaiser-window lowpass of ``length`` taps, cut midway through the transition."""
     cutoff = 0.5 * (spec.fp_norm + spec.fa_norm)
     atten = -20.0 * math.log10(min(spec.stopband_ripple, spec.passband_ripple))
     beta = (
@@ -280,7 +281,7 @@ def design_fir_equiripple(spec, length_multiple=1, max_attempts=64):
             if not np.all(np.isfinite(taps)):
                 raise ValueError("non-finite taps")
         except Exception:
-            taps, method = _kaiser_taps(length, spec), "kaiser"
+            taps, method = kaiser_taps(length, spec), "kaiser"
         pass_dev, stop_max = measure_fir(taps, spec)
         check = FirCheck(
             passband_dev=pass_dev,
@@ -326,11 +327,14 @@ def fir_from_taps(taps, num_branches, sample_rate_hz=1.0):
 # all-pass branch fit
 
 
-def _branch_phase_error(d, w, phi):
-    """True phase error of the all-pass built on denominator d, and D(e^jw)."""
-    m = np.arange(1, d.size + 1)
-    dw = 1.0 + (np.exp(-1j * np.outer(w, m)) * d).sum(axis=1)
-    return -2.0 * np.angle(dw * np.exp(-1j * phi)), dw
+def _branch_phase_error(d, kernel, rot):
+    """True phase error of the all-pass built on denominator d, and D(e^jw).
+
+    ``kernel`` is exp(-j*outer(w, m)) and ``rot`` is exp(-j*phi) on the
+    fit grid; both are constant over a fit.
+    """
+    dw = 1.0 + (kernel * d).sum(axis=1)
+    return -2.0 * np.angle(dw * rot), dw
 
 
 def _fit_branch_delay(order, delay, w_max, n_grid=1024, n_outer=200):
@@ -344,15 +348,17 @@ def _fit_branch_delay(order, delay, w_max, n_grid=1024, n_outer=200):
     """
     w = np.linspace(1e-9, w_max, n_grid)
     phi = 0.5 * (delay - order) * w  # required denominator phase
-    m = np.arange(1, order + 1)
+    wm = np.outer(w, np.arange(1, order + 1))
+    kernel = np.exp(-1j * wm)
+    rot = np.exp(-1j * phi)
 
     # seed: equation-error least squares, re-weighted by 1/|D|
+    a_mat = np.sin(wm + phi[:, None])
     d = np.zeros(order)
     wt = np.ones(n_grid)
     for _ in range(15):
-        a_mat = np.sin(np.outer(w, m) + phi[:, None])
         d, *_ = np.linalg.lstsq(a_mat * wt[:, None], -np.sin(phi) * wt, rcond=None)
-        err, dw = _branch_phase_error(d, w, phi)
+        err, dw = _branch_phase_error(d, kernel, rot)
         wt = 1.0 / np.abs(dw)
         wt /= wt.max()
 
@@ -360,13 +366,13 @@ def _fit_branch_delay(order, delay, w_max, n_grid=1024, n_outer=200):
         roots = np.roots(np.concatenate(([1.0], dd)))
         return roots.size == 0 or np.max(np.abs(roots)) <= _ALPHA_LIMIT
 
-    err, dw = _branch_phase_error(d, w, phi)
+    err, dw = _branch_phase_error(d, kernel, rot)
     best_d, best_peak = (d.copy(), np.abs(err).max()) if stable(d) else (None, np.inf)
     lawson = 1.0 / np.abs(dw)
     lawson /= lawson.max()
     lam = 1e-9
     for _ in range(n_outer):
-        err, dw = _branch_phase_error(d, w, phi)
+        err, dw = _branch_phase_error(d, kernel, rot)
         peak = np.abs(err).max()
         if peak < best_peak and stable(d):
             best_d, best_peak = d.copy(), peak
@@ -374,7 +380,7 @@ def _fit_branch_delay(order, delay, w_max, n_grid=1024, n_outer=200):
         lawson = lawson * ((abs_err + 1e-3 * peak) / (abs_err.max() + 1e-300)) ** 0.7
         lawson /= lawson.max()
         lawson = np.maximum(lawson, 1e-9)
-        jac = -2.0 * (np.exp(-1j * np.outer(w, m)) / dw[:, None]).imag
+        jac = -2.0 * (kernel / dw[:, None]).imag
         lhs = jac.T @ (lawson[:, None] * jac)
         rhs = -(jac.T @ (lawson * err))
         cost = np.dot(lawson, err * err)
@@ -386,7 +392,7 @@ def _fit_branch_delay(order, delay, w_max, n_grid=1024, n_outer=200):
                 lam *= 10.0
                 continue
             cand = d + step
-            cand_err, _ = _branch_phase_error(cand, w, phi)
+            cand_err, _ = _branch_phase_error(cand, kernel, rot)
             if np.dot(lawson, cand_err * cand_err) < cost:
                 d = cand
                 lam = max(lam / 2.0, 1e-12)
@@ -460,15 +466,18 @@ def design_iir_nthband_alp(spec, n_fos, phase_limit_deg=1.0):
 # response evaluation and verification
 
 
-def _branch_response(proto, branch, w_dec):
-    """Branch transfer function (with its 1/N gain) at decimated-rate w."""
+def _branch_response(proto, branch, w_dec, z):
+    """Branch transfer function (with its 1/N gain) at decimated-rate w.
+
+    ``z`` is exp(-j*w_dec), shared by every branch on the grid; the
+    denominator is evaluated in it by Horner's rule (``np.polyval``).
+    """
     n_br = proto.num_branches
+    delay = np.exp(-1j * w_dec * proto.sections_per_branch)
     if branch == 0:
-        return np.exp(-1j * w_dec * proto.branch0_delay) / n_br
-    d = proto.branch_denominator(branch)
-    m = np.arange(1, d.size)
-    dw = d[0] + (np.exp(-1j * np.outer(w_dec, m)) * d[1:]).sum(axis=1)
-    return np.exp(-1j * w_dec * proto.sections_per_branch) * np.conj(dw) / dw / n_br
+        return delay / n_br
+    dw = np.polyval(proto.branch_denominator(branch)[::-1], z)
+    return delay * np.conj(dw) / dw / n_br
 
 
 def composite_response(proto, freqs):
@@ -479,9 +488,10 @@ def composite_response(proto, freqs):
         return h
     w_full = 2.0 * np.pi * freqs
     w_dec = proto.num_branches * w_full
+    z = np.exp(-1j * w_dec)
     h = np.zeros(freqs.shape, dtype=np.complex128)
     for n in range(proto.num_branches):
-        h += np.exp(-1j * w_full * n) * _branch_response(proto, n, w_dec)
+        h += np.exp(-1j * w_full * n) * _branch_response(proto, n, w_dec, z)
     return h
 
 
@@ -568,9 +578,10 @@ def verify_allpass(proto, grid_points=1 << 17, phase_limit_deg=1.0):
 
     # branch all-pass magnitude sanity on its own grid
     w_dec = np.linspace(0.0, np.pi, 4096)
+    z = np.exp(-1j * w_dec)
     branch_err = 0.0
     for n in range(1, proto.num_branches):
-        a_resp = _branch_response(proto, n, w_dec) * proto.num_branches
+        a_resp = _branch_response(proto, n, w_dec, z) * proto.num_branches
         branch_err = max(branch_err, float(np.max(np.abs(np.abs(a_resp) - 1.0))))
 
     return AlpCheck(

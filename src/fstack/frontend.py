@@ -85,10 +85,12 @@ class AdcModel:
 
 def _masked_noise(n_samples, rate_hz, intervals, rng):
     """Unit-power complex noise whose spectrum lives on the given bands."""
-    freqs = np.fft.fftfreq(n_samples, d=1.0 / rate_hz)
+    # bins in ascending order: each band [lo, hi] is one contiguous run
+    freqs = np.fft.fftshift(np.fft.fftfreq(n_samples, d=1.0 / rate_hz))
     mask = np.zeros(n_samples, dtype=bool)
     for lo, hi in intervals:
-        mask |= (freqs >= lo) & (freqs <= hi)
+        mask[np.searchsorted(freqs, lo, "left") : np.searchsorted(freqs, hi, "right")] = True
+    mask = np.fft.ifftshift(mask)
     if not np.any(mask):
         raise InvalidSpecError("stimulus mask is empty; intervals too narrow")
     spectrum = np.zeros(n_samples, dtype=np.complex128)

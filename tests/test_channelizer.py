@@ -252,6 +252,15 @@ class TestEndToEnd:
         report = end_to_end(pipe, zero)
         assert report.mse == 0.0 and report.mse_over_signal == 0.0
 
+    def test_too_short_input_rejected(self, pipelines):
+        pipe = pipelines["pipes"]["iir"]
+        stim = pipelines["stimulus"]
+        needed = pipe.expected_delay_samples() + pipeline_warmup_samples(pipe)
+        short = SignalBuffer(stim.samples[:300_000], stim.rate_hz, "real")
+        assert len(short) < needed
+        with pytest.raises(InvalidSpecError, match=rf"\b300000\b.*\b{needed}\b"):
+            end_to_end(pipe, short)
+
     def test_adc_path_reports_quantization(self, pipelines):
         pipe = pipelines["pipes"]["iir"]
         stim = pipelines["stimulus"]

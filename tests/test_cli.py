@@ -124,6 +124,12 @@ class TestRunCommand:
         delay, mse, rel = csv_lines[1].split(",")
         assert float(mse) == 0.0 and float(rel) == 0.0
 
+    def test_too_short_input_exits_4(self, tmp_path, capsys):
+        # the mini pipeline needs about 8 400 samples to reach steady state
+        cfg = write_mini(tmp_path, **{"num_samples = 64000": "num_samples = 4000"})
+        assert main(["run", "--config", cfg]) == 4
+        assert "too short" in capsys.readouterr().err
+
     def test_metrics_deterministic(self, tmp_path):
         cfg = write_mini(tmp_path)
         out1, out2 = tmp_path / "r1", tmp_path / "r2"

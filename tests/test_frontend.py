@@ -1,9 +1,13 @@
 """Front-end tests: stimulus, stacking paths, ADC, AWGN, signal files."""
 
+import math
+
 import numpy as np
 import pytest
 
 from fstack import frontend
+from fstack.channelizer import gmr_channel_plan
+from fstack.cli import build_channel_plan
 from fstack.errors import InvalidSpecError, StackingError
 from fstack.frontend import (
     AdcModel,
@@ -11,6 +15,7 @@ from fstack.frontend import (
     adc_quantize,
     add_awgn,
     band_power_centroid,
+    fdm_grid_intervals,
     generate_subband_signal,
     occupied_bandwidth,
     periodogram_db,
@@ -21,6 +26,22 @@ from fstack.frontend import (
 )
 
 DUR = 1 << 13
+
+
+def loop_masked_noise(n_samples, rate_hz, intervals, rng):
+    """Oracle: the stimulus built from a per-band OR over every bin."""
+    freqs = np.fft.fftfreq(n_samples, d=1.0 / rate_hz)
+    mask = np.zeros(n_samples, dtype=bool)
+    for lo, hi in intervals:
+        mask |= (freqs >= lo) & (freqs <= hi)
+    if not np.any(mask):
+        raise InvalidSpecError("stimulus mask is empty; intervals too narrow")
+    spectrum = np.zeros(n_samples, dtype=np.complex128)
+    k = int(np.count_nonzero(mask))
+    spectrum[mask] = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    x = np.fft.ifft(spectrum)
+    x /= math.sqrt(np.mean(np.abs(x) ** 2))
+    return x
 
 
 class TestStimulus:
@@ -60,6 +81,82 @@ class TestStimulus:
     def test_unoccupied_subband_rejected(self, table2_plan):
         with pytest.raises(InvalidSpecError):
             generate_subband_signal(0, table2_plan, DUR, seed=1)
+
+
+class TestStimulusMask:
+    """The sorted-search mask against the per-band loop it replaced."""
+
+    RATE = 1000.0
+
+    @pytest.mark.parametrize("n", [64, 65, 1000, 1001])
+    @pytest.mark.parametrize("nudge", [-1e-9, 0.0, 1e-9])
+    def test_edges_on_and_beside_bins(self, n, nudge):
+        f = np.fft.fftfreq(n, d=1.0 / self.RATE)
+        # inner edges from actual bin values, so 0 nudge lands exactly on a bin
+        intervals = [
+            (f[3] + nudge, f[9] + nudge),
+            (f[-7] - nudge, f[-2] - nudge),
+            (f.min() + nudge, f[-(n // 2) + 4] + nudge),  # from the lowest bin
+            (f[n // 2 - 6] - nudge, f.max() - nudge),  # up to the highest bin
+            (f[12] - nudge, f[12] + nudge),  # one bin, or none when the edges cross
+        ]
+        args = (n, self.RATE, intervals)
+        np.testing.assert_array_equal(
+            frontend._masked_noise(*args, np.random.default_rng(5)),
+            loop_masked_noise(*args, np.random.default_rng(5)),
+        )
+
+    @pytest.mark.parametrize("n", [256, 257])
+    def test_overlapping_and_unsorted_bands(self, n):
+        intervals = [(120.0, 300.0), (-400.0, -90.5), (100.0, 130.0),
+                     (-100.0, -95.0), (250.0, 260.0), (-600.0, 700.0 / 3.0)]
+        for bands in (intervals, intervals[::-1], intervals[2:] + intervals[:2]):
+            args = (n, self.RATE, bands)
+            np.testing.assert_array_equal(
+                frontend._masked_noise(*args, np.random.default_rng(11)),
+                loop_masked_noise(*args, np.random.default_rng(11)),
+            )
+
+    @pytest.mark.parametrize("n", [DUR, DUR + 1])
+    def test_noise_profile_band(self, table2_plan, n):
+        half_b = table2_plan.inputs.bandwidth / 2.0
+        rate = table2_plan.inputs.f_s / table2_plan.inputs.num_channels
+        el = generate_subband_signal(3, table2_plan, n, seed=7)
+        np.testing.assert_array_equal(
+            el.baseband.samples,
+            loop_masked_noise(n, rate, [(-half_b, half_b)], np.random.default_rng(7)),
+        )
+
+    @pytest.mark.parametrize("n", [64, 65])
+    def test_empty_mask_rejected(self, n):
+        df = self.RATE / n
+        between_bins = [(0.25 * df, 0.75 * df)]
+        beyond_nyquist = [(2.0 * self.RATE, 3.0 * self.RATE)]
+        for bands in (between_bins, [(9.0, 2.0)], beyond_nyquist, []):
+            with pytest.raises(InvalidSpecError, match="mask is empty"):
+                frontend._masked_noise(n, self.RATE, bands, np.random.default_rng(0))
+            with pytest.raises(InvalidSpecError, match="mask is empty"):
+                loop_masked_noise(n, self.RATE, bands, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("standard", ["reference", "gmr1", "gmr2"])
+    def test_fdm_stimulus_matches_loop_on_full_grids(self, table2_plan, ref_cfg, standard):
+        inp = table2_plan.inputs
+        rate = inp.f_s / inp.num_channels
+        grid = (build_channel_plan(ref_cfg) if standard == "reference"
+                else gmr_channel_plan(standard, rate))
+        n = 16 * grid.channels_per_subband + 1
+        for sub in table2_plan.occupied_subbands:
+            intervals = fdm_grid_intervals(
+                table2_plan, sub, grid.granularity_hz, grid.guardband_fraction)
+            el = generate_subband_signal(
+                sub, table2_plan, n, seed=40 + sub, profile="fdm",
+                granularity_hz=grid.granularity_hz,
+                guardband_fraction=grid.guardband_fraction,
+            )
+            np.testing.assert_array_equal(
+                el.baseband.samples,
+                loop_masked_noise(n, rate, intervals, np.random.default_rng(40 + sub)),
+            )
 
 
 class TestStackingPaths:
