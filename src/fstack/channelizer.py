@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
+from scipy.fft import fft, ifft, irfft, next_fast_len, rfft
 
 from .errors import ConfigError, InvalidSpecError, RateMismatchError
 from .frontend import SignalBuffer, adc_quantize, add_awgn
@@ -251,15 +251,18 @@ def find_delay(reference, output, max_lag=None):
 
     Searches lags 0..``max_lag`` (at most ``output.size - 1``).  One
     transform of length >= ``reference.size + max_lag`` holds every
-    searched lag without wrap-around.
+    searched lag without wrap-around; it is a complex transform when
+    either input is complex, a real one otherwise.
     """
-    ref = np.asarray(reference, dtype=float)
-    out = np.asarray(output, dtype=float)
+    ref, out = np.asarray(reference), np.asarray(output)
+    real = not (np.iscomplexobj(ref) or np.iscomplexobj(out))
+    dtype, fwd, inv = (float, rfft, irfft) if real else (complex, fft, ifft)
+    ref, out = ref.astype(dtype, copy=False), out.astype(dtype, copy=False)
     max_lag = out.size - 1 if max_lag is None else min(max_lag, out.size - 1)
     if max_lag < 0:
         raise InvalidSpecError("no lag to search: empty output or negative max_lag")
-    nfft = next_fast_len(ref.size + max_lag, real=True)
-    corr = irfft(rfft(out, nfft) * np.conj(rfft(ref, nfft)), nfft)[: max_lag + 1]
+    nfft = next_fast_len(ref.size + max_lag, real=real)
+    corr = inv(fwd(out, nfft) * np.conj(fwd(ref, nfft)), nfft)[: max_lag + 1]
     return int(np.argmax(np.abs(corr)))
 
 

@@ -91,14 +91,25 @@ class PrototypeSpec:
 
 @dataclass
 class FirPrototype:
-    """Linear-phase FIR prototype: plain tap sequence plus its spec."""
+    """Linear-phase FIR prototype: plain tap sequence plus its spec.
+
+    The taps are held as a read-only array that owns its data; any other
+    input (a writable array, a view, a list) is copied first.
+    """
 
     coefficients: np.ndarray
     spec: PrototypeSpec
     design_report: object = field(default=None, repr=False, compare=False)
+    # (coefficients, nfft, spectrum) of the polyphase tap matrix, kept by
+    # the filter banks (polyphase._tap_spectrum)
+    _tap_spectrum: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.coefficients = np.asarray(self.coefficients, dtype=float)
+        coefs = np.asarray(self.coefficients, dtype=float)
+        if coefs.flags.writeable or not coefs.flags.owndata:
+            coefs = coefs.copy()
+            coefs.setflags(write=False)
+        self.coefficients = coefs
         if self.coefficients.size < 1:
             raise InvalidSpecError("FIR prototype needs at least one tap")
 
@@ -252,7 +263,9 @@ def kaiser_taps(length, spec):
         if atten > 21
         else 0.0
     )
-    return firwin(length, cutoff, window=("kaiser", beta), fs=1.0)
+    taps = firwin(length, cutoff, window=("kaiser", beta), fs=1.0)
+    taps.setflags(write=False)  # a FirPrototype holds a read-only array without a copy
+    return taps
 
 
 def design_fir_equiripple(spec, length_multiple=1, max_attempts=64):

@@ -25,10 +25,15 @@ Realisation: each all-pass branch is one chain of second-order sections
 run by a single ``scipy.signal.sosfilt`` call that carries its state;
 every conjugate pair of first-order sections becomes one real biquad,
 and the pure delay of branch 0 is written as exact delay sections, so
-real input stays real until the transform.  The FIR family is one
-(K, N) tap matrix with K-1 frames of history, and all N branches are
-filtered at once by a frequency-domain convolution along the frame
-axis.
+real input stays real until the transform, and complex input to real
+sections runs as a real (real part, imaginary part) batch.  The FIR
+family is one (K, N) tap matrix with K-1 frames of history, and all N
+branches are filtered at once by a frequency-domain convolution along
+the frame axis.  The spectrum of the tap matrix is computed once per
+prototype and transform length and cached on the prototype, so every
+analysis and synthesis bank built from it shares it; the synthesis
+family runs its branches in output-slot order, where its taps are the
+analysis taps.
 
 Operation counters do not count what the realisation executes; they
 follow the per-frame accounting model: branch work counted as
@@ -42,7 +47,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve, lfilter, sosfilt
+from scipy.fft import fft, ifft, irfft, next_fast_len, rfft
+from scipy.signal import lfilter, sosfilt
 
 from .complexity import fir_candidate_cost, ifft_cost, iir_candidate_cost
 from .errors import FramingError
@@ -85,24 +91,58 @@ class _FirFamily:
     """All N FIR branches: a (K, N) tap matrix and K-1 frames of history.
 
     ``run`` convolves column n of its (frames, N) input with tap column
-    n along the frame axis.
+    n along the frame axis, block by block in the frequency domain, with
+    the transform length ``fftconvolve`` would pick.  The tap spectrum
+    comes from the prototype's cache (see ``_tap_spectrum``).
     """
 
-    def __init__(self, taps):
-        self.taps = taps
+    def __init__(self, prototype):
+        self.prototype = prototype
+        n = prototype.spec.num_branches
+        self.shape = (max(math.ceil(prototype.length / n), 1), n)
         self.reset()
 
     def reset(self):
-        self._hist = np.zeros((self.taps.shape[0] - 1, self.taps.shape[1]))
+        self._hist = np.zeros((self.shape[0] - 1, self.shape[1]))
 
     def run(self, u):
-        ext = np.concatenate([self._hist, u])
-        y = np.empty(u.shape, dtype=np.result_type(ext, self.taps))
+        hist = self._hist
+        delay, frames = hist.shape[0], u.shape[0]
+        dtype = np.result_type(hist, u)
+        real = dtype.kind == "f"
+        nfft = next_fast_len(frames + 2 * delay, real)
+        taps = _tap_spectrum(self.prototype, nfft)
+        fwd, inv = (rfft, irfft) if real else (fft, ifft)
+        y = np.empty(u.shape, dtype=dtype)
+        buf = np.zeros((nfft, min(_FIR_COLUMN_BLOCK, u.shape[1])), dtype=dtype)
         for c in range(0, u.shape[1], _FIR_COLUMN_BLOCK):
             cols = slice(c, c + _FIR_COLUMN_BLOCK)
-            y[:, cols] = fftconvolve(ext[:, cols], self.taps[:, cols], mode="valid", axes=0)
-        self._hist = ext[ext.shape[0] - self._hist.shape[0] :].copy()
+            half = taps[:, cols]
+            ext = buf[:, : half.shape[1]]
+            ext[:delay] = hist[:, cols]
+            ext[delay : delay + frames] = u[:, cols]
+            ext[delay + frames :] = 0.0  # the transform may have overwritten the padding
+            spec = fwd(ext, axis=0, overwrite_x=True)
+            # the taps are real: bins above nfft/2 are conjugates of the half
+            spec *= half if real else np.concatenate([half, half[(nfft - 1) // 2 : 0 : -1].conj()])
+            y[:, cols] = inv(spec, nfft, axis=0, overwrite_x=True)[delay : delay + frames]
+        self._hist = np.concatenate([hist[frames:], u[max(frames - delay, 0) :]], dtype=dtype)
         return y
+
+
+def _tap_spectrum(prototype, nfft):
+    """``rfft`` of the (K, N) tap matrix along its frame axis, length ``nfft``.
+
+    Kept on the prototype, one transform length at a time, and shared by
+    every bank built from it; it is rebuilt when ``nfft`` changes or the
+    prototype holds another coefficient array (the array itself is
+    read-only).
+    """
+    cached = prototype._tap_spectrum
+    if cached is None or cached[0] is not prototype.coefficients or cached[1] != nfft:
+        cached = (prototype.coefficients, nfft, rfft(_fir_taps(prototype), nfft, axis=0))
+        prototype._tap_spectrum = cached
+    return cached[2]
 
 
 class _AllPassFamily:
@@ -117,11 +157,22 @@ class _AllPassFamily:
         self._zi = [np.zeros((sos.shape[0], 2)) for sos in self.sections]
 
     def run(self, u):
-        y = np.empty(u.shape, dtype=np.result_type(u, *self.sections, *self._zi))
+        # each branch writes one contiguous row; the caller gets the transpose
+        y = np.empty(u.shape[::-1], dtype=np.result_type(u, *self.sections, *self._zi))
         for br, sos in enumerate(self.sections):
-            y[:, br], self._zi[br] = sosfilt(sos, u[:, br], zi=self._zi[br])
+            x, zi = u[:, br], self._zi[br]
+            if y.dtype.kind == "c" and sos.dtype.kind == "f":
+                # real sections on complex data: the real and imaginary
+                # parts run as one real two-row batch
+                parts, zi = sosfilt(
+                    sos, np.stack([x.real, x.imag]), zi=np.stack([zi.real, zi.imag], axis=1)
+                )
+                y[br].real, y[br].imag = parts
+                self._zi[br] = zi[:, 0] + 1j * zi[:, 1]
+            else:
+                y[br], self._zi[br] = sosfilt(sos, x, zi=zi)
         y *= self.scale
-        return y
+        return y.T
 
 
 def _allpass_sos(alphas):
@@ -164,7 +215,7 @@ def _fir_taps(prototype):
 def _branch_family(prototype):
     """Analysis branch filters 0..N-1 of the prototype, gains included."""
     if isinstance(prototype, FirPrototype):
-        return _FirFamily(_fir_taps(prototype))
+        return _FirFamily(prototype)
     if isinstance(prototype, AllPassPrototype):
         n = prototype.num_branches
         sections = [_delay_sos(prototype.branch0_delay)]
@@ -174,13 +225,19 @@ def _branch_family(prototype):
 
 
 def _synthesis_family(prototype):
-    """Synthesis branch filters 0..N-1 (see module docstring for the pairing)."""
+    """Synthesis branch filters in output-slot order: column m is branch N-1-m.
+
+    Branch n pairs with analysis branch N-n (see module docstring), so
+    slot m < N-1 carries analysis branch m+1's sections and the last slot
+    the shortened branch-0 delay; for FIR branches (index reversal) slot
+    m carries analysis tap column m, which is the analysis family itself.
+    """
     if isinstance(prototype, FirPrototype):
-        return _FirFamily(_fir_taps(prototype)[:, ::-1].copy())
+        return _FirFamily(prototype)
     if isinstance(prototype, AllPassPrototype):
         n = prototype.num_branches
-        sections = [_delay_sos(prototype.branch0_delay - 1)]
-        sections.extend(_allpass_sos(prototype.alphas[n - 1 - i]) for i in range(1, n))
+        sections = [_allpass_sos(prototype.alphas[m]) for m in range(n - 1)]
+        sections.append(_delay_sos(prototype.branch0_delay - 1))
         return _AllPassFamily(sections, 1.0 / n)
     raise TypeError(f"unsupported prototype {type(prototype).__name__}")
 
@@ -311,14 +368,17 @@ class SynthesisBank:
         n_frames = frames.shape[0]
         if n_frames == 0:
             return np.zeros(0, dtype=np.complex128)
-        # branch n feeds output slot k*N + N-1-n
-        out = self._branches.run(np.fft.fft(frames, axis=1))[:, ::-1]
+        # branch n feeds output slot k*N + N-1-n; the family runs in slot order
+        out = self._branches.run(np.fft.fft(frames, axis=1)[:, ::-1])
         adds, mults = self._frame_cost
         self.counters.real_adds += n_frames * adds
         self.counters.real_mults += n_frames * mults
         self.counters.frames += n_frames
         self.frames_processed += n_frames
-        return self.gain * out.reshape(-1)
+        # the branch output is this call's own array: scale it in place
+        samples = out.reshape(-1)
+        samples *= self.gain
+        return samples
 
     def process_frame(self, frame):
         """Synthesise one channel frame into N output samples."""

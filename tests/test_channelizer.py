@@ -17,6 +17,8 @@ from fstack.channelizer import (
     aligned_mse,
     pipeline_warmup_samples,
 )
+from fstack.cli import _build_plan, build_channel_plan, build_pipeline_config, build_stimulus
+from fstack.config import load_config
 from fstack.errors import ConfigError, InvalidSpecError, RateMismatchError
 from fstack.frontend import SignalBuffer, add_awgn
 from fstack.polyphase import matched_cascade_delay
@@ -199,6 +201,31 @@ class TestEndToEnd:
             expected = pipelines["pipes"][kind].expected_delay_samples()
             assert report.aligned_delay == expected
 
+    @pytest.mark.parametrize(
+        "channels, fs_hz, fc_hz",
+        [
+            (7, 1400e6, 1650.75e6),  # N = 14, prime factor 7
+            (11, 2200e6, 2170.75e6),  # N = 22, prime factor 11
+        ],
+        ids=["n14", "n22"],
+    )
+    def test_fir_pipeline_at_other_even_n(self, channels, fs_hz, fc_hz):
+        """A small FIR-candidate pipeline at N = 14 and 22 lands on its delay."""
+        cfg = load_config(overrides={
+            "plan.num_coarse_channels": channels, "plan.fs_hz": fs_hz,
+            "plan.fc_hz": fc_hz, "plan.bandwidth_hz": 75e6,
+            "coarse.prototype": "fir", "coarse.fir_stopband_db": 55,
+            "coarse.passband_ripple_db": 0.01,
+            "fine.granularity_hz": 12.5e6, "sim.num_samples": 200_000,
+        })
+        plan = _build_plan(cfg)
+        channel_plan = build_channel_plan(cfg)
+        pipe = build_pipeline_config(cfg, "fir", plan, channel_plan)
+        assert pipe.num_coarse_channels == 2 * channels
+        report = end_to_end(pipe, build_stimulus(cfg, plan, channel_plan, pipe.occupied_subbands))
+        assert report.aligned_delay == pipe.expected_delay_samples()
+        assert report.mse_over_signal < 1e-4
+
     def test_stage_composability(self, pipelines, float_reports):
         """Each stage's own round trip stays within 2x of the composed MSE."""
         pipe = pipelines["pipes"]["iir"]
@@ -295,6 +322,32 @@ class TestDelayEstimator:
             ref = rng.standard_normal(ref_size)
             out = rng.standard_normal(out_size)
             # np.correlate "full" index i is lag i - (ref_size - 1)
+            corr = np.correlate(out, ref, mode="full")[ref_size - 1 :]
+            window = out_size if max_lag is None else max_lag + 1
+            expected = int(np.argmax(np.abs(corr[:window])))
+            assert find_delay(ref, out, max_lag=max_lag) == expected
+
+    @pytest.mark.parametrize("case", ["j_times_real", "complex_both", "complex_ref"])
+    def test_complex_input_keeps_imaginary_part(self, case, rng):
+        x = rng.standard_normal(2048)
+        z = x + 1j * rng.standard_normal(2048)
+        ref, tail = {
+            "j_times_real": (x, 1j * x),
+            "complex_both": (z, z),
+            "complex_ref": (z, x),
+        }[case]
+        out = np.concatenate([np.zeros(37), tail, np.zeros(11)])
+        assert find_delay(ref, out) == 37
+        assert find_delay(ref, out, max_lag=60) == 37
+
+    @pytest.mark.parametrize(
+        "ref_size, out_size, max_lag", [(200, 300, None), (200, 300, 17), (300, 120, 33)]
+    )
+    def test_complex_matches_explicit_correlation(self, ref_size, out_size, max_lag, rng):
+        for _ in range(4):
+            ref = rng.standard_normal(ref_size) + 1j * rng.standard_normal(ref_size)
+            out = rng.standard_normal(out_size) + 1j * rng.standard_normal(out_size)
+            # np.correlate conjugates its second argument
             corr = np.correlate(out, ref, mode="full")[ref_size - 1 :]
             window = out_size if max_lag is None else max_lag + 1
             expected = int(np.argmax(np.abs(corr[:window])))

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.signal import fftconvolve
 
-from fstack import complexity
+from fstack import complexity, polyphase
 from fstack.errors import FramingError
 from fstack.filter_design import AllPassPrototype, PrototypeSpec, fir_from_taps
 from fstack.polyphase import (
@@ -20,6 +21,19 @@ from fstack.polyphase import (
 def rel_err(a, b):
     scale = np.max(np.abs(b)) or 1.0
     return np.max(np.abs(a - b)) / scale
+
+
+def fftconvolve_family(taps, hist, u):
+    """The FIR family's earlier realisation: ``fftconvolve`` over column blocks.
+
+    Returns the (frames, N) output and the K-1 rows of history after it.
+    """
+    ext = np.concatenate([hist, u])
+    y = np.empty(u.shape, dtype=np.result_type(ext, taps))
+    for c in range(0, u.shape[1], 128):
+        cols = slice(c, c + 128)
+        y[:, cols] = fftconvolve(ext[:, cols], taps[:, cols], mode="valid", axes=0)
+    return y, ext[ext.shape[0] - hist.shape[0] :]
 
 
 def bandlimited_real(rng, total, num_branches, fp_norm, occupied):
@@ -247,6 +261,80 @@ class TestOracleEquivalence:
         for ch in range(n):
             oracle = direct_channelize_oracle(proto, n, x, ch)
             assert rel_err(frames[:, ch], oracle) < 1e-10
+
+
+class TestFirFamily:
+    """The cached-spectrum FIR family against the ``fftconvolve`` realisation."""
+
+    # 1, 3 and 2 new frames are fewer than the K - 1 = 5 history rows at
+    # six taps per branch; every block length gives another transform length
+    BLOCK_FRAMES = (3, 1, 40, 2, 17)
+
+    @pytest.mark.parametrize("data", ["real", "complex", "mixed"])
+    @pytest.mark.parametrize("taps_per_branch", [1, 6])
+    @pytest.mark.parametrize("n", [2, 14, 22, 200, 1280])
+    def test_matches_fftconvolve_blocks(self, n, taps_per_branch, data, rng):
+        proto = fir_from_taps(rng.standard_normal(taps_per_branch * n - n // 2), n)
+        taps = polyphase._fir_taps(proto)
+        family = polyphase._FirFamily(proto)
+        hist = np.zeros((taps.shape[0] - 1, n))
+        nffts = []
+        for i, frames in enumerate(self.BLOCK_FRAMES):
+            u = rng.standard_normal((frames, n))
+            if data == "complex" or (data == "mixed" and i % 2):
+                u = u + 1j * rng.standard_normal((frames, n))
+            expected, hist = fftconvolve_family(taps, hist, u)
+            y = family.run(u)
+            assert y.dtype == expected.dtype
+            assert rel_err(y, expected) <= 1e-12
+            nffts.append(proto._tap_spectrum[1])
+        # one cache entry, replaced whenever the transform length changes
+        assert all(a != b for a, b in zip(nffts, nffts[1:]))
+
+    def test_one_spectrum_for_both_banks(self, rng, monkeypatch):
+        n, frames = 16, 24
+        proto = fir_from_taps(rng.standard_normal(8 * n), n)
+        built = []
+        fir_taps = polyphase._fir_taps
+        monkeypatch.setattr(polyphase, "_fir_taps", lambda p: built.append(p) or fir_taps(p))
+        x = rng.standard_normal(n * frames) + 1j * rng.standard_normal(n * frames)
+        channels = AnalysisBank(proto).process_block(x)
+        AnalysisBank(proto).process_block(x)
+        SynthesisBank(proto).process_block(channels)
+        SynthesisBank(proto).process_block(channels)
+        assert built == [proto]
+
+    def test_coefficients_are_read_only_copies(self, rng):
+        taps = rng.standard_normal(32)
+        proto = fir_from_taps(taps, 4)
+        first = taps[0]
+        taps[0] = first + 1.0
+        assert proto.coefficients[0] == first
+        with pytest.raises(ValueError):
+            proto.coefficients[0] = 0.0
+        # a read-only view of a writable array is copied too
+        second = taps[1]
+        view = taps.view()
+        view.setflags(write=False)
+        proto = fir_from_taps(view, 4)
+        taps[1] = second + 1.0
+        assert proto.coefficients[1] == second
+        # an owned read-only array is held as it is
+        owned = rng.standard_normal(32)
+        owned.setflags(write=False)
+        assert fir_from_taps(owned, 4).coefficients is owned
+
+    def test_new_coefficient_array_rebuilds_spectrum(self, rng):
+        n = 4
+        x = rng.standard_normal(n * 32) + 1j * rng.standard_normal(n * 32)
+        proto = fir_from_taps(rng.standard_normal(6 * n), n)
+        AnalysisBank(proto).process_block(x)
+        other = rng.standard_normal(6 * n)
+        proto.coefficients = other
+        np.testing.assert_array_equal(
+            AnalysisBank(proto).process_block(x),
+            AnalysisBank(fir_from_taps(other, n)).process_block(x),
+        )
 
 
 class TestChannelSelectivity:
