@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 config error, 3 design failure, 4 runtime error.
 
 import argparse
 import csv
+import dataclasses
 import math
 import os
 import sys
@@ -145,6 +146,17 @@ def build_pipeline_config(cfg, kind=None, plan=None, channel_plan=None):
     )
 
 
+def build_candidate_configs(cfg, plan, channel_plan):
+    """Pipeline configs of both coarse candidates, keyed "iir" and "fir".
+
+    They share one fine prototype, so the fine design (and its cached
+    tap spectrum) is made once.
+    """
+    iir = build_pipeline_config(cfg, "iir", plan, channel_plan)
+    fir = dataclasses.replace(iir, coarse_prototype=build_coarse_prototype(cfg, plan, "fir"))
+    return {"iir": iir, "fir": fir}
+
+
 def build_stimulus(cfg, plan, channel_plan, occupied):
     elements = [
         frontend.generate_subband_signal(
@@ -277,10 +289,7 @@ def cmd_run(cfg, out_dir):
 def cmd_sweep(cfg, out_dir):
     plan = _build_plan(cfg)
     channel_plan = build_channel_plan(cfg)
-    configs = {
-        "iir": build_pipeline_config(cfg, "iir", plan, channel_plan),
-        "fir": build_pipeline_config(cfg, "fir", plan, channel_plan),
-    }
+    configs = build_candidate_configs(cfg, plan, channel_plan)
     stimulus = build_stimulus(cfg, plan, channel_plan,
                               configs["iir"].occupied_subbands)
     snr_list = (35.0, 45.0, 55.0, 65.0, 75.0)

@@ -30,10 +30,10 @@ sections runs as a real (real part, imaginary part) batch.  The FIR
 family is one (K, N) tap matrix with K-1 frames of history, and all N
 branches are filtered at once by a frequency-domain convolution along
 the frame axis.  The spectrum of the tap matrix is computed once per
-prototype and transform length and cached on the prototype, so every
-analysis and synthesis bank built from it shares it; the synthesis
-family runs its branches in output-slot order, where its taps are the
-analysis taps.
+prototype, data kind (real or complex) and transform length and cached
+on the prototype, so every analysis and synthesis bank built from it
+shares it; the synthesis family runs its branches in output-slot
+order, where its taps are the analysis taps.
 
 Operation counters do not count what the realisation executes; they
 follow the per-frame accounting model: branch work counted as
@@ -111,7 +111,7 @@ class _FirFamily:
         dtype = np.result_type(hist, u)
         real = dtype.kind == "f"
         nfft = next_fast_len(frames + 2 * delay, real)
-        taps = _tap_spectrum(self.prototype, nfft)
+        taps = _tap_spectrum(self.prototype, nfft, real)
         fwd, inv = (rfft, irfft) if real else (fft, ifft)
         y = np.empty(u.shape, dtype=dtype)
         buf = np.zeros((nfft, min(_FIR_COLUMN_BLOCK, u.shape[1])), dtype=dtype)
@@ -130,18 +130,19 @@ class _FirFamily:
         return y
 
 
-def _tap_spectrum(prototype, nfft):
+def _tap_spectrum(prototype, nfft, real):
     """``rfft`` of the (K, N) tap matrix along its frame axis, length ``nfft``.
 
-    Kept on the prototype, one transform length at a time, and shared by
-    every bank built from it; it is rebuilt when ``nfft`` changes or the
-    prototype holds another coefficient array (the array itself is
-    read-only).
+    Kept on the prototype, one entry for real and one for complex data
+    (a real analysis and a complex synthesis of one stream pick different
+    transform lengths), and shared by every bank built from it; an entry
+    is rebuilt when its ``nfft`` changes or the prototype holds another
+    coefficient array (the array itself is read-only).
     """
-    cached = prototype._tap_spectrum
+    cached = prototype._tap_spectrum.get(real)
     if cached is None or cached[0] is not prototype.coefficients or cached[1] != nfft:
         cached = (prototype.coefficients, nfft, rfft(_fir_taps(prototype), nfft, axis=0))
-        prototype._tap_spectrum = cached
+        prototype._tap_spectrum[real] = cached
     return cached[2]
 
 
@@ -433,7 +434,7 @@ def prototype_impulse_response(prototype, min_length=None, tol=1e-16):
     return np.real_if_close(h, tol=1e8)
 
 
-def direct_channelize_oracle(prototype, num_branches, x, channel):
+def direct_channelize_oracle(proto_or_response, num_branches, x, channel):
     """Reference channelizer output: modulate, filter, decimate by N.
 
     Deliberately the slow textbook path (O(L*N) per output sample): the
@@ -441,10 +442,17 @@ def direct_channelize_oracle(prototype, num_branches, x, channel):
     input at the full rate, and decimated, with scaling matched to the
     analysis bank.  Only the first ``x.size`` outputs are read, so the
     response is truncated to ``x.size`` taps before the convolution.
+    A caller that runs every channel passes the prototype's
+    ``prototype_impulse_response(prototype, min_length=x.size)`` once
+    instead of the prototype.
     """
     x = np.asarray(x, dtype=np.complex128)
     n = num_branches
-    h = prototype_impulse_response(prototype, min_length=x.size)[: x.size]
+    if isinstance(proto_or_response, (FirPrototype, AllPassPrototype)):
+        h = prototype_impulse_response(proto_or_response, min_length=x.size)
+    else:
+        h = np.asarray(proto_or_response)
+    h = h[: x.size]
     h_mod = h * np.exp(2j * np.pi * channel * np.arange(h.size) / n)
     full = np.convolve(x, h_mod)
     n_frames = x.size // n

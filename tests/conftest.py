@@ -4,6 +4,8 @@ Designs are deterministic, so session scope just avoids re-running the
 optimizers for every test module.
 """
 
+import multiprocessing
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -11,8 +13,8 @@ from hypothesis import settings
 from fstack.channelizer import end_to_end
 from fstack.cli import (
     _build_plan,
+    build_candidate_configs,
     build_channel_plan,
-    build_pipeline_config,
     build_stimulus,
 )
 from fstack.config import load_config
@@ -138,10 +140,7 @@ def pipelines(ref_cfg):
     """Both candidate pipelines plus the nine-sub-band FDM stimulus."""
     plan = _build_plan(ref_cfg)
     channel_plan = build_channel_plan(ref_cfg)
-    pipes = {
-        kind: build_pipeline_config(ref_cfg, kind, plan, channel_plan)
-        for kind in ("iir", "fir")
-    }
+    pipes = build_candidate_configs(ref_cfg, plan, channel_plan)
     stimulus = build_stimulus(
         ref_cfg, plan, channel_plan, pipes["iir"].occupied_subbands
     )
@@ -156,6 +155,14 @@ def float_reports(pipelines):
         kind: end_to_end(pipe, pipelines["stimulus"])
         for kind, pipe in pipelines["pipes"].items()
     }
+
+
+@pytest.fixture(autouse=True)
+def no_live_child_processes():
+    """Fail any test that leaves a live child process (a design worker) behind."""
+    yield
+    leaked = multiprocessing.active_children()
+    assert not leaked, f"live child processes after the test: {leaked}"
 
 
 @pytest.fixture()

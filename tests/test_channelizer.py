@@ -1,5 +1,6 @@
 """Two-stage pipeline tests: stage behavior, transparency, impairments."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -20,6 +21,8 @@ from fstack.channelizer import (
 from fstack.cli import _build_plan, build_channel_plan, build_pipeline_config, build_stimulus
 from fstack.config import load_config
 from fstack.errors import ConfigError, InvalidSpecError, RateMismatchError
+from fstack import polyphase
+from fstack.filter_design import FirPrototype
 from fstack.frontend import SignalBuffer, add_awgn
 from fstack.polyphase import matched_cascade_delay
 
@@ -225,6 +228,48 @@ class TestEndToEnd:
         report = end_to_end(pipe, build_stimulus(cfg, plan, channel_plan, pipe.occupied_subbands))
         assert report.aligned_delay == pipe.expected_delay_samples()
         assert report.mse_over_signal < 1e-4
+
+    @pytest.mark.parametrize(
+        "channels, fs_hz, fc_hz",
+        [
+            (7, 1400e6, 1650.75e6),  # N = 14, prime factor 7
+            (11, 2200e6, 2170.75e6),  # N = 22, prime factor 11
+        ],
+        ids=["n14", "n22"],
+    )
+    def test_iir_pipeline_at_other_even_n(self, channels, fs_hz, fc_hz):
+        """A small IIR-candidate pipeline at N = 14 and 22 lands on its delay."""
+        cfg = load_config(overrides={
+            "plan.num_coarse_channels": channels, "plan.fs_hz": fs_hz,
+            "plan.fc_hz": fc_hz, "plan.bandwidth_hz": 75e6,
+            "coarse.prototype": "iir", "coarse.n_fos": 6, "coarse.stopband_db": 55,
+            "coarse.passband_ripple_db": 0.01,
+            "fine.granularity_hz": 12.5e6, "sim.num_samples": 200_000,
+        })
+        plan = _build_plan(cfg)
+        channel_plan = build_channel_plan(cfg)
+        pipe = build_pipeline_config(cfg, "iir", plan, channel_plan)
+        assert pipe.num_coarse_channels == 2 * channels
+        report = end_to_end(pipe, build_stimulus(cfg, plan, channel_plan, pipe.occupied_subbands))
+        assert report.aligned_delay == pipe.expected_delay_samples()
+        assert report.mse_over_signal < 1e-4
+
+    def test_coarse_fir_spectrum_built_once_per_data_kind(
+        self, pipelines, float_reports, monkeypatch
+    ):
+        """Real coarse analysis and complex coarse synthesis keep one entry each."""
+        pipe = pipelines["pipes"]["fir"]
+        coarse = FirPrototype(pipe.coarse_prototype.coefficients, pipe.coarse_prototype.spec)
+        pipe = dataclasses.replace(pipe, coarse_prototype=coarse)  # an empty cache
+        built = []
+        fir_taps = polyphase._fir_taps
+        monkeypatch.setattr(polyphase, "_fir_taps", lambda p: built.append(p) or fir_taps(p))
+        reports = [end_to_end(pipe, pipelines["stimulus"]) for _ in range(2)]
+        assert sum(p is coarse for p in built) == 2
+        assert set(coarse._tap_spectrum) == {True, False}
+        for report in reports:
+            assert report.aligned_delay == float_reports["fir"].aligned_delay
+            assert report.mse_over_signal == float_reports["fir"].mse_over_signal
 
     def test_stage_composability(self, pipelines, float_reports):
         """Each stage's own round trip stays within 2x of the composed MSE."""

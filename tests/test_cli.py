@@ -1,5 +1,6 @@
 """Command-line front end tests: artifacts, determinism, exit codes."""
 
+from fstack import cli
 from fstack.cli import main
 
 # A deliberately small but fully feasible scenario so design and run
@@ -152,6 +153,15 @@ class TestSweepCommand:
         for col in (1, 2):
             vals = [float(line.split(",")[col]) for line in lines[1:]]
             assert all(a >= b - 1e-9 for a, b in zip(vals, vals[1:]))
+
+
+    def test_sweep_designs_fine_prototype_once(self, tmp_path, monkeypatch):
+        built = []
+        build = cli.build_fine_prototype
+        monkeypatch.setattr(cli, "build_fine_prototype",
+                            lambda *args: built.append(args) or build(*args))
+        assert main(["sweep", "--config", write_mini(tmp_path)]) == 0
+        assert len(built) == 1
 
 
 class TestDesignCommand:

@@ -1,6 +1,8 @@
 """Filter design tests: estimators, equiripple FIR, recursive Nth-band."""
 
 import math
+import os
+import time
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from fstack.filter_design import (
     design_fir_equiripple,
     design_iir_nthband_alp,
     estimate_fir_length,
+    kaiser_taps,
     estimate_iir_sections,
     evaluate_response,
     export_coefficients,
@@ -444,3 +447,151 @@ class TestBookkeepingInvariants:
     def test_branch_magnitude_all_pass(self, iir_small):
         for proto in iir_small.values():
             assert verify_allpass(proto, grid_points=4096).branch_mag_err <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the design pool against the one-process loops it replaced
+
+
+def serial_fir_equiripple(spec, length_multiple=1, max_attempts=64):
+    """The one-process length search: attempt, measure and decide in turn."""
+    est = estimate_fir_length(spec.passband_ripple, spec.stopband_ripple, spec.delta_f)
+    step = length_multiple if length_multiple > 1 else max(1, est // 256)
+    length = max(est, 2)
+    if length_multiple > 1:
+        length = length_multiple * math.ceil(length / length_multiple)
+    bands = [0.0, spec.fp_norm, spec.fa_norm, 0.5]
+    weight = [1.0 / spec.passband_ripple, 1.0 / spec.stopband_ripple]
+    best = None
+    for _ in range(max_attempts):
+        taps, method = None, "remez"
+        try:
+            taps = filter_design.remez(length, bands, [1.0, 0.0], weight=weight,
+                                       grid_density=16, maxiter=250, fs=1.0)
+            if not np.all(np.isfinite(taps)):
+                raise ValueError("non-finite taps")
+        except Exception:
+            taps, method = kaiser_taps(length, spec), "kaiser"
+        pass_dev, stop_max = measure_fir(taps, spec)
+        check = filter_design.FirCheck(
+            passband_dev=pass_dev,
+            stopband_max=stop_max,
+            ok_passband=pass_dev <= spec.passband_ripple,
+            ok_stopband=stop_max <= spec.stopband_ripple,
+            length=length,
+            method=method,
+        )
+        if best is None or (pass_dev + stop_max) < (best[1].passband_dev + best[1].stopband_max):
+            best = (taps, check)
+        if check.ok:
+            return taps, check
+        length += step
+    raise DesignFailureError(
+        f"no passing FIR design within {max_attempts} attempts "
+        f"(best: pass_dev={best[1].passband_dev:.3g}, stop_max={best[1].stopband_max:.3g})",
+        report=best[1],
+    )
+
+
+def serial_branch_fits(spec, n_fos):
+    """The one-process branch loop: (alphas, peak phase errors) in branch order."""
+    n_br = spec.num_branches
+    w_max = 2.0 * np.pi * n_br * spec.fp_norm
+    alphas = np.empty((n_br - 1, n_fos), dtype=np.complex128)
+    errs = []
+    for n in range(1, n_br):
+        d, peak = filter_design._fit_branch_delay(n_fos, n_fos - n / n_br, w_max)
+        alphas[n - 1] = filter_design._alphas_from_denominator(d)
+        errs.append(peak)
+    return alphas, tuple(errs)
+
+
+QUARTER_BAND = PrototypeSpec(1.0, 0.2, 0.3, 0.01, 0.01, 1, "fir")  # passes on the 5th length
+
+# set by a test before its pool forks, so the workers read it too
+_SLOW_FIRST = {}
+_fit_branch_delay = filter_design._fit_branch_delay
+
+
+def _slow_first_attempt(spec, length):
+    """Passing taps for every length; the first length returns last."""
+    if length == _SLOW_FIRST["first"]:
+        time.sleep(0.5)
+    with open(_SLOW_FIRST["log"], "a", encoding="utf-8") as log:
+        log.write(f"{length}\n")
+    return _SLOW_FIRST["taps"], "remez"
+
+
+def _failing_remez(*args, **kwargs):
+    raise ValueError("exchange did not converge")
+
+
+def _fit_failing_below_3_6(order, delay, w_max):
+    if delay < 3.6:
+        raise DesignFailureError(f"no stable all-pass fit for order={order}, delay={delay:.4f}")
+    return _fit_branch_delay(order, delay, w_max)
+
+
+class TestDesignPool:
+    def test_fir_taps_match_serial_loop(self, fir20, fir_small):
+        designs = [(design_fir_equiripple(QUARTER_BAND), 1), (fir20, 20)]
+        designs += [(proto, n) for n, proto in fir_small.items()]
+        for proto, multiple in designs:
+            taps, check = serial_fir_equiripple(proto.spec, length_multiple=multiple)
+            np.testing.assert_array_equal(proto.coefficients, taps)
+            assert proto.design_report == check
+        assert designs[0][0].design_report.length == 22  # five lengths tried
+
+    def test_alphas_match_serial_loop(self, iir20, iir_small):
+        for proto in (iir20, *iir_small.values()):
+            alphas, errs = serial_branch_fits(proto.spec, proto.sections_per_branch)
+            np.testing.assert_array_equal(proto.alphas, alphas)
+            assert proto.design_report.branch_phase_err_rad == errs
+
+    def test_earlier_passing_length_wins(self, tmp_path, monkeypatch):
+        first = estimate_fir_length(0.01, 0.01, 0.1)
+        log = tmp_path / "finished.txt"
+        monkeypatch.setitem(_SLOW_FIRST, "first", first)
+        monkeypatch.setitem(_SLOW_FIRST, "log", log)
+        monkeypatch.setitem(_SLOW_FIRST, "taps", design_fir_equiripple(QUARTER_BAND).coefficients)
+        monkeypatch.setattr(filter_design, "_remez_attempt", _slow_first_attempt)
+        # four workers, so later lengths run while the first one sleeps
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        proto = design_fir_equiripple(QUARTER_BAND)
+        assert proto.design_report.length == first
+        finished = [int(line) for line in log.read_text().split()]
+        assert finished[0] != first and first in finished
+
+    def test_max_attempts_failure_matches_serial_loop(self):
+        with pytest.raises(DesignFailureError) as serial:
+            serial_fir_equiripple(QUARTER_BAND, max_attempts=3)
+        with pytest.raises(DesignFailureError) as pooled:
+            design_fir_equiripple(QUARTER_BAND, max_attempts=3)
+        assert str(pooled.value) == str(serial.value)
+        assert pooled.value.report == serial.value.report
+        assert pooled.value.report.length == 19  # the best of 18, 19 and 20 taps
+
+    def test_kaiser_fallback_in_worker(self, monkeypatch):
+        monkeypatch.setattr(filter_design, "remez", _failing_remez)
+        proto = design_fir_equiripple(QUARTER_BAND)
+        taps, check = serial_fir_equiripple(QUARTER_BAND)
+        assert proto.design_report.method == "kaiser"
+        assert proto.design_report == check
+        np.testing.assert_array_equal(proto.coefficients, taps)
+        np.testing.assert_array_equal(taps, kaiser_taps(check.length, QUARTER_BAND))
+
+    def test_branch_fit_failure_reaches_caller(self, iir_small, monkeypatch):
+        monkeypatch.setattr(filter_design, "_fit_branch_delay", _fit_failing_below_3_6)
+        # N = 4, four sections: delays 3.75, 3.5 and 3.25; the first failure in
+        # branch order is reported, as the serial loop would
+        with pytest.raises(DesignFailureError, match=r"order=4, delay=3\.5000$"):
+            design_iir_nthband_alp(iir_small[4].spec, 4)
+
+    def test_one_cpu_gives_identical_designs(self, fir_small, iir_small, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        fir = design_fir_equiripple(fir_small[8].spec, length_multiple=8)
+        np.testing.assert_array_equal(fir.coefficients, fir_small[8].coefficients)
+        assert fir.design_report == fir_small[8].design_report
+        iir = design_iir_nthband_alp(iir_small[8].spec, iir_small[8].sections_per_branch)
+        np.testing.assert_array_equal(iir.alphas, iir_small[8].alphas)
+        assert iir.design_report == iir_small[8].design_report

@@ -287,8 +287,9 @@ class TestFirFamily:
             y = family.run(u)
             assert y.dtype == expected.dtype
             assert rel_err(y, expected) <= 1e-12
-            nffts.append(proto._tap_spectrum[1])
-        # one cache entry, replaced whenever the transform length changes
+            nffts.append(proto._tap_spectrum[y.dtype.kind == "f"][1])
+        # one cache entry per data kind, replaced whenever its transform
+        # length changes
         assert all(a != b for a, b in zip(nffts, nffts[1:]))
 
     def test_one_spectrum_for_both_banks(self, rng, monkeypatch):
