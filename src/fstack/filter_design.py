@@ -32,6 +32,7 @@ import ctypes
 import math
 import multiprocessing
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -308,17 +309,61 @@ def _one_blas_thread():
                 break
 
 
-def _design_pool():
-    """Ordered process pool for independent design jobs, one worker per usable CPU.
+def _pool_worker(func, items, conn):
+    """Worker body: ``func`` over ``items`` in turn, each (ok, result or exception) sent back."""
+    _one_blas_thread()
+    for item in items:
+        try:
+            result = (True, func(item))
+        except Exception as exc:  # re-raised by the parent, in item order
+            result = (False, exc)
+        conn.send(result)
+    conn.close()
 
-    Workers are forked: they start with the parent's modules and
-    arguments in memory, where a spawned worker would spend about a
-    second importing scipy before its first job.  A ``with`` block
-    terminates the workers on exit, including any still running.
+
+@contextmanager
+def _design_pool(func, items):
+    """Ordered map of ``func`` over ``items`` in forked workers, one per usable CPU.
+
+    Yields an iterator over the results in item order.  Worker ``w`` runs
+    items ``w, w + n, w + 2n, ...`` and sends each result on a pipe of its
+    own, so no lock is shared between processes: a worker killed at any
+    point cannot leave the parent waiting on a lock it held, as a killed
+    ``multiprocessing.Pool`` worker can.  Workers are forked: they start
+    with the parent's modules and arguments in memory, where a spawned
+    worker would spend about a second importing scipy before its first
+    job.  Leaving the ``with`` block kills the workers, including any
+    still running jobs past the ones the caller used.
     """
-    return multiprocessing.get_context("fork").Pool(
-        len(os.sched_getaffinity(0)), initializer=_one_blas_thread
-    )
+    ctx = multiprocessing.get_context("fork")
+    n = max(1, min(len(os.sched_getaffinity(0)), len(items)))
+    workers, pipes = [], []
+    try:
+        for w in range(n):
+            recv, send = ctx.Pipe(duplex=False)
+            pipes.append(recv)
+            workers.append(ctx.Process(target=_pool_worker, args=(func, items[w::n], send),
+                                       daemon=True))
+            workers[-1].start()
+            send.close()  # only the worker holds the write end, so its death reads as EOF
+        yield (_pool_result(pipes[i % n]) for i in range(len(items)))
+    finally:
+        for proc in workers:
+            proc.kill()
+        for proc in workers:
+            proc.join()
+        for recv in pipes:
+            recv.close()
+
+
+def _pool_result(recv):
+    try:
+        ok, value = recv.recv()
+    except EOFError:
+        raise RuntimeError("a design worker exited before sending its result") from None
+    if not ok:
+        raise value
+    return value
 
 
 def _remez_attempt(spec, length):
@@ -353,8 +398,7 @@ def design_fir_equiripple(spec, length_multiple=1, max_attempts=64):
     lengths = [first + i * step for i in range(max_attempts)]
 
     best = None
-    with _design_pool() as pool:
-        attempts = pool.imap(partial(_remez_attempt, spec), lengths)
+    with _design_pool(partial(_remez_attempt, spec), lengths) as attempts:
         for length, (taps, method) in zip(lengths, attempts):
             pass_dev, stop_max = measure_fir(taps, spec)
             check = FirCheck(
@@ -514,9 +558,9 @@ def design_iir_nthband_alp(spec, n_fos, phase_limit_deg=1.0):
             f"(need f_p/f_s < 1/(2N))"
         )
     delays = [n_fos - n / n_br for n in range(1, n_br)]
-    with _design_pool() as pool:
+    with _design_pool(partial(_fit_branch_delay, n_fos, w_max=w_max), delays) as results:
         # in branch order, so a failed fit raises as the serial loop would
-        fits = list(pool.imap(partial(_fit_branch_delay, n_fos, w_max=w_max), delays))
+        fits = list(results)
     alphas = np.array([_alphas_from_denominator(d) for d, _ in fits], dtype=np.complex128)
     branch_errs = [peak for _, peak in fits]
     proto = AllPassPrototype(n_br, n_fos, alphas, spec)

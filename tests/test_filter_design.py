@@ -2,6 +2,9 @@
 
 import math
 import os
+import subprocess
+import sys
+import textwrap
 import time
 
 import numpy as np
@@ -532,6 +535,14 @@ def _fit_failing_below_3_6(order, delay, w_max):
     return _fit_branch_delay(order, delay, w_max)
 
 
+def run_isolated(code, timeout=120):
+    """Run ``code`` in a fresh interpreter, so a pool that hangs fails the test, not the suite."""
+    src = os.path.dirname(os.path.dirname(filter_design.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
+                          capture_output=True, text=True, timeout=timeout, check=False)
+
+
 class TestDesignPool:
     def test_fir_taps_match_serial_loop(self, fir20, fir_small):
         designs = [(design_fir_equiripple(QUARTER_BAND), 1), (fir20, 20)]
@@ -595,3 +606,41 @@ class TestDesignPool:
         iir = design_iir_nthband_alp(iir_small[8].spec, iir_small[8].sections_per_branch)
         np.testing.assert_array_equal(iir.alphas, iir_small[8].alphas)
         assert iir.design_report == iir_small[8].design_report
+
+    def test_leaving_early_with_workers_mid_send(self):
+        # 8 MiB results fill each worker's pipe, so leaving after the first
+        # result kills workers in the middle of a send; a multiprocessing.Pool
+        # deadlocks here on the result-queue lock a killed worker held
+        proc = run_isolated("""
+            import numpy as np
+            from fstack.filter_design import _design_pool
+
+            def big(i):
+                return np.full(1 << 20, float(i))
+
+            for _ in range(20):
+                with _design_pool(big, list(range(64))) as results:
+                    assert next(results)[0] == 0.0
+            print("ok")
+        """)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["ok"]
+
+    def test_dead_worker_raises(self):
+        proc = run_isolated("""
+            import os
+            from fstack.filter_design import _design_pool
+
+            def dies_on_3(i):
+                if i == 3:
+                    os._exit(1)
+                return i
+
+            try:
+                with _design_pool(dies_on_3, list(range(8))) as results:
+                    print(list(results))
+            except RuntimeError as exc:
+                print(exc)
+        """)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "a design worker exited before sending its result"
