@@ -199,7 +199,7 @@ def coarse_synthesize(config, subbands):
         frames[:, sub] = buf.samples
         if 0 < sub < n and sub != n // 2:
             frames[:, n - sub] = np.conj(buf.samples)
-    bank = SynthesisBank(config.coarse_prototype)
+    bank = SynthesisBank(config.coarse_prototype, hermitian=True)
     y = bank.process_block(frames)
     return SignalBuffer(np.real(y), config.plan.inputs.f_s, "real", label="restacked")
 

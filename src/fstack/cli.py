@@ -89,20 +89,15 @@ def build_coarse_prototype(cfg, plan, kind=None):
     return design_iir_nthband_alp(spec, cfg.n_fos)
 
 
-def _fine_granularity(cfg):
-    if cfg.fine_standard == "gmr1":
-        return 31.25e3 if cfg.full_scale_fine else 1e6
-    if cfg.fine_standard == "gmr2":
-        return 50e3 if cfg.full_scale_fine else 1e6
-    return cfg.granularity_hz
-
-
 def build_channel_plan(cfg):
     subband_rate = cfg.fs_hz / (2 * cfg.num_coarse_channels)
-    if cfg.fine_standard in ("gmr1", "gmr2") and cfg.full_scale_fine:
-        return gmr_channel_plan(cfg.fine_standard, subband_rate, cfg.guardband_fraction)
-    return ChannelPlan("custom", _fine_granularity(cfg), subband_rate,
-                       cfg.guardband_fraction)
+    if cfg.fine_standard in ("gmr1", "gmr2"):
+        if cfg.full_scale_fine:
+            return gmr_channel_plan(cfg.fine_standard, subband_rate, cfg.guardband_fraction)
+        granularity = 1e6  # desk scale
+    else:
+        granularity = cfg.granularity_hz
+    return ChannelPlan("custom", granularity, subband_rate, cfg.guardband_fraction)
 
 
 def build_fine_prototype(cfg, channel_plan):
@@ -158,19 +153,14 @@ def build_candidate_configs(cfg, plan, channel_plan):
 
 
 def build_stimulus(cfg, plan, channel_plan, occupied):
-    elements = [
-        frontend.generate_subband_signal(
-            sub,
-            plan,
-            cfg.num_samples // (2 * cfg.num_coarse_channels),
-            seed=cfg.seed + sub,
-            profile="fdm",
-            granularity_hz=channel_plan.granularity_hz,
-            guardband_fraction=channel_plan.guardband_fraction,
-        )
-        for sub in occupied
-    ]
-    return frontend.stack_baseband_equivalent(elements, plan)
+    return frontend.stack_fdm_stimulus(
+        plan,
+        occupied,
+        cfg.num_samples // (2 * cfg.num_coarse_channels),
+        seed=cfg.seed,
+        granularity_hz=channel_plan.granularity_hz,
+        guardband_fraction=channel_plan.guardband_fraction,
+    )
 
 
 def _write_text(path, text):

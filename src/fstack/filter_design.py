@@ -454,6 +454,28 @@ def _branch_phase_error(d, kernel, rot):
     return -2.0 * np.angle(dw * rot), dw
 
 
+def _stable(d):
+    """True when every root of z^M + d1 z^(M-1) + ... + dM has |z| < _ALPHA_LIMIT.
+
+    Schur-Cohn step-down on the scaled polynomial with coefficients
+    a_m = d_m / rho^m (rho = _ALPHA_LIMIT), whose roots are the roots
+    above divided by rho: they lie inside the unit circle exactly when
+    each step's reflection coefficient k = a_M has |k| < 1, where a step
+    maps a_m to (a_m - k a_(M-m)) / (1 - k^2) and drops a_M.  The fit
+    tests every iterate, and this costs a fraction of the eigenvalue
+    solve in ``np.roots``.
+    """
+    # a few dozen flops: Python floats beat per-step numpy calls
+    a = (d / _ALPHA_LIMIT ** np.arange(1, d.size + 1)).tolist()
+    while a:
+        k = a.pop()
+        if not abs(k) < 1.0:
+            return False
+        g = 1.0 - k * k
+        a = [(x - k * y) / g for x, y in zip(a, a[::-1])]
+    return True
+
+
 def _fit_branch_delay(order, delay, w_max, n_grid=1024, n_outer=200):
     """Minimax fit of an order-``order`` all-pass to a ``delay``-sample delay.
 
@@ -479,19 +501,15 @@ def _fit_branch_delay(order, delay, w_max, n_grid=1024, n_outer=200):
         wt = 1.0 / np.abs(dw)
         wt /= wt.max()
 
-    def stable(dd):
-        roots = np.roots(np.concatenate(([1.0], dd)))
-        return roots.size == 0 or np.max(np.abs(roots)) <= _ALPHA_LIMIT
-
     err, dw = _branch_phase_error(d, kernel, rot)
-    best_d, best_peak = (d.copy(), np.abs(err).max()) if stable(d) else (None, np.inf)
+    best_d, best_peak = (d.copy(), np.abs(err).max()) if _stable(d) else (None, np.inf)
     lawson = 1.0 / np.abs(dw)
     lawson /= lawson.max()
     lam = 1e-9
     for _ in range(n_outer):
         err, dw = _branch_phase_error(d, kernel, rot)
         peak = np.abs(err).max()
-        if peak < best_peak and stable(d):
+        if peak < best_peak and _stable(d):
             best_d, best_peak = d.copy(), peak
         abs_err = np.abs(err)
         lawson = lawson * ((abs_err + 1e-3 * peak) / (abs_err.max() + 1e-300)) ** 0.7
@@ -583,22 +601,38 @@ def design_iir_nthband_alp(spec, n_fos, phase_limit_deg=1.0):
 # response evaluation and verification
 
 
+def _allpass_ratio(d, z):
+    """conj(D)/D of the real denominator d = [1, d1, ..., dM] at z = exp(-j*w).
+
+    D(e^jw) = sum_m d[m] z^m is evaluated by Horner's rule, from the top
+    coefficient down.
+    """
+    dw = np.full(z.shape, d[-1], dtype=np.complex128)
+    for coef in d[-2::-1]:
+        dw *= z
+        dw += coef
+    return np.conj(dw) / dw
+
+
 def _branch_response(proto, branch, w_dec, z):
     """Branch transfer function (with its 1/N gain) at decimated-rate w.
 
-    ``z`` is exp(-j*w_dec), shared by every branch on the grid; the
-    denominator is evaluated in it by Horner's rule (``np.polyval``).
+    ``z`` is exp(-j*w_dec), shared by every branch on the grid.
     """
     n_br = proto.num_branches
     delay = np.exp(-1j * w_dec * proto.sections_per_branch)
     if branch == 0:
         return delay / n_br
-    dw = np.polyval(proto.branch_denominator(branch)[::-1], z)
-    return delay * np.conj(dw) / dw / n_br
+    return delay * _allpass_ratio(proto.branch_denominator(branch), z) / n_br
 
 
 def composite_response(proto, freqs):
-    """Response of the recomposed prototype at normalized frequencies."""
+    """Response of the recomposed prototype at normalized frequencies.
+
+    For the recursive kind, sum_n e^{-jwn} A_n(e^{jNw}) z^-n_fos / N with
+    A_0 = 1: the delay factor is shared and applied once, e^{-jwn} comes
+    by recurrence, and each branch costs one Horner evaluation.
+    """
     freqs = np.asarray(freqs, dtype=float)
     if isinstance(proto, FirPrototype):
         _, h = freqz(proto.coefficients, worN=2.0 * np.pi * freqs)
@@ -606,9 +640,13 @@ def composite_response(proto, freqs):
     w_full = 2.0 * np.pi * freqs
     w_dec = proto.num_branches * w_full
     z = np.exp(-1j * w_dec)
-    h = np.zeros(freqs.shape, dtype=np.complex128)
-    for n in range(proto.num_branches):
-        h += np.exp(-1j * w_full * n) * _branch_response(proto, n, w_dec, z)
+    step = np.exp(-1j * w_full)
+    rot = np.ones(freqs.shape, dtype=np.complex128)
+    h = rot.copy()
+    for n in range(1, proto.num_branches):
+        rot *= step
+        h += rot * _allpass_ratio(proto.branch_denominator(n), z)
+    h *= np.exp(-1j * w_dec * proto.sections_per_branch) / proto.num_branches
     return h
 
 

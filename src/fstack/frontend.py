@@ -4,13 +4,17 @@ Two independent paths build the stacked real signal the channelizer
 ingests:
 
 * ``stack_baseband_equivalent`` places each element's complex baseband
-  directly at its planned centre F_n in the first Nyquist image (fast
-  path, post-ADC equivalent);
+  directly at its planned centre F_n in the first Nyquist image
+  (post-ADC equivalent);
 * ``simulate_rf_chain`` models the actual chain: upconvert to RF, mix
   with the integer-locked LO, ideal band-pass, sum, then sample in the
   configured Nyquist zone of the ADC clock.  Sampling an even zone
   folds the spectrum with inversion; the two paths agreeing is the
   cross-check that the planner's sign algebra is right.
+
+``stack_fdm_stimulus`` is the fast form of the first path for the
+seeded FDM stimulus: it writes every element's bins straight into one
+full-rate spectrum instead of upsampling and mixing each element.
 
 Element stimuli are seeded and exactly band-limited (frequency-domain
 masked noise), either flat over the occupied bandwidth or laid out as
@@ -83,8 +87,12 @@ class AdcModel:
 # stimulus generation
 
 
-def _masked_noise(n_samples, rate_hz, intervals, rng):
-    """Unit-power complex noise whose spectrum lives on the given bands."""
+def _band_spectrum(n_samples, rate_hz, intervals, rng):
+    """Element spectrum in FFT order: complex normal draws on the bins the bands cover.
+
+    Returns the spectrum and its mask.  The draws fill the masked bins in
+    FFT order, so every stimulus built from one seed gets the same values.
+    """
     # bins in ascending order: each band [lo, hi] is one contiguous run
     freqs = np.fft.fftshift(np.fft.fftfreq(n_samples, d=1.0 / rate_hz))
     mask = np.zeros(n_samples, dtype=bool)
@@ -96,6 +104,12 @@ def _masked_noise(n_samples, rate_hz, intervals, rng):
     spectrum = np.zeros(n_samples, dtype=np.complex128)
     k = int(np.count_nonzero(mask))
     spectrum[mask] = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    return spectrum, mask
+
+
+def _masked_noise(n_samples, rate_hz, intervals, rng):
+    """Unit-power complex noise whose spectrum lives on the given bands."""
+    spectrum, _ = _band_spectrum(n_samples, rate_hz, intervals, rng)
     x = np.fft.ifft(spectrum)
     x /= math.sqrt(np.mean(np.abs(x) ** 2))
     return x
@@ -184,6 +198,13 @@ def _check_disjoint(bands):
             )
 
 
+def _check_stackable(plan, indices):
+    if len(set(indices)) != len(indices):
+        raise StackingError("duplicate sub-band indices")
+    half_b = plan.inputs.bandwidth / 2.0
+    _check_disjoint([(plan.centre(i) - half_b, plan.centre(i) + half_b) for i in indices])
+
+
 def stack_baseband_equivalent(elements, plan):
     """Post-ADC equivalent stacked real signal at rate f_s (no quantization)."""
     inp = plan.inputs
@@ -193,14 +214,7 @@ def stack_baseband_equivalent(elements, plan):
     sizes = {len(e.baseband) for e in elements}
     if len(sizes) != 1:
         raise StackingError("all elements must have the same length")
-    indices = [e.subband_index for e in elements]
-    if len(set(indices)) != len(indices):
-        raise StackingError("duplicate sub-band indices")
-    half_b = inp.bandwidth / 2.0
-    _check_disjoint(
-        [(plan.centre(e.subband_index) - half_b, plan.centre(e.subband_index) + half_b)
-         for e in elements]
-    )
+    _check_stackable(plan, [e.subband_index for e in elements])
     total = sizes.pop() * n
     t = np.arange(total) / inp.f_s
     acc = np.zeros(total)
@@ -209,6 +223,50 @@ def stack_baseband_equivalent(elements, plan):
         f_n = plan.centre(element.subband_index)
         acc += np.real(up * np.exp(2j * np.pi * f_n * t))
     return SignalBuffer(acc, inp.f_s, "real", label="stacked:baseband-equivalent")
+
+
+def stack_fdm_stimulus(plan, subbands, element_samples, seed, granularity_hz,
+                       guardband_fraction=0.1):
+    """Stacked FDM stimulus at rate f_s, built in one real spectrum.
+
+    Sub-band ``sub`` draws the bins and values that
+    ``generate_subband_signal(sub, plan, element_samples, seed + sub,
+    "fdm", ...)`` puts in its element spectrum, scaled to the same unit
+    power, and adds them at the bin offset round(F_n / df) of one
+    full-rate spectrum (df = f_s / (N * element_samples)); one ``irfft``
+    gives the stacked signal.  With every F_n on a whole bin (the
+    reference plan at 983 040 and at 7 142 400 samples, for example) this
+    is ``stack_baseband_equivalent`` of those elements up to rounding;
+    otherwise each band lands on the bin nearest its centre, less than
+    half a bin away.
+    """
+    inp = plan.inputs
+    if not subbands:
+        return SignalBuffer(np.zeros(0), inp.f_s, "real", label="stacked:empty")
+    for sub in subbands:
+        if sub not in plan.occupied_subbands:
+            raise InvalidSpecError(f"sub-band {sub} is not occupied in this plan")
+    _check_stackable(plan, list(subbands))
+    total = element_samples * inp.num_channels
+    df = inp.f_s / total
+    spectrum = np.zeros(total // 2 + 1, dtype=np.complex128)
+    for sub in subbands:
+        intervals = fdm_grid_intervals(plan, sub, granularity_hz, guardband_fraction)
+        element, mask = _band_spectrum(element_samples, inp.f_s / inp.num_channels,
+                                       intervals, np.random.default_rng(seed + sub))
+        bins = np.flatnonzero(mask)
+        draws = element[bins]
+        bins[bins >= (element_samples + 1) // 2] -= element_samples  # signed frequency index
+        # the unit-power element, upsampled and mixed to its bin offset,
+        # is Re(ifft(Z)) with Z = total * draws / |draws| on its bins; as
+        # an irfft spectrum, bin k of Z puts Z/2 at k and conj(Z)/2 at
+        # total - k, whichever of them lie in [0, total/2]
+        values = draws * (0.5 * total / np.linalg.norm(draws))
+        k = (bins + round(plan.centre(sub) / df)) % total
+        pos, neg = k <= total // 2, (total - k) % total <= total // 2
+        np.add.at(spectrum, k[pos], values[pos])
+        np.add.at(spectrum, (total - k[neg]) % total, np.conj(values[neg]))
+    return SignalBuffer(np.fft.irfft(spectrum, total), inp.f_s, "real", label="stacked:fdm")
 
 
 def simulate_rf_chain(elements, plan, oversample_factor=8):

@@ -337,10 +337,18 @@ class AnalysisBank:
 
 
 class SynthesisBank:
-    """Streaming N-channel synthesis bank (mirror of AnalysisBank)."""
+    """Streaming N-channel synthesis bank (mirror of AnalysisBank).
 
-    def __init__(self, prototype, gain=None):
+    ``hermitian`` declares every frame the bank gets conjugate-symmetric
+    (channel N-n holds the conjugate of channel n), as a real restack
+    builds them: the transformed frames are then real up to rounding, and
+    the branches run on their real part, so the output is real for real
+    branch filters.  The frames are not checked for the symmetry.
+    """
+
+    def __init__(self, prototype, gain=None, hermitian=False):
         self.prototype = prototype
+        self.hermitian = hermitian
         self.num_branches = prototype.spec.num_branches
         self._branches = _synthesis_family(prototype)
         n = self.num_branches
@@ -369,8 +377,11 @@ class SynthesisBank:
         n_frames = frames.shape[0]
         if n_frames == 0:
             return np.zeros(0, dtype=np.complex128)
+        slots = np.fft.fft(frames, axis=1)
+        if self.hermitian:
+            slots = slots.real
         # branch n feeds output slot k*N + N-1-n; the family runs in slot order
-        out = self._branches.run(np.fft.fft(frames, axis=1)[:, ::-1])
+        out = self._branches.run(slots[:, ::-1])
         adds, mults = self._frame_cost
         self.counters.real_adds += n_frames * adds
         self.counters.real_mults += n_frames * mults

@@ -9,6 +9,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fstack.errors import (
     CoefficientFileError,
@@ -342,6 +344,75 @@ class TestBranchResponse:
                 explicit_branch_response(iir20, branch, w_dec),
                 rtol=1e-12, atol=0,
             )
+
+
+def explicit_composite_response(proto, freqs):
+    """Oracle: the per-branch sum, each branch with its own delay and exponentials."""
+    w_full = 2.0 * np.pi * np.asarray(freqs)
+    w_dec = proto.num_branches * w_full
+    return sum(np.exp(-1j * w_full * n) * explicit_branch_response(proto, n, w_dec)
+               for n in range(proto.num_branches))
+
+
+class TestCompositeResponse:
+    FREQS = np.linspace(0.0, 0.5, 16385)
+
+    def test_iir20_matches_per_branch_sum(self, iir20):
+        np.testing.assert_allclose(composite_response(iir20, self.FREQS),
+                                   explicit_composite_response(iir20, self.FREQS),
+                                   rtol=0, atol=1e-13)
+
+    def test_reference_design_matches_per_branch_sum(self, pipelines):
+        proto = pipelines["pipes"]["iir"].coarse_prototype
+        assert proto.sections_per_branch == 14
+        np.testing.assert_allclose(composite_response(proto, self.FREQS),
+                                   explicit_composite_response(proto, self.FREQS),
+                                   rtol=0, atol=1e-13)
+
+
+@st.composite
+def real_polynomials(draw):
+    """Coefficients d1..dM (M = 1..20) of a real monic polynomial.
+
+    Half are drawn directly; the other half are built from roots whose
+    radii spread across and beyond the unit disc or sit within 1e-5 of
+    the stability limit.
+    """
+    order = draw(st.integers(1, 20))
+    if draw(st.booleans()):
+        scale = draw(st.floats(0.01, 2.0))
+        return scale * np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=order,
+                                              max_size=order)))
+    radius = st.one_of(
+        st.floats(0.0, 1.3),
+        st.floats(-1e-5, 1e-5).map(lambda e: filter_design._ALPHA_LIMIT * (1.0 + e)),
+    )
+    roots = []
+    while len(roots) < order:
+        r = draw(radius)
+        if order - len(roots) >= 2 and draw(st.booleans()):
+            z = r * np.exp(1j * draw(st.floats(0.0, np.pi)))
+            roots += [z, np.conj(z)]
+        else:
+            roots.append(draw(st.sampled_from([r, -r])))
+    return np.real(np.poly(roots))[1:]
+
+
+class TestStabilityTest:
+    @settings(max_examples=200)
+    @given(real_polynomials())
+    def test_step_down_agrees_with_roots(self, d):
+        roots = np.roots(np.concatenate(([1.0], d)))
+        radii = np.abs(roots)
+        assume(np.min(np.abs(radii - filter_design._ALPHA_LIMIT)) > 1e-9)
+        # a root cluster is not resolved to that margin by either method;
+        # the branch fits keep their roots 9e-3 or more from the limit
+        gaps = np.abs(roots[:, None] - roots[None, :]) + np.eye(roots.size)
+        assume(np.min(gaps) >= 1e-3)
+        assert filter_design._stable(d) == (np.max(radii) <= filter_design._ALPHA_LIMIT)
+
+    def test_order_zero_is_stable(self):
+        assert filter_design._stable(np.zeros(0))
 
 
 class TestResponses:

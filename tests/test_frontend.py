@@ -1,12 +1,13 @@
 """Front-end tests: stimulus, stacking paths, ADC, AWGN, signal files."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from fstack import frontend
-from fstack.channelizer import gmr_channel_plan
+from fstack.channelizer import ChannelPlan, gmr_channel_plan
 from fstack.cli import build_channel_plan
 from fstack.errors import InvalidSpecError, StackingError
 from fstack.frontend import (
@@ -22,8 +23,10 @@ from fstack.frontend import (
     read_signal,
     simulate_rf_chain,
     stack_baseband_equivalent,
+    stack_fdm_stimulus,
     write_signal,
 )
+from fstack.stacking import StackingInputs, plan_stacking
 
 DUR = 1 << 13
 
@@ -217,6 +220,70 @@ class TestStackingPaths:
             centre = table2_plan.centre(n)
             band = (freqs >= centre - half_b) & (freqs <= centre + half_b)
             assert np.median(p_db[band]) > floor + 20.0
+
+
+def fdm_elements(plan, subbands, element_samples, seed, grid):
+    """The seeded FDM elements that stack_fdm_stimulus writes into its spectrum."""
+    return [
+        generate_subband_signal(
+            sub, plan, element_samples, seed=seed + sub, profile="fdm",
+            granularity_hz=grid.granularity_hz, guardband_fraction=grid.guardband_fraction,
+        )
+        for sub in subbands
+    ]
+
+
+class TestFdmStimulus:
+    """The one-spectrum FDM stimulus against the per-element stacking path."""
+
+    @pytest.mark.parametrize("standard", ["reference", "gmr2"])
+    def test_matches_element_stack_on_whole_bin_grids(self, table2_plan, ref_cfg, standard):
+        inp = table2_plan.inputs
+        rate = inp.f_s / inp.num_channels
+        grid = (build_channel_plan(ref_cfg) if standard == "reference"
+                else gmr_channel_plan("gmr2", rate))
+        # 5 120 samples per element put every F_n on a whole 12.5 kHz bin
+        fast = stack_fdm_stimulus(table2_plan, table2_plan.occupied_subbands, 5120, 77,
+                                  grid.granularity_hz, grid.guardband_fraction)
+        slow = stack_baseband_equivalent(
+            fdm_elements(table2_plan, table2_plan.occupied_subbands, 5120, 77, grid), table2_plan)
+        assert fast.rate_hz == slow.rate_hz and len(fast) == len(slow)
+        err = np.linalg.norm(fast.samples - slow.samples) / np.linalg.norm(slow.samples)
+        assert err <= 1e-9
+
+    @pytest.mark.parametrize(
+        "channels, fs_hz, fc_hz",
+        [(7, 1400e6, 1650.75e6), (11, 2200e6, 2170.75e6)],  # the N = 14 and 22 pipeline tests
+        ids=["n14", "n22"],
+    )
+    def test_off_grid_bands_land_on_the_nearest_bin(self, channels, fs_hz, fc_hz):
+        inputs = StackingInputs(fs_hz, 10e6, fc_hz, 2, 75e6, 2 * channels)
+        plan = plan_stacking(inputs)
+        grid = ChannelPlan("custom", 12.5e6, inputs.f_s / inputs.num_channels)
+        m = 200_000 // inputs.num_channels
+        df = inputs.f_s / (m * inputs.num_channels)
+        snapped = [round(plan.centre(sub) / df) * df for sub in plan.occupied_subbands]
+        for sub, centre in zip(plan.occupied_subbands, snapped):
+            assert 0.1 < abs(centre - plan.centre(sub)) / df <= 0.5
+        fast = stack_fdm_stimulus(plan, plan.occupied_subbands, m, 5,
+                                  grid.granularity_hz, grid.guardband_fraction)
+        # the oracle's elements come from the true plan (their grid offsets
+        # included); only the stacking centres move to the bins
+        elements = fdm_elements(plan, plan.occupied_subbands, m, 5, grid)
+        slow = stack_baseband_equivalent(
+            elements, dataclasses.replace(plan, centres_hz=tuple(snapped)))
+        err = np.linalg.norm(fast.samples - slow.samples) / np.linalg.norm(slow.samples)
+        assert err <= 1e-9
+
+    def test_empty_subband_list(self, table2_plan):
+        buf = stack_fdm_stimulus(table2_plan, (), DUR, 1, 1e6)
+        assert len(buf) == 0 and buf.domain == "real"
+
+    def test_duplicate_and_unoccupied_subbands_rejected(self, table2_plan):
+        with pytest.raises(StackingError):
+            stack_fdm_stimulus(table2_plan, (2, 2), DUR, 1, 1e6)
+        with pytest.raises(InvalidSpecError):
+            stack_fdm_stimulus(table2_plan, (0, 2), DUR, 1, 1e6)
 
 
 def symmetric_multitone(rate, n_samples):
