@@ -17,8 +17,8 @@ import numpy as np
 from scipy.fft import fft, ifft, irfft, next_fast_len, rfft
 
 from .errors import ConfigError, InvalidSpecError, RateMismatchError
-from .frontend import SignalBuffer, adc_quantize, add_awgn
-from .polyphase import AnalysisBank, SynthesisBank
+from .frontend import AdcModel, SignalBuffer, adc_quantize, add_awgn
+from .polyphase import AnalysisBank, SynthesisBank, matched_cascade_delay
 
 GMR1_GRANULARITY_HZ = 31.25e3
 GMR2_GRANULARITY_HZ = 50.0e3
@@ -66,7 +66,6 @@ class ChanneliserConfig:
     fine_prototype: object
     channel_plan: ChannelPlan
     occupied_subbands: tuple = None  # None = every plannable sub-band
-    allow_reserved: bool = False
 
     def __post_init__(self):
         n = self.plan.inputs.num_channels
@@ -74,10 +73,8 @@ class ChanneliserConfig:
             self.occupied_subbands = self.plan.occupied_subbands
         self.occupied_subbands = tuple(sorted(set(self.occupied_subbands)))
         reserved = {0, n // 2}
-        if not self.allow_reserved and reserved & set(self.occupied_subbands):
-            raise ConfigError(
-                "channels 0 and N/2 are reserved empty (set allow_reserved to override)"
-            )
+        if reserved & set(self.occupied_subbands):
+            raise ConfigError("channels 0 and N/2 are reserved empty")
         if any(not 0 <= s < n for s in self.occupied_subbands):
             raise ConfigError(f"occupied sub-band outside [0, {n})")
         if self.coarse_prototype.spec.num_branches != n:
@@ -111,8 +108,6 @@ class ChanneliserConfig:
 
     def expected_delay_samples(self):
         """Structural + filter delay of the full float pipeline, in input samples."""
-        from .polyphase import matched_cascade_delay
-
         return matched_cascade_delay(self.coarse_prototype) + (
             self.num_coarse_channels * matched_cascade_delay(self.fine_prototype)
         )
@@ -124,7 +119,6 @@ class MetricsReport:
     mse: float  # mean squared error over the compared span
     mse_over_signal: float  # normalized by signal power over the same span
     per_channel_leakage_db: dict = field(default_factory=dict)
-    snr_points: list = field(default_factory=list)
     extras: dict = field(default_factory=dict)
 
     def to_text(self):
@@ -141,8 +135,6 @@ class MetricsReport:
             lines.append("  per-channel power (dB rel. strongest):")
             for ch in sorted(self.per_channel_leakage_db):
                 lines.append(f"    ch {ch:4d}: {self.per_channel_leakage_db[ch]:8.2f}")
-        for snr_db, mse in self.snr_points:
-            lines.append(f"  snr {snr_db:6.1f} dB -> relative mse {mse:.6e}")
         return "\n".join(lines)
 
 
@@ -238,8 +230,6 @@ def pipeline_warmup_samples(config):
     warm-up is twice the cascade delay (plus margin); both stages
     contribute.
     """
-    from .polyphase import matched_cascade_delay
-
     n = config.num_coarse_channels
     coarse = matched_cascade_delay(config.coarse_prototype)
     fine = matched_cascade_delay(config.fine_prototype)
@@ -319,8 +309,6 @@ def end_to_end(config, stimulus, adc_bits=None, snr_db=None, seed=1234,
         x = add_awgn(x, snr_db, seed)
         extras["snr_db"] = snr_db
     if adc_bits is not None:
-        from .frontend import AdcModel
-
         scale = 4.0 * math.sqrt(max(x.power, 1e-300))
         model = AdcModel(bits=adc_bits, full_scale=scale, rate_hz=x.rate_hz)
         x = adc_quantize(x, model)
@@ -350,12 +338,6 @@ def end_to_end(config, stimulus, adc_bits=None, snr_db=None, seed=1234,
         processed[sub] = rebuilt
         if capture_spectra:
             spectra[sub] = subbands[sub]
-    # equalize lengths (fine stage trims to whole fine frames)
-    shortest = min(len(b) for b in processed.values())
-    for sub, buf in processed.items():
-        processed[sub] = SignalBuffer(
-            buf.samples[:shortest], buf.rate_hz, "complex", buf.label
-        )
     restacked = coarse_synthesize(config, processed)
     delay = find_delay(stimulus.samples, restacked.samples,
                        max_lag=min(len(restacked) - 1, 2 * theory + 1024))

@@ -10,157 +10,24 @@ Exit codes: 0 success, 2 config error, 3 design failure, 4 runtime error.
 
 import argparse
 import csv
-import dataclasses
 import math
 import os
 import sys
 
 from . import complexity, frontend
-from .channelizer import (
-    ChannelPlan,
-    ChanneliserConfig,
-    awgn_sweep,
-    end_to_end,
-    gmr_channel_plan,
-)
+from .channelizer import awgn_sweep, end_to_end
 from .config import load_config
 from .errors import ConfigError, DesignFailureError, FstackError
-from .filter_design import (
-    FirPrototype,
-    PrototypeSpec,
-    attenuation_to_ripple,
-    design_fir_equiripple,
-    design_iir_nthband_alp,
-    estimate_fir_length,
-    export_coefficients,
-    kaiser_taps,
-    measure_fir,
-    ripple_pp_db_to_linear,
-    verify_allpass,
+from .filter_design import attenuation_to_ripple, export_coefficients, ripple_pp_db_to_linear
+from .pipeline import (
+    build_candidate_configs,
+    build_channel_plan,
+    build_coarse_prototype,
+    build_pipeline_config,
+    build_plan,
+    build_stimulus,
 )
-from .stacking import StackingInputs, plan_stacking, validate_plan
-
-# Fine prototype targets.  Reconstruction error of a maximally decimated
-# bank scales like N * stopband_ripple^2 (stopband leakage aggregates
-# across the branch responses), so the two-stage transparency budget of
-# 1e-5 forces roughly 70 dB at N_f = 64 regardless of how sparsely the
-# user channels are occupied.
-FINE_STOPBAND_DB = 70.0
-FINE_PASSBAND_RIPPLE = 2e-4
-# above this length the fine prototype goes straight to the windowed
-# design; a Remez exchange on a 10^5-tap filter is not worth the wait
-FINE_REMEZ_LIMIT = 8192
-
-
-def _build_plan(cfg):
-    inputs = StackingInputs(
-        f_s=cfg.fs_hz,
-        f_o=cfg.fo_hz,
-        f_c=cfg.fc_hz,
-        nyquist_zone=cfg.nyquist_zone,
-        bandwidth=cfg.bandwidth_hz,
-        num_channels=2 * cfg.num_coarse_channels,
-    )
-    return plan_stacking(inputs)
-
-
-def _coarse_spec(cfg, plan, kind):
-    pass_db = cfg.passband_ripple_db
-    stop_db = cfg.stopband_db
-    if kind == "fir":
-        pass_db = cfg.fir_passband_ripple_db or pass_db
-        stop_db = cfg.fir_stopband_db or stop_db
-    return PrototypeSpec(
-        sample_rate_hz=cfg.fs_hz,
-        passband_edge_hz=plan.f_p,
-        stopband_edge_hz=plan.f_a,
-        passband_ripple=ripple_pp_db_to_linear(pass_db),
-        stopband_ripple=attenuation_to_ripple(stop_db),
-        num_branches=2 * cfg.num_coarse_channels,
-        kind=kind,
-    )
-
-
-def build_coarse_prototype(cfg, plan, kind=None):
-    kind = kind or cfg.coarse_kind
-    spec = _coarse_spec(cfg, plan, kind)
-    if kind == "fir":
-        return design_fir_equiripple(spec, length_multiple=spec.num_branches)
-    return design_iir_nthband_alp(spec, cfg.n_fos)
-
-
-def build_channel_plan(cfg):
-    subband_rate = cfg.fs_hz / (2 * cfg.num_coarse_channels)
-    if cfg.fine_standard in ("gmr1", "gmr2"):
-        if cfg.full_scale_fine:
-            return gmr_channel_plan(cfg.fine_standard, subband_rate, cfg.guardband_fraction)
-        granularity = 1e6  # desk scale
-    else:
-        granularity = cfg.granularity_hz
-    return ChannelPlan("custom", granularity, subband_rate, cfg.guardband_fraction)
-
-
-def build_fine_prototype(cfg, channel_plan):
-    """Equiripple fine-stage prototype: stopband at the channel edge."""
-    n_f = channel_plan.channels_per_subband
-    rate = channel_plan.subband_rate_hz
-    guard = channel_plan.guardband_fraction
-    spec = PrototypeSpec(
-        sample_rate_hz=rate,
-        passband_edge_hz=(1.0 - guard) * 0.5 * rate / n_f,
-        stopband_edge_hz=0.5 * rate / n_f,
-        passband_ripple=FINE_PASSBAND_RIPPLE,
-        stopband_ripple=attenuation_to_ripple(FINE_STOPBAND_DB),
-        num_branches=n_f,
-        kind="fir",
-    )
-    est = estimate_fir_length(spec.passband_ripple, spec.stopband_ripple, spec.delta_f)
-    if est > FINE_REMEZ_LIMIT:
-        length = n_f * math.ceil(est / n_f)
-        for _ in range(64):
-            taps = kaiser_taps(length, spec)
-            pass_dev, stop_max = measure_fir(taps, spec, grid_mult=4)
-            if pass_dev <= spec.passband_ripple and stop_max <= spec.stopband_ripple:
-                return FirPrototype(taps, spec)
-            length += n_f
-        raise DesignFailureError("windowed fine prototype did not meet spec")
-    return design_fir_equiripple(spec, length_multiple=n_f)
-
-
-def build_pipeline_config(cfg, kind=None, plan=None, channel_plan=None):
-    plan = plan or _build_plan(cfg)
-    channel_plan = channel_plan or build_channel_plan(cfg)
-    coarse = build_coarse_prototype(cfg, plan, kind)
-    fine = build_fine_prototype(cfg, channel_plan)
-    return ChanneliserConfig(
-        plan=plan,
-        coarse_prototype=coarse,
-        fine_prototype=fine,
-        channel_plan=channel_plan,
-        occupied_subbands=cfg.occupied_subbands,
-    )
-
-
-def build_candidate_configs(cfg, plan, channel_plan):
-    """Pipeline configs of both coarse candidates, keyed "iir" and "fir".
-
-    They share one fine prototype, so the fine design (and its cached
-    tap spectrum) is made once.
-    """
-    iir = build_pipeline_config(cfg, "iir", plan, channel_plan)
-    fir = dataclasses.replace(iir, coarse_prototype=build_coarse_prototype(cfg, plan, "fir"))
-    return {"iir": iir, "fir": fir}
-
-
-def build_stimulus(cfg, plan, channel_plan, occupied):
-    return frontend.stack_fdm_stimulus(
-        plan,
-        occupied,
-        cfg.num_samples // (2 * cfg.num_coarse_channels),
-        seed=cfg.seed,
-        granularity_hz=channel_plan.granularity_hz,
-        guardband_fraction=channel_plan.guardband_fraction,
-    )
+from .stacking import validate_plan
 
 
 def _write_text(path, text):
@@ -184,7 +51,7 @@ def _write_spectrum_csv(path, buf, nfft=8192):
 
 
 def cmd_plan(cfg, out_dir):
-    plan = _build_plan(cfg)
+    plan = build_plan(cfg)
     check = validate_plan(plan)
     plan.to_csv(os.path.join(out_dir, "plan.csv"))
     text = plan.to_text() + "\n" + check.to_text()
@@ -194,7 +61,7 @@ def cmd_plan(cfg, out_dir):
 
 
 def cmd_design(cfg, out_dir):
-    plan = _build_plan(cfg)
+    plan = build_plan(cfg)
     lines = [f"prototype design for f_p={plan.f_p:.6g} Hz, f_a={plan.f_a:.6g} Hz"]
     fir = build_coarse_prototype(cfg, plan, "fir")
     export_coefficients(fir, os.path.join(out_dir, "coarse_fir.coef"))
@@ -209,7 +76,7 @@ def cmd_design(cfg, out_dir):
     ]
     iir = build_coarse_prototype(cfg, plan, "iir")
     export_coefficients(iir, os.path.join(out_dir, "coarse_iir.coef"))
-    rep = iir.design_report or verify_allpass(iir)
+    rep = iir.design_report
     lines += [
         "candidate 2 (Nth-band all-pass recursive, almost linear phase):",
         f"  coefficients      : {iir.coefficient_count} "
@@ -238,7 +105,7 @@ def cmd_estimate(cfg, out_dir):
 
 
 def cmd_stack(cfg, out_dir):
-    plan = _build_plan(cfg)
+    plan = build_plan(cfg)
     channel_plan = build_channel_plan(cfg)
     occupied = (
         plan.occupied_subbands if cfg.occupied_subbands is None
@@ -253,9 +120,9 @@ def cmd_stack(cfg, out_dir):
 
 
 def cmd_run(cfg, out_dir):
-    plan = _build_plan(cfg)
+    plan = build_plan(cfg)
     channel_plan = build_channel_plan(cfg)
-    pipeline = build_pipeline_config(cfg, plan=plan, channel_plan=channel_plan)
+    pipeline = build_pipeline_config(cfg, cfg.coarse_kind, plan, channel_plan)
     stimulus = build_stimulus(cfg, plan, channel_plan, pipeline.occupied_subbands)
     _write_spectrum_csv(os.path.join(out_dir, "input_spectrum.csv"), stimulus)
     report = end_to_end(
@@ -277,7 +144,7 @@ def cmd_run(cfg, out_dir):
 
 
 def cmd_sweep(cfg, out_dir):
-    plan = _build_plan(cfg)
+    plan = build_plan(cfg)
     channel_plan = build_channel_plan(cfg)
     configs = build_candidate_configs(cfg, plan, channel_plan)
     stimulus = build_stimulus(cfg, plan, channel_plan,

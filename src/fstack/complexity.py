@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidSpecError
+from .filter_design import estimate_fir_length, estimate_iir_sections
 
 CSV_HEADER = [
     "N", "delta_pct", "L_fir", "L_iir",
@@ -105,8 +106,6 @@ class ComplexityReport:
 
 def point_report(n, guardband_pct, passband_ripple, stopband_ripple):
     """Cost report for one sweep point; ripples are linear peak deviations."""
-    from .filter_design import estimate_fir_length, estimate_iir_sections
-
     delta_f = guardband_pct / (100.0 * n)
     l_fir = max(estimate_fir_length(passband_ripple, stopband_ripple, delta_f), n)
     l_raw = estimate_iir_sections(stopband_ripple, delta_f)

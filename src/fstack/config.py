@@ -13,7 +13,7 @@ bad keys at once.
 """
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigError
 
@@ -83,7 +83,6 @@ class RunConfig:
     occupied_subbands: tuple | None  # None = every plannable sub-band
     output_dir: str
     full_scale_fine: bool = False
-    raw: dict = field(default_factory=dict, repr=False)
 
 
 def _merged(parser):
@@ -187,5 +186,4 @@ def load_config(path=None, overrides=None):
         seed=seed, num_samples=num_samples, adc_bits=adc_bits, snr_db=snr_db,
         occupied_subbands=occupied,
         output_dir=data["io"]["output_dir"].strip() or "out",
-        raw=data,
     )

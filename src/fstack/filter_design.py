@@ -793,13 +793,9 @@ def export_coefficients(proto, path):
     """Write the coefficient text format (see import_coefficients)."""
     spec = proto.spec
     lines = []
-    if isinstance(proto, FirPrototype):
-        kind, n_fos = "fir", proto.sections_per_branch
-    else:
-        kind, n_fos = "iir", proto.sections_per_branch
-    lines.append(f"# kind={kind}")
+    lines.append(f"# kind={spec.kind}")
     lines.append(f"# N={spec.num_branches}")
-    lines.append(f"# n_fos={n_fos}")
+    lines.append(f"# n_fos={proto.sections_per_branch}")
     lines.append(f"# fs_hz={_fmt(spec.sample_rate_hz)}")
     lines.append(f"# fp_hz={_fmt(spec.passband_edge_hz)}")
     lines.append(f"# fa_hz={_fmt(spec.stopband_edge_hz)}")
@@ -824,7 +820,7 @@ def import_coefficients(path):
     recursive kind.  Any coefficient with |alpha| >= 1 is rejected as
     unstable.
     """
-    meta = {}
+    meta = {}  # key -> (line number, value)
     body = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -835,27 +831,30 @@ def import_coefficients(path):
                 text = line[1:].strip()
                 if "=" in text:
                     key, _, val = text.partition("=")
-                    meta[key.strip()] = val.strip()
+                    meta[key.strip()] = (lineno, val.strip())
                 continue
             body.append((lineno, line))
-    kind = meta.get("kind", "fir").lower()
+
+    def _meta(key, conv, default):
+        if key not in meta:
+            return default
+        lineno, val = meta[key]
+        try:
+            return conv(val)
+        except ValueError as exc:
+            raise CoefficientFileError(f"{path}:{lineno}: bad metadata {key}={val!r}") from exc
+
+    kind = _meta("kind", str, "fir").lower()
     if kind not in ("fir", "iir"):
         raise CoefficientFileError(f"unknown kind {kind!r} in {path}")
-
-    def _meta_float(key, default):
-        try:
-            return float(meta[key]) if key in meta else default
-        except ValueError as exc:
-            raise CoefficientFileError(f"bad metadata {key}={meta[key]!r}") from exc
-
-    fs = _meta_float("fs_hz", 1.0)
+    fs = _meta("fs_hz", float, 1.0)
     spec = PrototypeSpec(
         sample_rate_hz=fs,
-        passband_edge_hz=_meta_float("fp_hz", 0.2 * fs),
-        stopband_edge_hz=_meta_float("fa_hz", 0.3 * fs),
-        passband_ripple=_meta_float("dp", 0.1),
-        stopband_ripple=_meta_float("ds", 0.1),
-        num_branches=int(meta.get("N", 1)),
+        passband_edge_hz=_meta("fp_hz", float, 0.2 * fs),
+        stopband_edge_hz=_meta("fa_hz", float, 0.3 * fs),
+        passband_ripple=_meta("dp", float, 0.1),
+        stopband_ripple=_meta("ds", float, 0.1),
+        num_branches=_meta("N", int, 1),
         kind=kind,
     )
 
@@ -873,7 +872,7 @@ def import_coefficients(path):
         return FirPrototype(np.asarray(taps), spec)
 
     n_br = spec.num_branches
-    n_fos = int(meta.get("n_fos", 0))
+    n_fos = _meta("n_fos", int, 0)
     if n_br < 2 or n_fos < 1:
         raise CoefficientFileError(f"{path}: recursive file needs N >= 2 and n_fos >= 1")
     alphas = np.full((n_br - 1, n_fos), np.nan, dtype=np.complex128)
@@ -888,7 +887,7 @@ def import_coefficients(path):
             value = complex(float(parts[2]), float(parts[3]))
         except ValueError as exc:
             raise CoefficientFileError(f"{path}:{lineno}: bad field in {line!r}") from exc
-        if not (1 <= branch < n_br + 1) or not (0 <= section < n_fos):
+        if not (1 <= branch < n_br) or not (0 <= section < n_fos):
             raise CoefficientFileError(
                 f"{path}:{lineno}: branch/section out of range in {line!r}"
             )

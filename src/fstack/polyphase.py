@@ -264,34 +264,46 @@ def _require_finite(x):
         raise FramingError("filter-bank input holds NaN or Inf samples")
 
 
-def _warmup_frames(prototype, num_branches):
-    if isinstance(prototype, FirPrototype):
-        return math.ceil(prototype.length / num_branches)
-    return 2 * prototype.sections_per_branch
+class _Bank:
+    """What both banks keep: prototype, branch family, frame cost and counters."""
 
-
-class AnalysisBank:
-    """Streaming N-channel analysis bank (one owner, stateful)."""
-
-    def __init__(self, prototype):
+    def __init__(self, prototype, branches):
         self.prototype = prototype
         self.num_branches = prototype.spec.num_branches
-        self._branches = _branch_family(prototype)
-        self._hist = np.zeros(self.num_branches - 1)
+        self._branches = branches
         self._frame_cost = _frame_cost(prototype, self.num_branches)
         self.counters = OperationCounters()
         self.frames_processed = 0
-        self.samples_consumed = 0
 
     @property
     def warmup_frames(self):
-        return _warmup_frames(self.prototype, self.num_branches)
+        """Whole frames of the matched cascade delay: K for FIR, 2*n_fos for all-pass."""
+        return (matched_cascade_delay(self.prototype) + 1) // self.num_branches
 
     def reset(self):
         self._branches.reset()
-        self._hist = np.zeros(self.num_branches - 1)
         self.counters.reset()
         self.frames_processed = 0
+
+    def _count(self, n_frames):
+        adds, mults = self._frame_cost
+        self.counters.real_adds += n_frames * adds
+        self.counters.real_mults += n_frames * mults
+        self.counters.frames += n_frames
+        self.frames_processed += n_frames
+
+
+class AnalysisBank(_Bank):
+    """Streaming N-channel analysis bank (one owner, stateful)."""
+
+    def __init__(self, prototype):
+        super().__init__(prototype, _branch_family(prototype))
+        self._hist = np.zeros(self.num_branches - 1)
+        self.samples_consumed = 0
+
+    def reset(self):
+        super().reset()
+        self._hist = np.zeros(self.num_branches - 1)
         self.samples_consumed = 0
 
     def process_block(self, samples):
@@ -316,11 +328,7 @@ class AnalysisBank:
         branch_in = ext[: n_frames * n].reshape(n_frames, n)[:, ::-1]
         self._hist = ext[ext.size - (n - 1) :].copy()
         frames = np.fft.ifft(self._branches.run(branch_in), axis=1)
-        adds, mults = self._frame_cost
-        self.counters.real_adds += n_frames * adds
-        self.counters.real_mults += n_frames * mults
-        self.counters.frames += n_frames
-        self.frames_processed += n_frames
+        self._count(n_frames)
         self.samples_consumed += x.size
         return frames
 
@@ -336,7 +344,7 @@ class AnalysisBank:
         return ChannelFrame(values, index, warm_up=index < self.warmup_frames)
 
 
-class SynthesisBank:
+class SynthesisBank(_Bank):
     """Streaming N-channel synthesis bank (mirror of AnalysisBank).
 
     ``hermitian`` declares every frame the bank gets conjugate-symmetric
@@ -346,26 +354,12 @@ class SynthesisBank:
     branch filters.  The frames are not checked for the symmetry.
     """
 
-    def __init__(self, prototype, gain=None, hermitian=False):
-        self.prototype = prototype
+    def __init__(self, prototype, hermitian=False):
+        super().__init__(prototype, _synthesis_family(prototype))
         self.hermitian = hermitian
-        self.num_branches = prototype.spec.num_branches
-        self._branches = _synthesis_family(prototype)
         n = self.num_branches
         dc = prototype.dc_gain
-        self.gain = gain if gain is not None else n * n / (dc * dc)
-        self._frame_cost = _frame_cost(prototype, n)
-        self.counters = OperationCounters()
-        self.frames_processed = 0
-
-    @property
-    def warmup_frames(self):
-        return _warmup_frames(self.prototype, self.num_branches)
-
-    def reset(self):
-        self._branches.reset()
-        self.counters.reset()
-        self.frames_processed = 0
+        self.gain = n * n / (dc * dc)
 
     def process_block(self, frames):
         """Synthesise a (frames, N) channel array back to F*N samples."""
@@ -382,11 +376,7 @@ class SynthesisBank:
             slots = slots.real
         # branch n feeds output slot k*N + N-1-n; the family runs in slot order
         out = self._branches.run(slots[:, ::-1])
-        adds, mults = self._frame_cost
-        self.counters.real_adds += n_frames * adds
-        self.counters.real_mults += n_frames * mults
-        self.counters.frames += n_frames
-        self.frames_processed += n_frames
+        self._count(n_frames)
         # the branch output is this call's own array: scale it in place
         samples = out.reshape(-1)
         samples *= self.gain

@@ -11,12 +11,6 @@ import pytest
 from hypothesis import settings
 
 from fstack.channelizer import end_to_end
-from fstack.cli import (
-    _build_plan,
-    build_candidate_configs,
-    build_channel_plan,
-    build_stimulus,
-)
 from fstack.config import load_config
 from fstack.filter_design import (
     PrototypeSpec,
@@ -24,6 +18,12 @@ from fstack.filter_design import (
     design_fir_equiripple,
     design_iir_nthband_alp,
     ripple_pp_db_to_linear,
+)
+from fstack.pipeline import (
+    build_candidate_configs,
+    build_channel_plan,
+    build_plan,
+    build_stimulus,
 )
 from fstack.stacking import StackingInputs, plan_stacking
 
@@ -138,7 +138,7 @@ def ref_cfg():
 @pytest.fixture(scope="session")
 def pipelines(ref_cfg):
     """Both candidate pipelines plus the nine-sub-band FDM stimulus."""
-    plan = _build_plan(ref_cfg)
+    plan = build_plan(ref_cfg)
     channel_plan = build_channel_plan(ref_cfg)
     pipes = build_candidate_configs(ref_cfg, plan, channel_plan)
     stimulus = build_stimulus(

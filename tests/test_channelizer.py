@@ -19,18 +19,18 @@ from fstack.channelizer import (
     aligned_mse,
     pipeline_warmup_samples,
 )
-from fstack.cli import (
-    _build_plan,
-    build_channel_plan,
-    build_fine_prototype,
-    build_pipeline_config,
-    build_stimulus,
-)
 from fstack.config import load_config
 from fstack.errors import ConfigError, InvalidSpecError, RateMismatchError
 from fstack import polyphase
 from fstack.filter_design import FirPrototype
 from fstack.frontend import SignalBuffer, add_awgn
+from fstack.pipeline import (
+    build_channel_plan,
+    build_fine_prototype,
+    build_pipeline_config,
+    build_plan,
+    build_stimulus,
+)
 from fstack.polyphase import matched_cascade_delay
 
 SUBBAND_RATE = 64e6
@@ -85,6 +85,14 @@ class TestCoarseStage:
         pipe = pipelines["pipes"]["iir"]
         with pytest.raises(RateMismatchError):
             coarse_analyze(pipe, SignalBuffer(np.zeros(400), 1e6, "real"))
+
+    def test_unequal_stream_lengths_rejected(self, pipelines):
+        pipe = pipelines["pipes"]["iir"]
+        rate = pipe.subband_rate_hz
+        subs = {1: SignalBuffer(np.zeros(64, dtype=complex), rate, "complex"),
+                2: SignalBuffer(np.zeros(63, dtype=complex), rate, "complex")}
+        with pytest.raises(ConfigError, match="one length"):
+            coarse_synthesize(pipe, subs)
 
     @pytest.mark.parametrize("kind", ["iir", "fir"])
     def test_restack_matches_complex_synthesis(self, pipelines, kind):
@@ -275,7 +283,7 @@ class TestEndToEnd:
             "coarse.passband_ripple_db": 0.01,
             "fine.granularity_hz": 12.5e6, "sim.num_samples": 200_000,
         })
-        plan = _build_plan(cfg)
+        plan = build_plan(cfg)
         channel_plan = build_channel_plan(cfg)
         pipe = build_pipeline_config(cfg, "fir", plan, channel_plan)
         assert pipe.num_coarse_channels == 2 * channels
@@ -300,7 +308,7 @@ class TestEndToEnd:
             "coarse.passband_ripple_db": 0.01,
             "fine.granularity_hz": 12.5e6, "sim.num_samples": 200_000,
         })
-        plan = _build_plan(cfg)
+        plan = build_plan(cfg)
         channel_plan = build_channel_plan(cfg)
         pipe = build_pipeline_config(cfg, "iir", plan, channel_plan)
         assert pipe.num_coarse_channels == 2 * channels

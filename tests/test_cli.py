@@ -1,6 +1,6 @@
 """Command-line front end tests: artifacts, determinism, exit codes."""
 
-from fstack import cli
+from fstack import pipeline
 from fstack.cli import main
 
 # A deliberately small but fully feasible scenario so design and run
@@ -157,8 +157,8 @@ class TestSweepCommand:
 
     def test_sweep_designs_fine_prototype_once(self, tmp_path, monkeypatch):
         built = []
-        build = cli.build_fine_prototype
-        monkeypatch.setattr(cli, "build_fine_prototype",
+        build = pipeline.build_fine_prototype
+        monkeypatch.setattr(pipeline, "build_fine_prototype",
                             lambda *args: built.append(args) or build(*args))
         assert main(["sweep", "--config", write_mini(tmp_path)]) == 0
         assert len(built) == 1
@@ -182,7 +182,7 @@ class TestDesignCommand:
 
 class TestFullScaleFlag:
     def test_flag_switches_fine_grid(self):
-        from fstack.cli import build_channel_plan
+        from fstack.pipeline import build_channel_plan
         from fstack.config import load_config
 
         cfg = load_config(overrides={"fine.standard": "gmr2"})

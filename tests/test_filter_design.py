@@ -502,6 +502,22 @@ class TestCoefficientFiles:
         with pytest.raises(CoefficientFileError, match=":3"):
             import_coefficients(path)
 
+    def test_branch_past_last_reports_position(self, tmp_path):
+        path = tmp_path / "branch.coef"
+        path.write_text("# kind=iir\n# N=4\n# n_fos=1\n1,0,0.1,0\n2,0,0.1,0\n4,0,0.1,0\n")
+        with pytest.raises(CoefficientFileError, match=r"branch\.coef:6: branch/section"):
+            import_coefficients(path)
+
+    @pytest.mark.parametrize("n_line, fos_line, lineno", [
+        ("N=four", "n_fos=1", 2),
+        ("N=4", "n_fos=1.5", 3),
+    ])
+    def test_non_integer_metadata_reports_position(self, tmp_path, n_line, fos_line, lineno):
+        path = tmp_path / "meta.coef"
+        path.write_text(f"# kind=iir\n# {n_line}\n# {fos_line}\n1,0,0.1,0\n")
+        with pytest.raises(CoefficientFileError, match=rf"meta\.coef:{lineno}: bad metadata"):
+            import_coefficients(path)
+
     def test_unstable_prototype_constructor(self):
         spec = PrototypeSpec(1.0, 0.1, 0.15, 0.01, 0.01, 2, "iir")
         with pytest.raises(StabilityError):

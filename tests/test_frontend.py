@@ -8,7 +8,6 @@ import pytest
 
 from fstack import frontend
 from fstack.channelizer import ChannelPlan, gmr_channel_plan
-from fstack.cli import build_channel_plan
 from fstack.errors import InvalidSpecError, StackingError
 from fstack.frontend import (
     AdcModel,
@@ -26,6 +25,7 @@ from fstack.frontend import (
     stack_fdm_stimulus,
     write_signal,
 )
+from fstack.pipeline import build_channel_plan
 from fstack.stacking import StackingInputs, plan_stacking
 
 DUR = 1 << 13
