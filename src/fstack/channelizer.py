@@ -28,14 +28,11 @@ GMR2_GRANULARITY_HZ = 50.0e3
 class ChannelPlan:
     """Fine-stage grid: user-channel granularity within one sub-band."""
 
-    standard: str  # "gmr1" | "gmr2" | "custom"
     granularity_hz: float
     subband_rate_hz: float
     guardband_fraction: float = 0.1
 
     def __post_init__(self):
-        if self.standard not in ("gmr1", "gmr2", "custom"):
-            raise InvalidSpecError(f"unknown standard {self.standard!r}")
         if not 0.0 < self.guardband_fraction <= 0.1:
             raise InvalidSpecError(
                 "per-channel guardband must be in (0, 0.1] of the channel bandwidth"
@@ -54,7 +51,7 @@ class ChannelPlan:
 
 def gmr_channel_plan(standard, subband_rate_hz, guardband_fraction=0.1):
     granularity = {"gmr1": GMR1_GRANULARITY_HZ, "gmr2": GMR2_GRANULARITY_HZ}[standard]
-    return ChannelPlan(standard, granularity, subband_rate_hz, guardband_fraction)
+    return ChannelPlan(granularity, subband_rate_hz, guardband_fraction)
 
 
 @dataclass
@@ -301,8 +298,14 @@ def end_to_end(config, stimulus, adc_bits=None, snr_db=None, seed=1234,
     stimulus.  Impairments are optional; the float path is the
     transparency benchmark.  A stimulus shorter than the expected delay
     plus ``pipeline_warmup_samples`` raises ``InvalidSpecError``: its
-    aligned span could not reach steady state.
+    aligned span could not reach steady state.  So does a run with
+    nothing to measure: no occupied sub-band, or an empty or silent
+    stimulus.
     """
+    if not config.occupied_subbands:
+        raise InvalidSpecError("nothing to measure: no sub-band is occupied")
+    if stimulus.power == 0.0:
+        raise InvalidSpecError("nothing to measure: the stimulus is empty or silent")
     x = stimulus
     extras = {}
     if snr_db is not None and not math.isinf(snr_db):
@@ -310,15 +313,11 @@ def end_to_end(config, stimulus, adc_bits=None, snr_db=None, seed=1234,
         extras["snr_db"] = snr_db
     if adc_bits is not None:
         scale = 4.0 * math.sqrt(max(x.power, 1e-300))
-        model = AdcModel(bits=adc_bits, full_scale=scale, rate_hz=x.rate_hz)
+        model = AdcModel(bits=adc_bits, full_scale=scale)
         x = adc_quantize(x, model)
         extras["adc_bits"] = adc_bits
         extras["adc_saturations"] = x.meta["saturation_count"]
 
-    if len(x) == 0 or stimulus.power == 0.0 or not config.occupied_subbands:
-        report = MetricsReport(0, 0.0, 0.0, extras=extras)
-        report.extras["note"] = "empty stimulus or no occupied sub-bands"
-        return report
     theory = config.expected_delay_samples()
     needed = theory + pipeline_warmup_samples(config)
     if len(x) < needed:

@@ -35,13 +35,13 @@ def _write_text(path, text):
         fh.write(text if text.endswith("\n") else text + "\n")
 
 
-def _write_spectrum_csv(path, buf, nfft=8192):
+def _write_spectrum_csv(path, buf):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["frequency_hz", "power_db"])
         if len(buf) == 0:
             return
-        freqs, power_db = frontend.periodogram_db(buf, nfft)
+        freqs, power_db = frontend.periodogram_db(buf)
         for f, p in zip(freqs, power_db):
             writer.writerow([repr(float(f)), f"{p:.6f}"])
 
@@ -188,11 +188,6 @@ def main(argv=None):
     parser.add_argument("--config", default=None, help="INI config path")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override sim.seed")
-    parser.add_argument(
-        "--full-scale",
-        action="store_true",
-        help="use the full GMR fine grids (N_f = 1280/2048) instead of desk scale",
-    )
     args = parser.parse_args(argv)
 
     try:
@@ -202,7 +197,6 @@ def main(argv=None):
         if args.out is not None:
             overrides["io.output_dir"] = args.out
         cfg = load_config(args.config, overrides)
-        cfg.full_scale_fine = args.full_scale
         out_dir = cfg.output_dir
         os.makedirs(out_dir, exist_ok=True)
         return COMMANDS[args.command](cfg, out_dir)

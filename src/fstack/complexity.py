@@ -126,12 +126,13 @@ def point_report(n, guardband_pct, passband_ripple, stopband_ripple):
     )
 
 
-def default_guardband_schedule(n_values, pct_hi=40.0, pct_lo=5.0):
+def default_guardband_schedule(n_values):
     """Guardband percentage per N, shrinking linearly in log2(N).
 
     Larger banks get proportionally tighter guardbands, which is the
     realistic way to utilise the stacked spectrum.
     """
+    pct_lo, pct_hi = ENVELOPE_GUARD_PCT
     logs = [math.log2(n) for n in n_values]
     lo, hi = min(logs), max(logs)
     span = (hi - lo) or 1.0

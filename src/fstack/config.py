@@ -3,7 +3,8 @@
 Sections and keys:
 
     [plan]   fs_hz, fo_hz, fc_hz, nyquist_zone, bandwidth_hz, num_coarse_channels
-    [coarse] prototype (fir|iir), n_fos, stopband_db, passband_ripple_db
+    [coarse] prototype (fir|iir), n_fos, stopband_db, passband_ripple_db,
+             fir_stopband_db
     [fine]   standard (gmr1|gmr2|custom), granularity_hz, guardband_fraction
     [sim]    seed, num_samples, adc_bits, snr_db, occupied_subbands
     [io]     output_dir
@@ -34,11 +35,10 @@ DEFAULTS = {
         "n_fos": "14",
         "stopband_db": "66.5",
         "passband_ripple_db": "0.005",
-        # optional FIR-candidate overrides: the comparison wants the two
+        # optional FIR-candidate override: the comparison wants the two
         # candidates at matched end-to-end floors (their error mechanisms
         # differ, phase vs magnitude, so the dB targets differ slightly)
         "fir_stopband_db": "67.6",
-        "fir_passband_ripple_db": "",
     },
     "fine": {
         "standard": "custom",
@@ -72,7 +72,6 @@ class RunConfig:
     stopband_db: float
     passband_ripple_db: float
     fir_stopband_db: float | None
-    fir_passband_ripple_db: float | None
     fine_standard: str
     granularity_hz: float
     guardband_fraction: float
@@ -82,7 +81,6 @@ class RunConfig:
     snr_db: float | None
     occupied_subbands: tuple | None  # None = every plannable sub-band
     output_dir: str
-    full_scale_fine: bool = False
 
 
 def _merged(parser):
@@ -144,9 +142,6 @@ def load_config(path=None, overrides=None):
     stop_db = _num("coarse", "stopband_db", float, lambda v: v > 0, "(> 0)")
     pass_db = _num("coarse", "passband_ripple_db", float, lambda v: v > 0, "(> 0)")
     fir_stop_db = _opt("coarse", "fir_stopband_db", float, lambda v: v > 0, "(> 0)")
-    fir_pass_db = _opt(
-        "coarse", "fir_passband_ripple_db", float, lambda v: v > 0, "(> 0)"
-    )
 
     standard = data["fine"]["standard"].strip().lower()
     if standard not in ("gmr1", "gmr2", "custom"):
@@ -181,7 +176,7 @@ def load_config(path=None, overrides=None):
         num_coarse_channels=n_c,
         coarse_kind=kind, n_fos=n_fos, stopband_db=stop_db,
         passband_ripple_db=pass_db,
-        fir_stopband_db=fir_stop_db, fir_passband_ripple_db=fir_pass_db,
+        fir_stopband_db=fir_stop_db,
         fine_standard=standard, granularity_hz=gran, guardband_fraction=guard,
         seed=seed, num_samples=num_samples, adc_bits=adc_bits, snr_db=snr_db,
         occupied_subbands=occupied,

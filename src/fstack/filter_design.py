@@ -152,21 +152,27 @@ class AllPassPrototype:
     sections_per_branch samples and carries no coefficients.
     """
 
-    num_branches: int
-    sections_per_branch: int
     alphas: np.ndarray  # (N-1, n_fos) complex
     spec: PrototypeSpec
     design_report: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.alphas = np.atleast_2d(np.asarray(self.alphas, dtype=np.complex128))
-        expected = (max(self.num_branches - 1, 0), self.sections_per_branch)
-        if self.num_branches > 1 and self.alphas.shape != expected:
+        if self.alphas.shape[0] != self.num_branches - 1:
             raise InvalidSpecError(
-                f"alpha matrix shape {self.alphas.shape} != {expected}"
+                f"alpha matrix has {self.alphas.shape[0]} rows; "
+                f"N = {self.num_branches} needs N - 1 = {self.num_branches - 1}"
             )
         if self.alphas.size and np.max(np.abs(self.alphas)) >= 1.0:
             raise StabilityError("all-pass coefficient on or outside the unit circle")
+
+    @property
+    def num_branches(self):
+        return self.spec.num_branches
+
+    @property
+    def sections_per_branch(self):
+        return self.alphas.shape[1]
 
     @property
     def branch0_delay(self):
@@ -380,21 +386,20 @@ def _remez_attempt(spec, length):
         return kaiser_taps(length, spec), "kaiser"
 
 
-def design_fir_equiripple(spec, length_multiple=1, max_attempts=64):
+def design_fir_equiripple(spec, max_attempts=64):
     """Equiripple lowpass meeting ``spec`` on a dense verification grid.
 
-    Starts from the practical length estimate (rounded up to
-    ``length_multiple``, typically the branch count so the polyphase
-    branches come out equal length) and grows until the measured ripples
-    pass.  Remez exchange first; Kaiser-window fallback if the exchange
-    fails to converge at some length.  The attempts run ahead in the
-    design pool; the shortest passing length wins.
+    Starts from the practical length estimate (rounded up to a multiple
+    of the branch count N, so the polyphase branches come out equal
+    length) and grows until the measured ripples pass.  Remez exchange
+    first; Kaiser-window fallback if the exchange fails to converge at
+    some length.  The attempts run ahead in the design pool; the
+    shortest passing length wins.
     """
+    n = spec.num_branches
     est = estimate_fir_length(spec.passband_ripple, spec.stopband_ripple, spec.delta_f)
-    step = length_multiple if length_multiple > 1 else max(1, est // 256)
-    first = max(est, 2)
-    if length_multiple > 1:
-        first = length_multiple * math.ceil(first / length_multiple)
+    step = n if n > 1 else max(1, est // 256)
+    first = n * math.ceil(max(est, 2) / n)
     lengths = [first + i * step for i in range(max_attempts)]
 
     best = None
@@ -422,16 +427,16 @@ def design_fir_equiripple(spec, length_multiple=1, max_attempts=64):
     )
 
 
-def fir_from_taps(taps, num_branches, sample_rate_hz=1.0):
+def fir_from_taps(taps, num_branches):
     """Wrap raw taps (e.g. hand-written test filters) in a FirPrototype.
 
-    The attached spec is bookkeeping only: quarter-band edges, loose
-    ripples.
+    The attached spec is bookkeeping only: unit sample rate, quarter-band
+    edges, loose ripples.
     """
     spec = PrototypeSpec(
-        sample_rate_hz=sample_rate_hz,
-        passband_edge_hz=0.2 * sample_rate_hz,
-        stopband_edge_hz=0.3 * sample_rate_hz,
+        sample_rate_hz=1.0,
+        passband_edge_hz=0.2,
+        stopband_edge_hz=0.3,
         passband_ripple=0.5,
         stopband_ripple=0.5,
         num_branches=num_branches,
@@ -476,7 +481,7 @@ def _stable(d):
     return True
 
 
-def _fit_branch_delay(order, delay, w_max, n_grid=1024, n_outer=200):
+def _fit_branch_delay(order, delay, w_max):
     """Minimax fit of an order-``order`` all-pass to a ``delay``-sample delay.
 
     Returns the real denominator coefficients d[1..order] minimising the
@@ -485,7 +490,7 @@ def _fit_branch_delay(order, delay, w_max, n_grid=1024, n_outer=200):
     the equiripple solution.  Only iterates with all poles strictly
     inside the unit circle are kept.
     """
-    w = np.linspace(1e-9, w_max, n_grid)
+    w = np.linspace(1e-9, w_max, 1024)
     phi = 0.5 * (delay - order) * w  # required denominator phase
     wm = np.outer(w, np.arange(1, order + 1))
     kernel = np.exp(-1j * wm)
@@ -494,7 +499,7 @@ def _fit_branch_delay(order, delay, w_max, n_grid=1024, n_outer=200):
     # seed: equation-error least squares, re-weighted by 1/|D|
     a_mat = np.sin(wm + phi[:, None])
     d = np.zeros(order)
-    wt = np.ones(n_grid)
+    wt = np.ones(w.size)
     for _ in range(15):
         d, *_ = np.linalg.lstsq(a_mat * wt[:, None], -np.sin(phi) * wt, rcond=None)
         err, dw = _branch_phase_error(d, kernel, rot)
@@ -506,7 +511,7 @@ def _fit_branch_delay(order, delay, w_max, n_grid=1024, n_outer=200):
     lawson = 1.0 / np.abs(dw)
     lawson /= lawson.max()
     lam = 1e-9
-    for _ in range(n_outer):
+    for _ in range(200):
         err, dw = _branch_phase_error(d, kernel, rot)
         peak = np.abs(err).max()
         if peak < best_peak and _stable(d):
@@ -567,8 +572,7 @@ def design_iir_nthband_alp(spec, n_fos, phase_limit_deg=1.0):
         raise InvalidSpecError(f"n_fos must be >= 1, got {n_fos}")
     n_br = spec.num_branches
     if n_br == 1:
-        proto = AllPassPrototype(1, n_fos, np.zeros((0, n_fos)), spec)
-        return proto
+        return AllPassPrototype(np.zeros((0, n_fos)), spec)
     w_max = 2.0 * np.pi * n_br * spec.fp_norm
     if w_max >= np.pi:
         raise InvalidSpecError(
@@ -581,7 +585,7 @@ def design_iir_nthband_alp(spec, n_fos, phase_limit_deg=1.0):
         fits = list(results)
     alphas = np.array([_alphas_from_denominator(d) for d, _ in fits], dtype=np.complex128)
     branch_errs = [peak for _, peak in fits]
-    proto = AllPassPrototype(n_br, n_fos, alphas, spec)
+    proto = AllPassPrototype(alphas, spec)
     check = verify_allpass(proto, phase_limit_deg=phase_limit_deg)
     check.branch_phase_err_rad = tuple(branch_errs)
     proto.design_report = check
@@ -789,6 +793,14 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
+def _finite(text):
+    """``float(text)``, with a ValueError for NaN and infinities as well."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text!r}")
+    return value
+
+
 def export_coefficients(proto, path):
     """Write the coefficient text format (see import_coefficients)."""
     spec = proto.spec
@@ -818,7 +830,8 @@ def import_coefficients(path):
     UTF-8 text; '#' lines carry key=value metadata; the body is one FIR
     tap per line, or 'branch,section,alpha_re,alpha_im' for the
     recursive kind.  Any coefficient with |alpha| >= 1 is rejected as
-    unstable.
+    unstable; a non-finite number, or metadata that ``PrototypeSpec``
+    rejects, raises ``CoefficientFileError``.
     """
     meta = {}  # key -> (line number, value)
     body = []
@@ -847,25 +860,28 @@ def import_coefficients(path):
     kind = _meta("kind", str, "fir").lower()
     if kind not in ("fir", "iir"):
         raise CoefficientFileError(f"unknown kind {kind!r} in {path}")
-    fs = _meta("fs_hz", float, 1.0)
-    spec = PrototypeSpec(
-        sample_rate_hz=fs,
-        passband_edge_hz=_meta("fp_hz", float, 0.2 * fs),
-        stopband_edge_hz=_meta("fa_hz", float, 0.3 * fs),
-        passband_ripple=_meta("dp", float, 0.1),
-        stopband_ripple=_meta("ds", float, 0.1),
-        num_branches=_meta("N", int, 1),
-        kind=kind,
-    )
+    fs = _meta("fs_hz", _finite, 1.0)
+    try:
+        spec = PrototypeSpec(
+            sample_rate_hz=fs,
+            passband_edge_hz=_meta("fp_hz", _finite, 0.2 * fs),
+            stopband_edge_hz=_meta("fa_hz", _finite, 0.3 * fs),
+            passband_ripple=_meta("dp", _finite, 0.1),
+            stopband_ripple=_meta("ds", _finite, 0.1),
+            num_branches=_meta("N", int, 1),
+            kind=kind,
+        )
+    except InvalidSpecError as exc:
+        raise CoefficientFileError(f"{path}: {exc}") from exc
 
     if kind == "fir":
         taps = []
         for lineno, line in body:
             try:
-                taps.append(float(line))
+                taps.append(_finite(line))
             except ValueError as exc:
                 raise CoefficientFileError(
-                    f"{path}:{lineno}: expected one decimal tap, got {line!r}"
+                    f"{path}:{lineno}: expected one finite decimal tap, got {line!r}"
                 ) from exc
         if not taps:
             raise CoefficientFileError(f"{path}: FIR file with no taps")
@@ -884,7 +900,7 @@ def import_coefficients(path):
             )
         try:
             branch, section = int(parts[0]), int(parts[1])
-            value = complex(float(parts[2]), float(parts[3]))
+            value = complex(_finite(parts[2]), _finite(parts[3]))
         except ValueError as exc:
             raise CoefficientFileError(f"{path}:{lineno}: bad field in {line!r}") from exc
         if not (1 <= branch < n_br) or not (0 <= section < n_fos):
@@ -898,4 +914,4 @@ def import_coefficients(path):
         alphas[branch - 1, section] = value
     if np.any(np.isnan(alphas)):
         raise CoefficientFileError(f"{path}: missing branch/section entries")
-    return AllPassPrototype(n_br, n_fos, alphas, spec)
+    return AllPassPrototype(alphas, spec)

@@ -73,8 +73,6 @@ class ElementSignal:
 class AdcModel:
     bits: int = 12
     full_scale: float = 1.0
-    rate_hz: float = 1.28e9
-    nyquist_zone: int = 1
 
     def __post_init__(self):
         if not 4 <= self.bits <= 24:

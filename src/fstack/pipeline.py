@@ -50,39 +50,33 @@ def build_plan(cfg):
 
 
 def _coarse_spec(cfg, plan, kind):
-    pass_db = cfg.passband_ripple_db
     stop_db = cfg.stopband_db
     if kind == "fir":
-        pass_db = cfg.fir_passband_ripple_db or pass_db
         stop_db = cfg.fir_stopband_db or stop_db
     return PrototypeSpec(
         sample_rate_hz=cfg.fs_hz,
         passband_edge_hz=plan.f_p,
         stopband_edge_hz=plan.f_a,
-        passband_ripple=ripple_pp_db_to_linear(pass_db),
+        passband_ripple=ripple_pp_db_to_linear(cfg.passband_ripple_db),
         stopband_ripple=attenuation_to_ripple(stop_db),
         num_branches=plan.inputs.num_channels,
         kind=kind,
     )
 
 
-def build_coarse_prototype(cfg, plan, kind=None):
-    kind = kind or cfg.coarse_kind
+def build_coarse_prototype(cfg, plan, kind):
     spec = _coarse_spec(cfg, plan, kind)
     if kind == "fir":
-        return design_fir_equiripple(spec, length_multiple=spec.num_branches)
+        return design_fir_equiripple(spec)
     return design_iir_nthband_alp(spec, cfg.n_fos)
 
 
 def build_channel_plan(cfg):
+    """Fine grid: ``granularity_hz`` for the custom standard, else the real GMR grid."""
     subband_rate = cfg.fs_hz / (2 * cfg.num_coarse_channels)
-    if cfg.fine_standard in ("gmr1", "gmr2"):
-        if cfg.full_scale_fine:
-            return gmr_channel_plan(cfg.fine_standard, subband_rate, cfg.guardband_fraction)
-        granularity = 1e6  # desk scale
-    else:
-        granularity = cfg.granularity_hz
-    return ChannelPlan("custom", granularity, subband_rate, cfg.guardband_fraction)
+    if cfg.fine_standard == "custom":
+        return ChannelPlan(cfg.granularity_hz, subband_rate, cfg.guardband_fraction)
+    return gmr_channel_plan(cfg.fine_standard, subband_rate, cfg.guardband_fraction)
 
 
 def build_fine_prototype(cfg, channel_plan):
@@ -109,7 +103,7 @@ def build_fine_prototype(cfg, channel_plan):
                 return FirPrototype(taps, spec)
             length += n_f
         raise DesignFailureError("windowed fine prototype did not meet spec")
-    return design_fir_equiripple(spec, length_multiple=n_f)
+    return design_fir_equiripple(spec)
 
 
 def build_pipeline_config(cfg, kind, plan, channel_plan):

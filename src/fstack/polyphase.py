@@ -402,11 +402,11 @@ def matched_cascade_delay(prototype):
 # validation oracle
 
 
-def prototype_impulse_response(prototype, min_length=None, tol=1e-16):
+def prototype_impulse_response(prototype, min_length=None):
     """Full-rate impulse response of the prototype (recursive ones truncated).
 
     For the all-pass kind the branch recursions are run until the tail
-    falls below ``tol`` relative to the peak, so convolving with the
+    falls below 1e-16 relative to the peak, so convolving with the
     result matches the streaming bank to well below the test tolerances.
     The branches run as complex first-order ``lfilter`` sections, a
     realisation independent of the banks' second-order sections.
@@ -426,7 +426,7 @@ def prototype_impulse_response(prototype, min_length=None, tol=1e-16):
                 rows[branch_idx] = lfilter([a, 1.0], [1.0, a], rows[branch_idx])
         peak = np.max(np.abs(rows))
         tail = np.max(np.abs(rows[:, -max(2, k // 20) :]))
-        if tail <= tol * peak or k >= (1 << 22) // n:
+        if tail <= 1e-16 * peak or k >= (1 << 22) // n:
             break
         k *= 2
     h = np.zeros(k * n, dtype=np.complex128)

@@ -221,15 +221,14 @@ class PlanCheck:
         return "\n".join(lines)
 
 
-def validate_plan(plan, f_p=None):
+def validate_plan(plan):
     """Check every stacked band sits inside its channel's passband window.
 
     Report-only: returns margins rather than raising, so a caller can
     inspect how tight the plan is (the worst sub-bands have zero margin
     by construction).
     """
-    if f_p is None:
-        f_p = plan.f_p
+    f_p = plan.f_p
     inp = plan.inputs
     half_b = inp.bandwidth / 2.0
     margins, failures = [], []

@@ -82,7 +82,7 @@ def fir20():
         num_branches=REF_N,
         kind="fir",
     )
-    return design_fir_equiripple(spec, length_multiple=REF_N)
+    return design_fir_equiripple(spec)
 
 
 def _small_iir(num_branches, n_fos, fp_norm, stop_db, phase_limit_deg=1.0):
@@ -122,7 +122,7 @@ def _small_fir(num_branches, fp_norm, stop_db=40.0):
         num_branches=num_branches,
         kind="fir",
     )
-    return design_fir_equiripple(spec, length_multiple=num_branches)
+    return design_fir_equiripple(spec)
 
 
 @pytest.fixture(scope="session")

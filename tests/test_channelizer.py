@@ -42,16 +42,16 @@ class TestChannelPlan:
         assert gmr_channel_plan("gmr2", SUBBAND_RATE).channels_per_subband == 1280
 
     def test_desk_scale_grid(self):
-        plan = ChannelPlan("custom", 1e6, SUBBAND_RATE)
+        plan = ChannelPlan(1e6, SUBBAND_RATE)
         assert plan.channels_per_subband == 64
 
     def test_non_integer_grid_rejected(self):
         with pytest.raises(InvalidSpecError):
-            ChannelPlan("custom", 3e6, SUBBAND_RATE)
+            ChannelPlan(3e6, SUBBAND_RATE)
 
     def test_guardband_cap(self):
         with pytest.raises(InvalidSpecError):
-            ChannelPlan("custom", 1e6, SUBBAND_RATE, guardband_fraction=0.2)
+            ChannelPlan(1e6, SUBBAND_RATE, guardband_fraction=0.2)
 
 
 class TestConfig:
@@ -232,7 +232,6 @@ class TestFullScaleSmoke:
         """
         start = time.perf_counter()
         cfg = load_config(overrides={"fine.standard": "gmr2", "sim.num_samples": 7_142_400})
-        cfg.full_scale_fine = True
         channel_plan = build_channel_plan(cfg)
         assert channel_plan.channels_per_subband == 1280
         pipe = dataclasses.replace(
@@ -384,11 +383,17 @@ class TestEndToEnd:
         measured = report.mse_over_signal * stimulus.power
         assert abs(10 * math.log10(measured / passed_power)) <= 1.0
 
-    def test_zero_stimulus_short_circuit(self, pipelines):
+    @pytest.mark.parametrize("samples", [0, 1 << 20], ids=["empty", "silent"])
+    def test_nothing_to_measure_rejected(self, pipelines, samples):
         pipe = pipelines["pipes"]["iir"]
-        zero = SignalBuffer(np.zeros(0), pipe.plan.inputs.f_s, "real")
-        report = end_to_end(pipe, zero)
-        assert report.mse == 0.0 and report.mse_over_signal == 0.0
+        zero = SignalBuffer(np.zeros(samples), pipe.plan.inputs.f_s, "real")
+        with pytest.raises(InvalidSpecError, match="nothing to measure: the stimulus"):
+            end_to_end(pipe, zero, snr_db=40.0, adc_bits=12)
+
+    def test_no_occupied_subband_rejected(self, pipelines):
+        pipe = dataclasses.replace(pipelines["pipes"]["iir"], occupied_subbands=())
+        with pytest.raises(InvalidSpecError, match="nothing to measure: no sub-band"):
+            end_to_end(pipe, pipelines["stimulus"])
 
     def test_too_short_input_rejected(self, pipelines):
         pipe = pipelines["pipes"]["iir"]

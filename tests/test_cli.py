@@ -1,7 +1,14 @@
 """Command-line front end tests: artifacts, determinism, exit codes."""
 
+import configparser
+import re
+from pathlib import Path
+
+import pytest
+
 from fstack import pipeline
 from fstack.cli import main
+from fstack.config import DEFAULTS, load_config
 
 # A deliberately small but fully feasible scenario so design and run
 # complete in seconds: 4 coarse channels (one occupied), 8 fine channels.
@@ -118,12 +125,12 @@ class TestRunCommand:
         assert (out / "subband_1_spectrum.csv").exists()
         assert (out / "output_spectrum.csv").exists()
 
-    def test_empty_occupied_runs_to_zero(self, tmp_path):
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_empty_occupied_exits_4(self, tmp_path, capsys, command):
         cfg = write_mini(tmp_path, **{"occupied_subbands = all": "occupied_subbands ="})
-        assert main(["run", "--config", cfg]) == 0
-        csv_lines = (tmp_path / "out" / "metrics.csv").read_text().splitlines()
-        delay, mse, rel = csv_lines[1].split(",")
-        assert float(mse) == 0.0 and float(rel) == 0.0
+        assert main([command, "--config", cfg]) == 4
+        assert "nothing to measure: no sub-band is occupied" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "metrics.csv").exists()
 
     def test_too_short_input_exits_4(self, tmp_path, capsys):
         # the mini pipeline needs about 8 400 samples to reach steady state
@@ -180,18 +187,11 @@ class TestDesignCommand:
         assert "error: design" in capsys.readouterr().err
 
 
-class TestFullScaleFlag:
-    def test_flag_switches_fine_grid(self):
-        from fstack.pipeline import build_channel_plan
-        from fstack.config import load_config
-
-        cfg = load_config(overrides={"fine.standard": "gmr2"})
-        assert build_channel_plan(cfg).channels_per_subband == 64  # desk scale
-        cfg.full_scale_fine = True
-        assert build_channel_plan(cfg).channels_per_subband == 1280
-        cfg2 = load_config(overrides={"fine.standard": "gmr1"})
-        cfg2.full_scale_fine = True
-        assert build_channel_plan(cfg2).channels_per_subband == 2048
+class TestFineStandard:
+    @pytest.mark.parametrize("standard, n_f", [("custom", 64), ("gmr2", 1280), ("gmr1", 2048)])
+    def test_standard_alone_selects_fine_grid(self, standard, n_f):
+        cfg = load_config(overrides={"fine.standard": standard})
+        assert pipeline.build_channel_plan(cfg).channels_per_subband == n_f
 
 
 class TestConfigHandling:
@@ -210,6 +210,15 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         for key in ("plan.fs_hz", "plan.nyquist_zone", "coarse.n_fos"):
             assert key in err
+
+    def test_readme_config_block_matches_defaults(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = re.search(r"Config file keys and defaults:\s*```ini\n(.*?)```", readme, re.S)
+        assert block, "README lost its config key block"
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+        parser.read_string(block.group(1))
+        documented = {sec: dict(parser.items(sec)) for sec in parser.sections()}
+        assert documented == DEFAULTS
 
     def test_missing_file_rejected(self, tmp_path, capsys):
         assert main(["plan", "--config", str(tmp_path / "nope.ini")]) == 2

@@ -325,7 +325,7 @@ class TestBranchResponse:
     def test_horner_matches_explicit_sum(self, order, rng):
         spec = PrototypeSpec(1.0, 0.1, 0.2, 0.01, 0.01, 3, "iir")
         alphas = np.stack([random_stable_alphas(order, rng) for _ in range(2)])
-        proto = AllPassPrototype(3, order, alphas, spec)
+        proto = AllPassPrototype(alphas, spec)
         z = np.exp(-1j * self.W_DEC)
         for branch in range(3):
             np.testing.assert_allclose(
@@ -521,7 +521,34 @@ class TestCoefficientFiles:
     def test_unstable_prototype_constructor(self):
         spec = PrototypeSpec(1.0, 0.1, 0.15, 0.01, 0.01, 2, "iir")
         with pytest.raises(StabilityError):
-            AllPassPrototype(2, 1, np.array([[1.0 + 0j]]), spec)
+            AllPassPrototype(np.array([[1.0 + 0j]]), spec)
+
+    @pytest.mark.parametrize("body, lineno", [
+        ("0.25\nnan\n0.25\n", 3),
+        ("0.25\n0.5\n-inf\n", 4),
+    ])
+    def test_non_finite_tap_reports_position(self, tmp_path, body, lineno):
+        path = tmp_path / "taps.coef"
+        path.write_text("# kind=fir\n" + body)
+        with pytest.raises(CoefficientFileError, match=rf"taps\.coef:{lineno}: expected one finite"):
+            import_coefficients(path)
+
+    @pytest.mark.parametrize("line", ["1,0,nan,0", "2,0,0.1,inf"])
+    def test_non_finite_alpha_reports_position(self, tmp_path, line):
+        path = tmp_path / "alphas.coef"
+        path.write_text(f"# kind=iir\n# N=3\n# n_fos=1\n1,0,0.1,0\n{line}\n2,0,0.1,0\n")
+        with pytest.raises(CoefficientFileError, match=r"alphas\.coef:5: bad field"):
+            import_coefficients(path)
+
+    @pytest.mark.parametrize("meta, reason", [
+        ("# N=0", "num_branches must be >= 1"),
+        ("# fs_hz=-1", "sample rate must be positive"),
+    ])
+    def test_rejected_spec_names_the_file(self, tmp_path, meta, reason):
+        path = tmp_path / "spec.coef"
+        path.write_text(f"# kind=fir\n{meta}\n0.25\n0.5\n0.25\n")
+        with pytest.raises(CoefficientFileError, match=rf"spec\.coef: {reason}"):
+            import_coefficients(path)
 
 
 class TestBookkeepingInvariants:
@@ -534,6 +561,15 @@ class TestBookkeepingInvariants:
             n = proto.spec.num_branches
             assert proto.length == n * (proto.sections_per_branch + 1)
 
+    def test_branches_and_order_come_from_inputs(self):
+        spec = PrototypeSpec(1.0, 0.02, 0.105, 0.01, 0.01, 8, "iir")
+        proto = AllPassPrototype(np.full((7, 2), 0.1 + 0j), spec)
+        assert (proto.num_branches, proto.sections_per_branch) == (8, 2)
+        # three rows on an N = 8 spec would leave the bank four branches
+        # of memory that no alpha ever filled
+        with pytest.raises(InvalidSpecError, match=r"3 rows; N = 8 needs N - 1 = 7"):
+            AllPassPrototype(np.full((3, 2), 0.1 + 0j), spec)
+
     def test_branch_magnitude_all_pass(self, iir_small):
         for proto in iir_small.values():
             assert verify_allpass(proto, grid_points=4096).branch_mag_err <= 1e-10
@@ -543,8 +579,9 @@ class TestBookkeepingInvariants:
 # the design pool against the one-process loops it replaced
 
 
-def serial_fir_equiripple(spec, length_multiple=1, max_attempts=64):
+def serial_fir_equiripple(spec, max_attempts=64):
     """The one-process length search: attempt, measure and decide in turn."""
+    length_multiple = spec.num_branches
     est = estimate_fir_length(spec.passband_ripple, spec.stopband_ripple, spec.delta_f)
     step = length_multiple if length_multiple > 1 else max(1, est // 256)
     length = max(est, 2)
@@ -632,13 +669,12 @@ def run_isolated(code, timeout=120):
 
 class TestDesignPool:
     def test_fir_taps_match_serial_loop(self, fir20, fir_small):
-        designs = [(design_fir_equiripple(QUARTER_BAND), 1), (fir20, 20)]
-        designs += [(proto, n) for n, proto in fir_small.items()]
-        for proto, multiple in designs:
-            taps, check = serial_fir_equiripple(proto.spec, length_multiple=multiple)
+        designs = [design_fir_equiripple(QUARTER_BAND), fir20, *fir_small.values()]
+        for proto in designs:
+            taps, check = serial_fir_equiripple(proto.spec)
             np.testing.assert_array_equal(proto.coefficients, taps)
             assert proto.design_report == check
-        assert designs[0][0].design_report.length == 22  # five lengths tried
+        assert designs[0].design_report.length == 22  # five lengths tried
 
     def test_alphas_match_serial_loop(self, iir20, iir_small):
         for proto in (iir20, *iir_small.values()):
@@ -687,7 +723,7 @@ class TestDesignPool:
 
     def test_one_cpu_gives_identical_designs(self, fir_small, iir_small, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        fir = design_fir_equiripple(fir_small[8].spec, length_multiple=8)
+        fir = design_fir_equiripple(fir_small[8].spec)
         np.testing.assert_array_equal(fir.coefficients, fir_small[8].coefficients)
         assert fir.design_report == fir_small[8].design_report
         iir = design_iir_nthband_alp(iir_small[8].spec, iir_small[8].sections_per_branch)

@@ -259,7 +259,7 @@ class TestFdmStimulus:
     def test_off_grid_bands_land_on_the_nearest_bin(self, channels, fs_hz, fc_hz):
         inputs = StackingInputs(fs_hz, 10e6, fc_hz, 2, 75e6, 2 * channels)
         plan = plan_stacking(inputs)
-        grid = ChannelPlan("custom", 12.5e6, inputs.f_s / inputs.num_channels)
+        grid = ChannelPlan(12.5e6, inputs.f_s / inputs.num_channels)
         m = 200_000 // inputs.num_channels
         df = inputs.f_s / (m * inputs.num_channels)
         snapped = [round(plan.centre(sub) / df) * df for sub in plan.occupied_subbands]
@@ -338,7 +338,7 @@ class TestRfChain:
 class TestAdc:
     def test_fine_quantization_is_transparent(self, rng):
         x = SignalBuffer(0.5 * rng.standard_normal(1 << 15), 1.0, "real")
-        model = AdcModel(bits=24, full_scale=4.0, rate_hz=1.0)
+        model = AdcModel(bits=24, full_scale=4.0)
         q = adc_quantize(x, model)
         err = q.samples - x.samples
         snr = 10 * np.log10(np.var(x.samples) / np.var(err))
@@ -350,25 +350,25 @@ class TestAdc:
         t = np.arange(n)
         amp = 1.0 - 2.0 ** -13
         x = SignalBuffer(amp * np.sin(2 * np.pi * 0.01237 * t), 1.0, "real")
-        q = adc_quantize(x, AdcModel(bits=12, full_scale=1.0, rate_hz=1.0))
+        q = adc_quantize(x, AdcModel(bits=12, full_scale=1.0))
         err = q.samples - x.samples
         sinad = 10 * np.log10(np.mean(x.samples ** 2) / np.mean(err ** 2))
         assert abs(sinad - (6.02 * 12 + 1.76)) <= 1.0
 
     def test_saturation_counted(self, rng):
         x = SignalBuffer(3.0 * rng.standard_normal(4096), 1.0, "real")
-        q = adc_quantize(x, AdcModel(bits=8, full_scale=1.0, rate_hz=1.0))
+        q = adc_quantize(x, AdcModel(bits=8, full_scale=1.0))
         assert q.meta["saturation_count"] > 0
         assert np.max(np.abs(q.samples)) <= 1.0
 
     def test_monotone_map(self, rng):
         x = np.sort(rng.uniform(-2, 2, size=4096))
-        q = adc_quantize(SignalBuffer(x, 1.0, "real"), AdcModel(bits=6, full_scale=1.0, rate_hz=1.0))
+        q = adc_quantize(SignalBuffer(x, 1.0, "real"), AdcModel(bits=6, full_scale=1.0))
         assert np.all(np.diff(q.samples) >= 0.0)
 
     def test_bits_range_enforced(self):
         with pytest.raises(InvalidSpecError):
-            AdcModel(bits=2, full_scale=1.0, rate_hz=1.0)
+            AdcModel(bits=2, full_scale=1.0)
 
 
 class TestAwgn:

@@ -227,7 +227,7 @@ class TestOracleEquivalence:
             # prime factors 7 and 11: arbitrary prototypes of both kinds
             spec = PrototypeSpec(1.0, 0.4 / n, 0.6 / n, 0.01, 0.01, n, "iir")
             protos = {
-                "iir": AllPassPrototype(n, 3, np.full((n - 1, 3), 0.05 + 0j), spec),
+                "iir": AllPassPrototype(np.full((n - 1, 3), 0.05 + 0j), spec),
                 "fir": fir_from_taps(rng.standard_normal(3 * n), n),
             }
         else:
@@ -255,7 +255,7 @@ class TestOracleEquivalence:
         n = 4
         spec = PrototypeSpec(1.0, 0.4 / n, 0.6 / n, 0.01, 0.01, n, "iir")
         rows = [np.roll(alphas, br) for br in range(n - 1)]
-        proto = AllPassPrototype(n, 3, np.array(rows), spec)
+        proto = AllPassPrototype(np.array(rows), spec)
         x = rng.standard_normal(n * 256) + 1j * rng.standard_normal(n * 256)
         frames = AnalysisBank(proto).process_block(x)
         for ch in range(n):
@@ -418,7 +418,7 @@ class TestCounters:
 
     def test_recursive_frame_model(self, rng):
         spec = PrototypeSpec(1.0, 0.02, 1.0 / 16 - 0.02, 0.01, 0.01, 16, "iir")
-        proto = AllPassPrototype(16, 10, np.full((15, 10), 0.1 + 0j), spec)
+        proto = AllPassPrototype(np.full((15, 10), 0.1 + 0j), spec)
         bank = AnalysisBank(proto)
         bank.process_frame(rng.standard_normal(16))
         assert bank.counters.real_adds == pytest.approx(888.0)
@@ -443,7 +443,7 @@ class TestCounters:
         assert bank.counters.real_mults == frames * p1
 
         spec = PrototypeSpec(1.0, 0.4 / n, 0.6 / n, 0.01, 0.01, n, "iir")
-        iir = AllPassPrototype(n, 3, np.full((n - 1, 3), 0.05 + 0j), spec)
+        iir = AllPassPrototype(np.full((n - 1, 3), 0.05 + 0j), spec)
         bank = AnalysisBank(iir)
         bank.process_block(rng.standard_normal(n * frames))
         a2, p2 = complexity.iir_candidate_cost(n, 3 * n)

@@ -1,5 +1,7 @@
 """Stacking planner tests against the reference narrowband MSS scenario."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -166,7 +168,7 @@ class TestValidatePlan:
         assert margins[5] == pytest.approx(0.0, abs=1e-6)
 
     def test_undersized_passband_fails_everywhere(self, table2_plan):
-        check = validate_plan(table2_plan, f_p=20e6)
+        check = validate_plan(dataclasses.replace(table2_plan, f_p=20e6))
         assert not check.ok
         assert len(check.failures) == len(table2_plan.occupied_subbands)
 
