@@ -10,7 +10,8 @@ Sections and keys:
     [io]     output_dir
 
 Every key is validated before any work starts; a failure lists all the
-bad keys at once.
+bad keys at once.  ``fine.granularity_hz`` applies to the custom
+standard only: under gmr1 or gmr2 it must keep its default.
 """
 
 import configparser
@@ -147,6 +148,10 @@ def load_config(path=None, overrides=None):
     if standard not in ("gmr1", "gmr2", "custom"):
         errors.append(f"fine.standard: {standard!r} not gmr1|gmr2|custom")
     gran = _num("fine", "granularity_hz", float, lambda v: v > 0, "(> 0)")
+    if standard in ("gmr1", "gmr2") and gran is not None \
+            and gran != float(DEFAULTS["fine"]["granularity_hz"]):
+        errors.append(f"fine.granularity_hz: {data['fine']['granularity_hz'].strip()!r} would "
+                      f"be ignored under fine.standard = {standard}, which fixes its own grid")
     guard = _num(
         "fine", "guardband_fraction", float, lambda v: 0 < v <= 0.1, "(0, 0.1]"
     )

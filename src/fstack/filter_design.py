@@ -288,6 +288,11 @@ def kaiser_taps(length, spec):
     return taps
 
 
+def usable_cpus():
+    """CPUs this process may run on: the size of the design pool and the bank pool."""
+    return len(os.sched_getaffinity(0))
+
+
 def _one_blas_thread():
     """Pool initializer: cap each OpenBLAS library mapped in the worker at one thread.
 
@@ -342,7 +347,7 @@ def _design_pool(func, items):
     still running jobs past the ones the caller used.
     """
     ctx = multiprocessing.get_context("fork")
-    n = max(1, min(len(os.sched_getaffinity(0)), len(items)))
+    n = max(1, min(usable_cpus(), len(items)))
     workers, pipes = [], []
     try:
         for w in range(n):
@@ -830,8 +835,9 @@ def import_coefficients(path):
     UTF-8 text; '#' lines carry key=value metadata; the body is one FIR
     tap per line, or 'branch,section,alpha_re,alpha_im' for the
     recursive kind.  Any coefficient with |alpha| >= 1 is rejected as
-    unstable; a non-finite number, or metadata that ``PrototypeSpec``
-    rejects, raises ``CoefficientFileError``.
+    unstable; a non-finite number, a repeated metadata key or
+    branch/section entry, or metadata that ``PrototypeSpec`` rejects,
+    raises ``CoefficientFileError``.
     """
     meta = {}  # key -> (line number, value)
     body = []
@@ -844,7 +850,12 @@ def import_coefficients(path):
                 text = line[1:].strip()
                 if "=" in text:
                     key, _, val = text.partition("=")
-                    meta[key.strip()] = (lineno, val.strip())
+                    key = key.strip()
+                    if key in meta:
+                        raise CoefficientFileError(
+                            f"{path}:{lineno}: metadata key {key!r} repeats line {meta[key][0]}"
+                        )
+                    meta[key] = (lineno, val.strip())
                 continue
             body.append((lineno, line))
 
@@ -906,6 +917,10 @@ def import_coefficients(path):
         if not (1 <= branch < n_br) or not (0 <= section < n_fos):
             raise CoefficientFileError(
                 f"{path}:{lineno}: branch/section out of range in {line!r}"
+            )
+        if not np.isnan(alphas[branch - 1, section]):
+            raise CoefficientFileError(
+                f"{path}:{lineno}: repeated entry for branch {branch}, section {section}"
             )
         if abs(value) >= 1.0:
             raise StabilityError(

@@ -28,12 +28,15 @@ and the pure delay of branch 0 is written as exact delay sections, so
 real input stays real until the transform, and complex input to real
 sections runs as a real (real part, imaginary part) batch.  The FIR
 family is one (K, N) tap matrix with K-1 frames of history, and all N
-branches are filtered at once by a frequency-domain convolution along
-the frame axis.  The spectrum of the tap matrix is computed once per
-prototype, data kind (real or complex) and transform length and cached
-on the prototype, so every analysis and synthesis bank built from it
-shares it; the synthesis family runs its branches in output-slot
-order, where its taps are the analysis taps.
+branches are filtered at once by an overlap-save convolution along the
+frame axis, in column blocks shared by the calling thread and helper
+threads, one thread per usable CPU; a block's arithmetic does not
+depend on the thread that runs it, so neither does the output.  The
+spectrum of the tap matrix is computed once per prototype, data kind
+(real or complex) and transform length and cached on the prototype, so
+every analysis and synthesis bank built from it shares it; the
+synthesis family runs its branches in output-slot order, where its taps
+are the analysis taps.
 
 Operation counters do not count what the realisation executes; they
 follow the per-frame accounting model: branch work counted as
@@ -44,6 +47,10 @@ analytic butterfly model.
 """
 
 import math
+import os
+import queue
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +59,7 @@ from scipy.signal import lfilter, sosfilt
 
 from .complexity import fir_candidate_cost, ifft_cost, iir_candidate_cost
 from .errors import FramingError
-from .filter_design import AllPassPrototype, FirPrototype, polyphase_decompose
+from .filter_design import AllPassPrototype, FirPrototype, polyphase_decompose, usable_cpus
 
 
 @dataclass
@@ -83,17 +90,77 @@ class ChannelFrame:
 
 
 # Column block of the FIR family's frequency-domain convolution: bounds
-# its scratch memory at full-scale bank sizes (N = 1280 and up).
+# each block's scratch memory at full-scale bank sizes (N = 1280 and up)
+# and is the unit of work of the bank pool.
 _FIR_COLUMN_BLOCK = 128
+
+_POOL_LOCK = threading.Lock()
+_POOL = None  # (pid, cpus, executor): the bank pool, made by the first multi-block run
+
+
+def _bank_pool():
+    """(executor, cpus): this process's helper threads for FIR column blocks.
+
+    One helper per usable CPU but the caller's, made on first use and
+    kept.  The pool is made again when the CPU count changes, and in a
+    forked child, whose copy of the parent's pool has no threads: a
+    forked design worker never submits to it.  None on one CPU.
+    """
+    global _POOL
+    cpus = usable_cpus()
+    if cpus < 2:
+        return None
+    with _POOL_LOCK:
+        if _POOL is None or _POOL[:2] != (os.getpid(), cpus):
+            helpers = ThreadPoolExecutor(cpus - 1, thread_name_prefix="fstack-fir")
+            _POOL = (os.getpid(), cpus, helpers)
+        return _POOL[2], cpus
+
+
+def _run_blocks(block, blocks):
+    """``block`` over ``blocks`` on the calling thread and the bank pool's helpers.
+
+    The caller takes blocks from the shared queue as well, so it never
+    sleeps waiting for a helper to start: on a host that is slow to
+    schedule the helpers it runs most blocks itself, and a helper that
+    has not started when the queue runs dry is cancelled.  A family of
+    one block runs inline.
+    """
+    pool = _bank_pool() if len(blocks) > 1 else None
+    todo = queue.SimpleQueue()
+    for cols in blocks:
+        todo.put(cols)
+
+    def drain():
+        while True:
+            try:
+                cols = todo.get_nowait()
+            except queue.Empty:
+                return
+            block(cols)
+
+    helpers = []
+    if pool is not None:
+        executor, cpus = pool
+        helpers = [executor.submit(drain) for _ in range(min(cpus, len(blocks)) - 1)]
+    drain()
+    for helper in helpers:
+        if not helper.cancel():
+            helper.result()  # waits for the helper's last block; re-raises its exception
 
 
 class _FirFamily:
     """All N FIR branches: a (K, N) tap matrix and K-1 frames of history.
 
     ``run`` convolves column n of its (frames, N) input with tap column
-    n along the frame axis, block by block in the frequency domain, with
-    the transform length ``fftconvolve`` would pick.  The tap spectrum
-    comes from the prototype's cache (see ``_tap_spectrum``).
+    n along the frame axis by overlap-save: each column block of the
+    history rows followed by the new frames is transformed at a length of
+    at least frames + K - 1, multiplied by the tap spectrum (from the
+    prototype's cache, see ``_tap_spectrum``) and transformed back.  The
+    circular wrap-around lands only on the first K-1 outputs, which
+    belong to the history rows and are dropped.  Each block has its own
+    buffer and writes its own output columns, so the blocks can run on
+    several threads (``_run_blocks``): pocketfft and numpy release the GIL.
     """
 
     def __init__(self, prototype):
@@ -110,38 +177,42 @@ class _FirFamily:
         delay, frames = hist.shape[0], u.shape[0]
         dtype = np.result_type(hist, u)
         real = dtype.kind == "f"
-        nfft = next_fast_len(frames + 2 * delay, real)
+        nfft = next_fast_len(frames + delay, real)
         taps = _tap_spectrum(self.prototype, nfft, real)
         fwd, inv = (rfft, irfft) if real else (fft, ifft)
         y = np.empty(u.shape, dtype=dtype)
-        buf = np.zeros((nfft, min(_FIR_COLUMN_BLOCK, u.shape[1])), dtype=dtype)
-        for c in range(0, u.shape[1], _FIR_COLUMN_BLOCK):
-            cols = slice(c, c + _FIR_COLUMN_BLOCK)
-            half = taps[:, cols]
-            ext = buf[:, : half.shape[1]]
+
+        def block(cols):
+            ext = np.empty((nfft, cols.stop - cols.start), dtype=dtype)
             ext[:delay] = hist[:, cols]
             ext[delay : delay + frames] = u[:, cols]
-            ext[delay + frames :] = 0.0  # the transform may have overwritten the padding
+            ext[delay + frames :] = 0.0
             spec = fwd(ext, axis=0, overwrite_x=True)
-            # the taps are real: bins above nfft/2 are conjugates of the half
-            spec *= half if real else np.concatenate([half, half[(nfft - 1) // 2 : 0 : -1].conj()])
+            spec *= taps[:, cols]
             y[:, cols] = inv(spec, nfft, axis=0, overwrite_x=True)[delay : delay + frames]
+
+        n = u.shape[1]
+        _run_blocks(block, [slice(c, min(c + _FIR_COLUMN_BLOCK, n))
+                            for c in range(0, n, _FIR_COLUMN_BLOCK)])
         self._hist = np.concatenate([hist[frames:], u[max(frames - delay, 0) :]], dtype=dtype)
         return y
 
 
 def _tap_spectrum(prototype, nfft, real):
-    """``rfft`` of the (K, N) tap matrix along its frame axis, length ``nfft``.
+    """Spectrum of the (K, N) tap matrix along its frame axis, length ``nfft``.
 
-    Kept on the prototype, one entry for real and one for complex data
-    (a real analysis and a complex synthesis of one stream pick different
-    transform lengths), and shared by every bank built from it; an entry
-    is rebuilt when its ``nfft`` changes or the prototype holds another
-    coefficient array (the array itself is read-only).
+    The ``rfft`` half for real data, the whole ``fft`` for complex data
+    (so a complex block multiplies it with no conjugate mirror).  Kept on
+    the prototype, one entry per data kind (a real analysis and a complex
+    synthesis of one stream pick different transform lengths), and shared
+    by every bank built from it; an entry is rebuilt when its ``nfft``
+    changes or the prototype holds another coefficient array (the array
+    itself is read-only).
     """
     cached = prototype._tap_spectrum.get(real)
     if cached is None or cached[0] is not prototype.coefficients or cached[1] != nfft:
-        cached = (prototype.coefficients, nfft, rfft(_fir_taps(prototype), nfft, axis=0))
+        spectrum = (rfft if real else fft)(_fir_taps(prototype), nfft, axis=0)
+        cached = (prototype.coefficients, nfft, spectrum)
         prototype._tap_spectrum[real] = cached
     return cached[2]
 

@@ -9,6 +9,7 @@ import pytest
 from fstack import pipeline
 from fstack.cli import main
 from fstack.config import DEFAULTS, load_config
+from fstack.errors import ConfigError
 
 # A deliberately small but fully feasible scenario so design and run
 # complete in seconds: 4 coarse channels (one occupied), 8 fine channels.
@@ -192,6 +193,23 @@ class TestFineStandard:
     def test_standard_alone_selects_fine_grid(self, standard, n_f):
         cfg = load_config(overrides={"fine.standard": standard})
         assert pipeline.build_channel_plan(cfg).channels_per_subband == n_f
+
+    @pytest.mark.parametrize("standard", ["gmr1", "gmr2"])
+    def test_granularity_set_with_gmr_standard_rejected(self, tmp_path, capsys, standard):
+        # a file and an override each used to pass and then be ignored
+        cfg = write_mini(tmp_path, **{"standard = custom": f"standard = {standard}"})
+        assert main(["plan", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "fine.granularity_hz" in err and f"fine.standard = {standard}" in err
+        with pytest.raises(ConfigError, match="fine.granularity_hz.*fine.standard"):
+            load_config(overrides={"fine.standard": standard, "fine.granularity_hz": "2e6"})
+
+    def test_default_granularity_accepted_with_gmr_standard(self, tmp_path):
+        default = DEFAULTS["fine"]["granularity_hz"]
+        cfg = write_mini(tmp_path, **{"standard = custom": "standard = gmr2",
+                                      "granularity_hz = 40e6": f"granularity_hz = {default}"})
+        assert main(["plan", "--config", cfg]) == 0
+        assert load_config(cfg).fine_standard == "gmr2"
 
 
 class TestConfigHandling:

@@ -2,6 +2,7 @@
 
 import math
 import os
+import signal
 import subprocess
 import sys
 import textwrap
@@ -540,6 +541,21 @@ class TestCoefficientFiles:
         with pytest.raises(CoefficientFileError, match=r"alphas\.coef:5: bad field"):
             import_coefficients(path)
 
+    def test_repeated_entry_reports_position(self, tmp_path):
+        # a concatenated file used to load with the last copy's alpha
+        path = tmp_path / "twice.coef"
+        path.write_text("# kind=iir\n# N=3\n# n_fos=1\n1,0,0.1,0\n2,0,0.2,0\n1,0,0.5,0\n")
+        with pytest.raises(CoefficientFileError,
+                           match=r"twice\.coef:6: repeated entry for branch 1, section 0"):
+            import_coefficients(path)
+
+    @pytest.mark.parametrize("kind, body", [("fir", "0.25\n0.5\n"), ("iir", "1,0,0.1,0\n")])
+    def test_repeated_metadata_key_reports_position(self, tmp_path, kind, body):
+        path = tmp_path / "meta.coef"
+        path.write_text(f"# kind={kind}\n# N=2\n# n_fos=1\n# N = 4\n{body}")
+        with pytest.raises(CoefficientFileError, match=r"meta\.coef:4: metadata key 'N' repeats line 2"):
+            import_coefficients(path)
+
     @pytest.mark.parametrize("meta, reason", [
         ("# N=0", "num_branches must be >= 1"),
         ("# fs_hz=-1", "sample rate must be positive"),
@@ -660,11 +676,23 @@ def _fit_failing_below_3_6(order, delay, w_max):
 
 
 def run_isolated(code, timeout=120):
-    """Run ``code`` in a fresh interpreter, so a pool that hangs fails the test, not the suite."""
+    """Run ``code`` in a fresh interpreter, so a pool that hangs fails the test, not the suite.
+
+    The interpreter leads a process group of its own, and a timeout kills
+    the whole group, so no forked worker of a hung run is left behind.
+    """
     src = os.path.dirname(os.path.dirname(filter_design.__file__))
     env = {**os.environ, "PYTHONPATH": src}
-    return subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
-                          capture_output=True, text=True, timeout=timeout, check=False)
+    with subprocess.Popen([sys.executable, "-c", textwrap.dedent(code)], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          start_new_session=True) as proc:
+        try:
+            out, err = proc.communicate(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            raise
+    return subprocess.CompletedProcess(proc.args, proc.returncode, out, err)
 
 
 class TestDesignPool:
@@ -746,6 +774,41 @@ class TestDesignPool:
                     assert next(results)[0] == 0.0
             print("ok")
         """)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["ok"]
+
+    def test_fork_after_threaded_bank_run(self):
+        # the design pool forks a process whose bank pool threads did not
+        # survive the fork: a design after a multi-block bank run must not
+        # hang, and a bank run inside a forked worker must not submit to
+        # the copied pool (its blocks would wait forever)
+        proc = run_isolated("""
+            import os
+            import numpy as np
+            from fstack import polyphase
+            from fstack.filter_design import (
+                PrototypeSpec, _design_pool, design_fir_equiripple, fir_from_taps)
+
+            os.sched_getaffinity = lambda pid: {0, 1, 2, 3}  # the bank pool runs anywhere
+            spec = PrototypeSpec(1.0, 0.2, 0.3, 0.01, 0.01, 4, "fir")
+            before = design_fir_equiripple(spec).coefficients
+            rng = np.random.default_rng(5)
+            proto = fir_from_taps(rng.standard_normal(6 * 256), 256)
+            x = rng.standard_normal(256 * 30) + 1j * rng.standard_normal(256 * 30)
+
+            def analyse(_):
+                frames = polyphase.AnalysisBank(proto).process_block(x)
+                return frames, polyphase._POOL[0] == os.getpid()
+
+            parent, _ = analyse(None)
+            assert polyphase._POOL[0] == os.getpid()
+            after = design_fir_equiripple(spec).coefficients
+            assert np.array_equal(before, after)
+            with _design_pool(analyse, [0, 1]) as results:
+                for frames, own_pool in results:
+                    assert own_pool and np.array_equal(frames, parent)
+            print("ok")
+        """, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["ok"]
 

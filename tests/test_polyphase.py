@@ -1,5 +1,8 @@
 """Filter-bank runtime tests: oracle equality, reconstruction, counters."""
 
+import os
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -291,6 +294,39 @@ class TestFirFamily:
         # one cache entry per data kind, replaced whenever its transform
         # length changes
         assert all(a != b for a, b in zip(nffts, nffts[1:]))
+
+    @pytest.mark.parametrize("data", ["real", "complex"])
+    @pytest.mark.parametrize("n", [200, 1280])  # 200: a narrow last column block
+    def test_worker_count_does_not_change_results(self, n, data, rng, monkeypatch):
+        proto = fir_from_taps(rng.standard_normal(6 * n - n // 2), n)
+        x = rng.standard_normal(n * 40)
+        if data == "complex":
+            x = x + 1j * rng.standard_normal(x.size)
+
+        def run():
+            channels = AnalysisBank(proto).process_block(x)
+            # a Hermitian synthesis runs its branches on real data
+            out = SynthesisBank(proto, hermitian=data == "real").process_block(channels)
+            return channels, out
+
+        default = run()
+        # four threads on any machine, switching as often as they can: a
+        # block lost, or read back before its thread wrote it, would
+        # change the output
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            four = run()
+        finally:
+            sys.setswitchinterval(interval)
+        assert polyphase._POOL[1] == 4
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        one = run()
+        assert (default[1].dtype.kind == "f") == (data == "real")
+        for a, b, c in zip(default, four, one):
+            np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(a, c)
 
     def test_one_spectrum_for_both_banks(self, rng, monkeypatch):
         n, frames = 16, 24
