@@ -11,14 +11,10 @@ Two candidate families are supported:
   branch denominator with a Lawson-style push toward minimax phase
   error.
 
-The two design loops whose jobs are independent run in a process pool
-(``_design_pool``): the Remez/Kaiser attempt at each candidate length,
-and the fit of each all-pass branch.  Each worker runs the same serial
-code on the same inputs and sends its result back by pickling, which is
-exact for float arrays, so the taps, alphas and design reports are
-bit-identical to a one-process run.  The parent keeps every decision:
-it measures each attempt in length order and takes the first that
-passes, so the pool changes the wall time and nothing else.
+The FIR length search runs serially.  The all-pass branch fits are
+independent, so they run in forked workers (``_design_pool``); each sends
+its result back by pickling, which is exact for float arrays, so the
+alphas and design reports are bit-identical to a one-process run.
 
 A consequence of the delay-line first branch is that the stopband
 attenuation is only guaranteed around the channel centres k/N; the
@@ -32,7 +28,6 @@ import ctypes
 import math
 import multiprocessing
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -332,19 +327,17 @@ def _pool_worker(func, items, conn):
     conn.close()
 
 
-@contextmanager
 def _design_pool(func, items):
-    """Ordered map of ``func`` over ``items`` in forked workers, one per usable CPU.
+    """``[func(item) for item in items]`` in forked workers, one per usable CPU.
 
-    Yields an iterator over the results in item order.  Worker ``w`` runs
-    items ``w, w + n, w + 2n, ...`` and sends each result on a pipe of its
-    own, so no lock is shared between processes: a worker killed at any
-    point cannot leave the parent waiting on a lock it held, as a killed
-    ``multiprocessing.Pool`` worker can.  Workers are forked: they start
-    with the parent's modules and arguments in memory, where a spawned
-    worker would spend about a second importing scipy before its first
-    job.  Leaving the ``with`` block kills the workers, including any
-    still running jobs past the ones the caller used.
+    Worker ``w`` runs items ``w, w + n, w + 2n, ...`` and sends each result
+    on a pipe of its own, so no lock is shared between processes: a worker
+    killed at any point cannot leave the parent waiting on a lock it held,
+    as a killed ``multiprocessing.Pool`` worker can.  Workers are forked:
+    they start with the parent's modules and arguments in memory, where a
+    spawned worker would spend about a second importing scipy first.  The
+    first item that raised, in item order, raises here; the workers are
+    killed on the way out, also those still running or sending.
     """
     ctx = multiprocessing.get_context("fork")
     n = max(1, min(usable_cpus(), len(items)))
@@ -357,7 +350,7 @@ def _design_pool(func, items):
                                        daemon=True))
             workers[-1].start()
             send.close()  # only the worker holds the write end, so its death reads as EOF
-        yield (_pool_result(pipes[i % n]) for i in range(len(items)))
+        return [_pool_result(pipes[i % n]) for i in range(len(items))]
     finally:
         for proc in workers:
             proc.kill()
@@ -377,18 +370,11 @@ def _pool_result(recv):
     return value
 
 
-def _remez_attempt(spec, length):
-    """(taps, method) at ``length``: Remez exchange, else the Kaiser window."""
-    bands = [0.0, spec.fp_norm, spec.fa_norm, 0.5]
-    weight = [1.0 / spec.passband_ripple, 1.0 / spec.stopband_ripple]
-    try:
-        taps = remez(length, bands, [1.0, 0.0], weight=weight,
-                     grid_density=16, maxiter=250, fs=1.0)
-        if not np.all(np.isfinite(taps)):
-            raise ValueError("non-finite taps")
-        return taps, "remez"
-    except Exception:
-        return kaiser_taps(length, spec), "kaiser"
+def check_fir(taps, spec, method):
+    """``FirCheck`` of ``taps`` against ``spec`` at ``measure_fir``'s default density."""
+    pass_dev, stop_max = measure_fir(taps, spec)
+    return FirCheck(pass_dev, stop_max, pass_dev <= spec.passband_ripple,
+                    stop_max <= spec.stopband_ripple, len(taps), method)
 
 
 def design_fir_equiripple(spec, max_attempts=64):
@@ -398,38 +384,31 @@ def design_fir_equiripple(spec, max_attempts=64):
     of the branch count N, so the polyphase branches come out equal
     length) and grows until the measured ripples pass.  Remez exchange
     first; Kaiser-window fallback if the exchange fails to converge at
-    some length.  The attempts run ahead in the design pool; the
-    shortest passing length wins.
+    some length.  The shortest passing length wins.
     """
     n = spec.num_branches
     est = estimate_fir_length(spec.passband_ripple, spec.stopband_ripple, spec.delta_f)
     step = n if n > 1 else max(1, est // 256)
-    first = n * math.ceil(max(est, 2) / n)
-    lengths = [first + i * step for i in range(max_attempts)]
-
+    length = n * math.ceil(max(est, 2) / n)
     best = None
-    with _design_pool(partial(_remez_attempt, spec), lengths) as attempts:
-        for length, (taps, method) in zip(lengths, attempts):
-            pass_dev, stop_max = measure_fir(taps, spec)
-            check = FirCheck(
-                passband_dev=pass_dev,
-                stopband_max=stop_max,
-                ok_passband=pass_dev <= spec.passband_ripple,
-                ok_stopband=stop_max <= spec.stopband_ripple,
-                length=length,
-                method=method,
-            )
-            if best is None or (pass_dev + stop_max) < (best[1].passband_dev + best[1].stopband_max):
-                best = (taps, check)
-            if check.ok:
-                proto = FirPrototype(taps, spec)
-                proto.design_report = check
-                return proto
+    for _ in range(max_attempts):
+        try:
+            taps, method = remez(length, [0.0, spec.fp_norm, spec.fa_norm, 0.5], [1.0, 0.0],
+                                 weight=[1.0 / spec.passband_ripple, 1.0 / spec.stopband_ripple],
+                                 grid_density=16, maxiter=250, fs=1.0), "remez"
+            if not np.all(np.isfinite(taps)):
+                raise ValueError("non-finite taps")
+        except Exception:
+            taps, method = kaiser_taps(length, spec), "kaiser"
+        check = check_fir(taps, spec, method)
+        if check.ok:
+            return FirPrototype(taps, spec, design_report=check)
+        best = min(best or check, check, key=lambda c: c.passband_dev + c.stopband_max)
+        length += step
     raise DesignFailureError(
         f"no passing FIR design within {max_attempts} attempts "
-        f"(best: pass_dev={best[1].passband_dev:.3g}, stop_max={best[1].stopband_max:.3g})",
-        report=best[1],
-    )
+        f"(best: pass_dev={best.passband_dev:.3g}, stop_max={best.stopband_max:.3g})",
+        report=best)
 
 
 def fir_from_taps(taps, num_branches):
@@ -585,14 +564,11 @@ def design_iir_nthband_alp(spec, n_fos, phase_limit_deg=1.0):
             f"(need f_p/f_s < 1/(2N))"
         )
     delays = [n_fos - n / n_br for n in range(1, n_br)]
-    with _design_pool(partial(_fit_branch_delay, n_fos, w_max=w_max), delays) as results:
-        # in branch order, so a failed fit raises as the serial loop would
-        fits = list(results)
+    fits = _design_pool(partial(_fit_branch_delay, n_fos, w_max=w_max), delays)
     alphas = np.array([_alphas_from_denominator(d) for d, _ in fits], dtype=np.complex128)
-    branch_errs = [peak for _, peak in fits]
     proto = AllPassPrototype(alphas, spec)
     check = verify_allpass(proto, phase_limit_deg=phase_limit_deg)
-    check.branch_phase_err_rad = tuple(branch_errs)
+    check.branch_phase_err_rad = tuple(peak for _, peak in fits)
     proto.design_report = check
     if not check.ok:
         raise DesignFailureError(

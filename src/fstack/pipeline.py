@@ -9,6 +9,8 @@ their pipelines through these functions.
 import dataclasses
 import math
 
+import numpy as np
+
 from . import frontend
 from .channelizer import ChannelPlan, ChanneliserConfig, gmr_channel_plan
 from .errors import DesignFailureError
@@ -16,6 +18,7 @@ from .filter_design import (
     FirPrototype,
     PrototypeSpec,
     attenuation_to_ripple,
+    check_fir,
     design_fir_equiripple,
     design_iir_nthband_alp,
     estimate_fir_length,
@@ -32,8 +35,9 @@ from .stacking import StackingInputs, plan_stacking
 # user channels are occupied.
 FINE_STOPBAND_DB = 70.0
 FINE_PASSBAND_RIPPLE = 2e-4
-# above this length the fine prototype goes straight to the windowed
-# design; a Remez exchange on a 10^5-tap filter is not worth the wait
+# above this estimated length (full-scale grids) the fine prototype is a Kaiser
+# window: all N_f - 1 stopband aliases land on each channel, and those of a flat
+# equiripple stopband add up (5.2e-7 at GMR-2 against the 7e-8 fine-stage check)
 FINE_REMEZ_LIMIT = 8192
 
 
@@ -80,7 +84,14 @@ def build_channel_plan(cfg):
 
 
 def build_fine_prototype(cfg, channel_plan):
-    """Equiripple fine-stage prototype: stopband at the channel edge."""
+    """Fine-stage prototype: stopband at the channel edge.
+
+    The spec does not change with N_f (f_p * N_f, f_a * N_f and the
+    ripples), so desk grids stretch an equiripple design at N0 = min(8, N_f)
+    branches, K taps per branch, to K * N_f taps; stretched down from 8,
+    N_f = 2, 4 and 7 miss the spec.  Full-scale grids take the shortest
+    Kaiser window that passes.
+    """
     n_f = channel_plan.channels_per_subband
     rate = channel_plan.subband_rate_hz
     guard = channel_plan.guardband_fraction
@@ -103,7 +114,19 @@ def build_fine_prototype(cfg, channel_plan):
                 return FirPrototype(taps, spec)
             length += n_f
         raise DesignFailureError("windowed fine prototype did not meet spec")
-    return design_fir_equiripple(spec)
+    n0 = min(8, n_f)
+    base = design_fir_equiripple(
+        dataclasses.replace(spec, sample_rate_hz=rate * (n0 / n_f), num_branches=n0))
+    # the base's zero-phase amplitude at its rfft bins, on the first bins of a
+    # K * N_f point spectrum with linear phase (irfft pads the rest with zeros)
+    size, length = base.length, base.length // n0 * n_f
+    k = np.arange(size // 2 + 1)
+    amplitude = (np.fft.rfft(base.coefficients) * np.exp(1j * np.pi * k * (size - 1) / size)).real
+    taps = np.fft.irfft(amplitude * np.exp(-1j * np.pi * k * (length - 1) / length), length)
+    check = check_fir(taps, spec, base.design_report.method)
+    if not check.ok:
+        raise DesignFailureError("stretched fine prototype did not meet spec", report=check)
+    return FirPrototype(taps, spec, design_report=check)
 
 
 def build_pipeline_config(cfg, kind, plan, channel_plan):

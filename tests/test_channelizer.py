@@ -21,8 +21,8 @@ from fstack.channelizer import (
 )
 from fstack.config import load_config
 from fstack.errors import ConfigError, InvalidSpecError, RateMismatchError
-from fstack import polyphase
-from fstack.filter_design import FirPrototype
+from fstack import pipeline, polyphase
+from fstack.filter_design import FirPrototype, design_fir_equiripple, measure_fir
 from fstack.frontend import SignalBuffer, add_awgn
 from fstack.pipeline import (
     build_channel_plan,
@@ -52,6 +52,30 @@ class TestChannelPlan:
     def test_guardband_cap(self):
         with pytest.raises(InvalidSpecError):
             ChannelPlan(1e6, SUBBAND_RATE, guardband_fraction=0.2)
+
+
+class TestFinePrototype:
+    """Desk-grid fine prototypes: an equiripple base at min(8, N_f) branches, stretched."""
+
+    @pytest.mark.parametrize("n_f, guard", [
+        (2, 0.1), (4, 0.1), (8, 0.1), (16, 0.1), (64, 0.1), (8, 0.05), (16, 0.05), (32, 0.05),
+    ])
+    def test_stretch_meets_spec(self, ref_cfg, n_f, guard):
+        channel_plan = ChannelPlan(SUBBAND_RATE / n_f, SUBBAND_RATE, guard)
+        proto = build_fine_prototype(ref_cfg, channel_plan)
+        spec = proto.spec
+        pass_dev, stop_max = measure_fir(proto.coefficients, spec)
+        assert pass_dev <= spec.passband_ripple and stop_max <= spec.stopband_ripple
+        assert proto.design_report.ok and proto.design_report.length == proto.length
+        taps = proto.coefficients
+        np.testing.assert_allclose(taps, taps[::-1], rtol=0, atol=1e-13 * np.max(np.abs(taps)))
+        n0 = min(8, n_f)
+        base = design_fir_equiripple(dataclasses.replace(
+            spec, sample_rate_hz=spec.sample_rate_hz * (n0 / n_f), num_branches=n0))
+        assert proto.length == base.length // n0 * n_f
+        if n_f <= 8:  # designed directly: the stretch changes nothing
+            direct = design_fir_equiripple(spec).coefficients
+            np.testing.assert_allclose(taps, direct, rtol=0, atol=1e-14 * np.max(np.abs(direct)))
 
 
 class TestConfig:

@@ -6,7 +6,6 @@ import signal
 import subprocess
 import sys
 import textwrap
-import time
 
 import numpy as np
 import pytest
@@ -43,6 +42,7 @@ from fstack.filter_design import (
 )
 
 TABLE_DF = 6.0 / 1280.0
+QUARTER_BAND = PrototypeSpec(1.0, 0.2, 0.3, 0.01, 0.01, 1, "fir")  # passes on the 5th length
 
 # alphas of the iir_small fixture designs for N = 4 and N = 8, printed with
 # repr() from the fit as it stood when this pin was added; a change that
@@ -151,6 +151,10 @@ class TestSpecValidation:
             PrototypeSpec(1.0, 0.2, 0.3, 0.0, 0.01, 4, "fir")
 
 
+def _failing_remez(*args, **kwargs):
+    raise ValueError("exchange did not converge")
+
+
 class TestFirDesign:
     def test_quarter_band_point(self):
         spec = PrototypeSpec(1.0, 0.2, 0.3, 0.001, 0.001, 1, "fir")
@@ -192,6 +196,29 @@ class TestFirDesign:
         with pytest.raises(DesignFailureError) as err:
             design_fir_equiripple(spec, max_attempts=3)
         assert err.value.report is not None
+
+    def test_quarter_band_passes_on_fifth_length(self):
+        assert estimate_fir_length(0.01, 0.01, 0.1) == 18
+        rep = design_fir_equiripple(QUARTER_BAND).design_report
+        assert rep.ok and rep.method == "remez"
+        assert rep.length == 22  # 18, 19, 20 and 21 taps miss
+
+    def test_max_attempts_reports_best_length(self):
+        with pytest.raises(DesignFailureError) as err:
+            design_fir_equiripple(QUARTER_BAND, max_attempts=3)
+        assert not err.value.report.ok
+        assert err.value.report.length == 19  # the best of 18, 19 and 20 taps
+
+    def test_kaiser_fallback_when_remez_raises(self, monkeypatch):
+        monkeypatch.setattr(filter_design, "remez", _failing_remez)
+        proto = design_fir_equiripple(QUARTER_BAND)
+        rep = proto.design_report
+        assert rep.ok and rep.method == "kaiser"
+        np.testing.assert_array_equal(proto.coefficients, kaiser_taps(rep.length, QUARTER_BAND))
+        # every shorter window from the estimate on misses the spec
+        shorter = [measure_fir(kaiser_taps(n, QUARTER_BAND), QUARTER_BAND)
+                   for n in range(18, rep.length)]
+        assert all(max(devs) > 0.01 for devs in shorter)
 
 
 class TestRecursiveDesign:
@@ -592,48 +619,7 @@ class TestBookkeepingInvariants:
 
 
 # ---------------------------------------------------------------------------
-# the design pool against the one-process loops it replaced
-
-
-def serial_fir_equiripple(spec, max_attempts=64):
-    """The one-process length search: attempt, measure and decide in turn."""
-    length_multiple = spec.num_branches
-    est = estimate_fir_length(spec.passband_ripple, spec.stopband_ripple, spec.delta_f)
-    step = length_multiple if length_multiple > 1 else max(1, est // 256)
-    length = max(est, 2)
-    if length_multiple > 1:
-        length = length_multiple * math.ceil(length / length_multiple)
-    bands = [0.0, spec.fp_norm, spec.fa_norm, 0.5]
-    weight = [1.0 / spec.passband_ripple, 1.0 / spec.stopband_ripple]
-    best = None
-    for _ in range(max_attempts):
-        taps, method = None, "remez"
-        try:
-            taps = filter_design.remez(length, bands, [1.0, 0.0], weight=weight,
-                                       grid_density=16, maxiter=250, fs=1.0)
-            if not np.all(np.isfinite(taps)):
-                raise ValueError("non-finite taps")
-        except Exception:
-            taps, method = kaiser_taps(length, spec), "kaiser"
-        pass_dev, stop_max = measure_fir(taps, spec)
-        check = filter_design.FirCheck(
-            passband_dev=pass_dev,
-            stopband_max=stop_max,
-            ok_passband=pass_dev <= spec.passband_ripple,
-            ok_stopband=stop_max <= spec.stopband_ripple,
-            length=length,
-            method=method,
-        )
-        if best is None or (pass_dev + stop_max) < (best[1].passband_dev + best[1].stopband_max):
-            best = (taps, check)
-        if check.ok:
-            return taps, check
-        length += step
-    raise DesignFailureError(
-        f"no passing FIR design within {max_attempts} attempts "
-        f"(best: pass_dev={best[1].passband_dev:.3g}, stop_max={best[1].stopband_max:.3g})",
-        report=best[1],
-    )
+# the design pool against the one-process loop it replaced
 
 
 def serial_branch_fits(spec, n_fos):
@@ -649,24 +635,7 @@ def serial_branch_fits(spec, n_fos):
     return alphas, tuple(errs)
 
 
-QUARTER_BAND = PrototypeSpec(1.0, 0.2, 0.3, 0.01, 0.01, 1, "fir")  # passes on the 5th length
-
-# set by a test before its pool forks, so the workers read it too
-_SLOW_FIRST = {}
 _fit_branch_delay = filter_design._fit_branch_delay
-
-
-def _slow_first_attempt(spec, length):
-    """Passing taps for every length; the first length returns last."""
-    if length == _SLOW_FIRST["first"]:
-        time.sleep(0.5)
-    with open(_SLOW_FIRST["log"], "a", encoding="utf-8") as log:
-        log.write(f"{length}\n")
-    return _SLOW_FIRST["taps"], "remez"
-
-
-def _failing_remez(*args, **kwargs):
-    raise ValueError("exchange did not converge")
 
 
 def _fit_failing_below_3_6(order, delay, w_max):
@@ -696,51 +665,11 @@ def run_isolated(code, timeout=120):
 
 
 class TestDesignPool:
-    def test_fir_taps_match_serial_loop(self, fir20, fir_small):
-        designs = [design_fir_equiripple(QUARTER_BAND), fir20, *fir_small.values()]
-        for proto in designs:
-            taps, check = serial_fir_equiripple(proto.spec)
-            np.testing.assert_array_equal(proto.coefficients, taps)
-            assert proto.design_report == check
-        assert designs[0].design_report.length == 22  # five lengths tried
-
     def test_alphas_match_serial_loop(self, iir20, iir_small):
         for proto in (iir20, *iir_small.values()):
             alphas, errs = serial_branch_fits(proto.spec, proto.sections_per_branch)
             np.testing.assert_array_equal(proto.alphas, alphas)
             assert proto.design_report.branch_phase_err_rad == errs
-
-    def test_earlier_passing_length_wins(self, tmp_path, monkeypatch):
-        first = estimate_fir_length(0.01, 0.01, 0.1)
-        log = tmp_path / "finished.txt"
-        monkeypatch.setitem(_SLOW_FIRST, "first", first)
-        monkeypatch.setitem(_SLOW_FIRST, "log", log)
-        monkeypatch.setitem(_SLOW_FIRST, "taps", design_fir_equiripple(QUARTER_BAND).coefficients)
-        monkeypatch.setattr(filter_design, "_remez_attempt", _slow_first_attempt)
-        # four workers, so later lengths run while the first one sleeps
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-        proto = design_fir_equiripple(QUARTER_BAND)
-        assert proto.design_report.length == first
-        finished = [int(line) for line in log.read_text().split()]
-        assert finished[0] != first and first in finished
-
-    def test_max_attempts_failure_matches_serial_loop(self):
-        with pytest.raises(DesignFailureError) as serial:
-            serial_fir_equiripple(QUARTER_BAND, max_attempts=3)
-        with pytest.raises(DesignFailureError) as pooled:
-            design_fir_equiripple(QUARTER_BAND, max_attempts=3)
-        assert str(pooled.value) == str(serial.value)
-        assert pooled.value.report == serial.value.report
-        assert pooled.value.report.length == 19  # the best of 18, 19 and 20 taps
-
-    def test_kaiser_fallback_in_worker(self, monkeypatch):
-        monkeypatch.setattr(filter_design, "remez", _failing_remez)
-        proto = design_fir_equiripple(QUARTER_BAND)
-        taps, check = serial_fir_equiripple(QUARTER_BAND)
-        assert proto.design_report.method == "kaiser"
-        assert proto.design_report == check
-        np.testing.assert_array_equal(proto.coefficients, taps)
-        np.testing.assert_array_equal(taps, kaiser_taps(check.length, QUARTER_BAND))
 
     def test_branch_fit_failure_reaches_caller(self, iir_small, monkeypatch):
         monkeypatch.setattr(filter_design, "_fit_branch_delay", _fit_failing_below_3_6)
@@ -749,29 +678,38 @@ class TestDesignPool:
         with pytest.raises(DesignFailureError, match=r"order=4, delay=3\.5000$"):
             design_iir_nthband_alp(iir_small[4].spec, 4)
 
-    def test_one_cpu_gives_identical_designs(self, fir_small, iir_small, monkeypatch):
+    def test_one_cpu_gives_identical_designs(self, iir_small, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        fir = design_fir_equiripple(fir_small[8].spec)
-        np.testing.assert_array_equal(fir.coefficients, fir_small[8].coefficients)
-        assert fir.design_report == fir_small[8].design_report
         iir = design_iir_nthband_alp(iir_small[8].spec, iir_small[8].sections_per_branch)
         np.testing.assert_array_equal(iir.alphas, iir_small[8].alphas)
         assert iir.design_report == iir_small[8].design_report
 
     def test_leaving_early_with_workers_mid_send(self):
-        # 8 MiB results fill each worker's pipe, so leaving after the first
-        # result kills workers in the middle of a send; a multiprocessing.Pool
-        # deadlocks here on the result-queue lock a killed worker held
+        # item 0 raises once the other workers' 8 MiB results fill their
+        # pipes, so the pool is left with workers in the middle of a send; a
+        # multiprocessing.Pool deadlocks here on the result-queue lock a
+        # killed worker held
         proc = run_isolated("""
+            import os
+            import time
             import numpy as np
             from fstack.filter_design import _design_pool
 
+            os.sched_getaffinity = lambda pid: {0, 1, 2, 3}  # four workers on any host
+
             def big(i):
+                if i == 0:
+                    time.sleep(0.1)
+                    raise ValueError("item 0")
                 return np.full(1 << 20, float(i))
 
             for _ in range(20):
-                with _design_pool(big, list(range(64))) as results:
-                    assert next(results)[0] == 0.0
+                try:
+                    _design_pool(big, list(range(64)))
+                except ValueError as exc:
+                    assert str(exc) == "item 0"
+                else:
+                    raise AssertionError("item 0 did not raise")
             print("ok")
         """)
         assert proc.returncode == 0, proc.stderr
@@ -787,11 +725,12 @@ class TestDesignPool:
             import numpy as np
             from fstack import polyphase
             from fstack.filter_design import (
-                PrototypeSpec, _design_pool, design_fir_equiripple, fir_from_taps)
+                PrototypeSpec, _design_pool, attenuation_to_ripple, design_iir_nthband_alp,
+                fir_from_taps)
 
             os.sched_getaffinity = lambda pid: {0, 1, 2, 3}  # the bank pool runs anywhere
-            spec = PrototypeSpec(1.0, 0.2, 0.3, 0.01, 0.01, 4, "fir")
-            before = design_fir_equiripple(spec).coefficients
+            spec = PrototypeSpec(1.0, 0.1, 0.15, 0.01, attenuation_to_ripple(45.0), 4, "iir")
+            before = design_iir_nthband_alp(spec, 4).alphas
             rng = np.random.default_rng(5)
             proto = fir_from_taps(rng.standard_normal(6 * 256), 256)
             x = rng.standard_normal(256 * 30) + 1j * rng.standard_normal(256 * 30)
@@ -802,11 +741,10 @@ class TestDesignPool:
 
             parent, _ = analyse(None)
             assert polyphase._POOL[0] == os.getpid()
-            after = design_fir_equiripple(spec).coefficients
+            after = design_iir_nthband_alp(spec, 4).alphas
             assert np.array_equal(before, after)
-            with _design_pool(analyse, [0, 1]) as results:
-                for frames, own_pool in results:
-                    assert own_pool and np.array_equal(frames, parent)
+            for frames, own_pool in _design_pool(analyse, [0, 1]):
+                assert own_pool and np.array_equal(frames, parent)
             print("ok")
         """, timeout=60)
         assert proc.returncode == 0, proc.stderr
@@ -823,8 +761,7 @@ class TestDesignPool:
                 return i
 
             try:
-                with _design_pool(dies_on_3, list(range(8))) as results:
-                    print(list(results))
+                print(_design_pool(dies_on_3, list(range(8))))
             except RuntimeError as exc:
                 print(exc)
         """)
