@@ -7,7 +7,12 @@ granularity grid.  Synthesis reverses both stages.  With channel
 processing disabled the whole pipeline approximates a pure delay, which
 is what the metrics measure: the output is aligned to the input by the
 integer cross-correlation peak and compared in the mean-squared sense,
-normalized by signal power.
+normalized by signal power.  The alignment correlates one
+``DELAY_SEARCH_SPAN``-sample segment of the input, placed at the
+expected delay, against the output over lags 0..2·expected + 1024 (a
+short input, or one quiet at that segment, is correlated whole); the
+peak margin is set by the stimulus's own autocorrelation, not by the
+record length.
 """
 
 import math
@@ -22,6 +27,7 @@ from .polyphase import AnalysisBank, SynthesisBank, matched_cascade_delay
 
 GMR1_GRANULARITY_HZ = 31.25e3
 GMR2_GRANULARITY_HZ = 50.0e3
+DELAY_SEARCH_SPAN = 1 << 16  # reference samples correlated by end_to_end
 
 
 @dataclass(frozen=True)
@@ -296,15 +302,26 @@ def end_to_end(config, stimulus, adc_bits=None, snr_db=None, seed=1234,
     stimulus -> [AWGN] -> [ADC] -> coarse analysis -> fine analysis ->
     fine synthesis -> coarse synthesis -> metrics against the clean
     stimulus.  Impairments are optional; the float path is the
-    transparency benchmark.  A stimulus shorter than the expected delay
-    plus ``pipeline_warmup_samples`` raises ``InvalidSpecError``: its
-    aligned span could not reach steady state.  So does a run with
-    nothing to measure: no occupied sub-band, or an empty or silent
-    stimulus.
+    transparency benchmark.
+
+    The aligned delay is the cross-correlation peak over lags
+    0..2·expected + 1024 (the expected delay is searched for, not
+    assumed).  Only ``DELAY_SEARCH_SPAN`` samples of the clean stimulus
+    are correlated, starting at ``min(expected, len - span)``, so the
+    matching output begins about twice the expected delay in, clear of
+    the banks' start-up.  A stimulus shorter than the span, or a
+    segment with under a quarter of the stimulus's mean power (a record
+    that starts or ends quiet), is correlated whole instead.
+
+    A stimulus shorter than the expected delay plus
+    ``pipeline_warmup_samples`` raises ``InvalidSpecError``: its aligned
+    span could not reach steady state.  So does a run with nothing to
+    measure: no occupied sub-band, or an empty or silent stimulus.
     """
     if not config.occupied_subbands:
         raise InvalidSpecError("nothing to measure: no sub-band is occupied")
-    if stimulus.power == 0.0:
+    power = stimulus.power
+    if power == 0.0:
         raise InvalidSpecError("nothing to measure: the stimulus is empty or silent")
     x = stimulus
     extras = {}
@@ -338,8 +355,13 @@ def end_to_end(config, stimulus, adc_bits=None, snr_db=None, seed=1234,
         if capture_spectra:
             spectra[sub] = subbands[sub]
     restacked = coarse_synthesize(config, processed)
-    delay = find_delay(stimulus.samples, restacked.samples,
-                       max_lag=min(len(restacked) - 1, 2 * theory + 1024))
+    ref, out = stimulus.samples, restacked.samples
+    lo = min(theory, len(ref) - DELAY_SEARCH_SPAN)
+    if lo >= 0:
+        segment = ref[lo : lo + DELAY_SEARCH_SPAN]
+        if np.mean(np.abs(segment) ** 2) >= power / 4.0:
+            ref, out = segment, out[lo:]
+    delay = find_delay(ref, out, max_lag=min(len(restacked) - 1, 2 * theory + 1024))
     span = min(len(stimulus), len(restacked) - delay)
     trim = min(pipeline_warmup_samples(config), max(0, (span - 4096) // 3))
     mse, rel = aligned_mse(stimulus.samples, restacked.samples, delay, trim=trim)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fstack.channelizer import (
+    DELAY_SEARCH_SPAN,
     ChannelPlan,
     coarse_analyze,
     coarse_synthesize,
@@ -21,7 +22,7 @@ from fstack.channelizer import (
 )
 from fstack.config import load_config
 from fstack.errors import ConfigError, InvalidSpecError, RateMismatchError
-from fstack import pipeline, polyphase
+from fstack import channelizer, pipeline, polyphase
 from fstack.filter_design import FirPrototype, design_fir_equiripple, measure_fir
 from fstack.frontend import SignalBuffer, add_awgn
 from fstack.pipeline import (
@@ -250,9 +251,9 @@ class TestFullScaleSmoke:
         """The full-scale GMR-2 study, IIR coarse candidate, locks onto its delay.
 
         num_samples is the next multiple of N * N_f at or above the
-        expected delay plus the warm-up.  The budget keeps 2x headroom
-        over the measured 4.5-5.5 s (2 vCPUs) of fine design, stimulus and
-        pipeline pass.
+        expected delay plus the warm-up.  The budget keeps at least 2x
+        headroom over the measured 2.5-2.6 s (2 vCPUs) of fine design,
+        stimulus and pipeline pass.
         """
         start = time.perf_counter()
         cfg = load_config(overrides={"fine.standard": "gmr2", "sim.num_samples": 7_142_400})
@@ -435,6 +436,86 @@ class TestEndToEnd:
         report = end_to_end(pipe, short, adc_bits=12)
         assert report.extras["adc_bits"] == 12
         assert report.mse_over_signal < 1e-4  # 12-bit floor, still small
+
+
+class TestDelaySearch:
+    """end_to_end correlates one reference segment, and still searches."""
+
+    @staticmethod
+    def _reference_sizes(monkeypatch):
+        sizes = []
+        inner = channelizer.find_delay
+
+        def recording(reference, output, max_lag=None):
+            sizes.append(len(reference))
+            return inner(reference, output, max_lag=max_lag)
+
+        monkeypatch.setattr(channelizer, "find_delay", recording)
+        return sizes
+
+    @pytest.mark.parametrize("shift", [37, -37, 70_000])
+    def test_shifted_output_found(self, pipelines, shift, monkeypatch):
+        """An output moved by k samples aligns at expected + k, also when
+        k is wider than the correlated segment."""
+        pipe = pipelines["pipes"]["iir"]
+        inner = channelizer.coarse_synthesize
+
+        def shifted(config, streams):
+            y = inner(config, streams).samples
+            y = np.concatenate([np.zeros(shift), y]) if shift > 0 else y[-shift:]
+            return SignalBuffer(y, pipe.plan.inputs.f_s, "real")
+
+        monkeypatch.setattr(channelizer, "coarse_synthesize", shifted)
+        sizes = self._reference_sizes(monkeypatch)
+        report = end_to_end(pipe, pipelines["stimulus"])
+        assert report.aligned_delay == pipe.expected_delay_samples() + shift
+        assert sizes == [DELAY_SEARCH_SPAN]
+        assert report.mse_over_signal <= 1e-5
+
+    @pytest.mark.parametrize("kind", ["iir", "fir"])
+    def test_segment_agrees_with_whole_record(self, pipelines, kind, monkeypatch):
+        """The segment's peak is the whole record's peak over the same lags."""
+        pipe = pipelines["pipes"][kind]
+        stimulus = pipelines["stimulus"]
+        sizes = self._reference_sizes(monkeypatch)
+        report = end_to_end(pipe, stimulus, capture_spectra=True)
+        assert sizes == [DELAY_SEARCH_SPAN]
+        expected = pipe.expected_delay_samples()
+        output = report.extras["spectra"]["output"].samples
+        whole = find_delay(stimulus.samples, output, max_lag=2 * expected + 1024)
+        assert report.aligned_delay == whole == expected
+
+    def test_record_below_span_correlated_whole(self, monkeypatch):
+        """An N = 14 record shorter than the segment takes the whole-record path."""
+        cfg = load_config(overrides={
+            "plan.num_coarse_channels": 7, "plan.fs_hz": 1400e6,
+            "plan.fc_hz": 1650.75e6, "plan.bandwidth_hz": 75e6,
+            "coarse.prototype": "iir", "coarse.n_fos": 6, "coarse.stopband_db": 55,
+            "coarse.passband_ripple_db": 0.01,
+            "fine.granularity_hz": 12.5e6, "sim.num_samples": 64_000,
+        })
+        plan = build_plan(cfg)
+        channel_plan = build_channel_plan(cfg)
+        pipe = build_pipeline_config(cfg, "iir", plan, channel_plan)
+        stimulus = build_stimulus(cfg, plan, channel_plan, pipe.occupied_subbands)
+        assert len(stimulus) < DELAY_SEARCH_SPAN
+        sizes = self._reference_sizes(monkeypatch)
+        report = end_to_end(pipe, stimulus)
+        assert sizes == [len(stimulus)]
+        assert report.aligned_delay == pipe.expected_delay_samples()
+
+    @pytest.mark.parametrize("gain", [0.0, 1e-3], ids=["zeroed", "scaled"])
+    def test_quiet_segment_falls_back_to_whole_record(self, pipelines, gain, monkeypatch):
+        """A reference whose first 400 000 samples are silent or faint
+        (the segment at the expected delay with them) still aligns."""
+        pipe = pipelines["pipes"]["iir"]
+        stim = pipelines["stimulus"]
+        samples = stim.samples.copy()
+        samples[:400_000] *= gain
+        sizes = self._reference_sizes(monkeypatch)
+        report = end_to_end(pipe, SignalBuffer(samples, stim.rate_hz, "real"))
+        assert report.aligned_delay == pipe.expected_delay_samples()
+        assert sizes == [len(samples)]
 
 
 class TestDelayEstimator:
