@@ -11,11 +11,6 @@ Two candidate families are supported:
   branch denominator with a Lawson-style push toward minimax phase
   error.
 
-The FIR length search runs serially.  The all-pass branch fits are
-independent, so they run in forked workers (``_design_pool``); each sends
-its result back by pickling, which is exact for float arrays, so the
-alphas and design reports are bit-identical to a one-process run.
-
 A consequence of the delay-line first branch is that the stopband
 attenuation is only guaranteed around the channel centres k/N; the
 images of the transition band midway between channels carry narrow
@@ -24,12 +19,8 @@ Verification therefore measures the stopband on the guarded grid that
 excludes those spike intervals.
 """
 
-import ctypes
 import math
-import multiprocessing
-import os
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 from scipy.signal import firwin, freqz, remez
@@ -283,93 +274,6 @@ def kaiser_taps(length, spec):
     return taps
 
 
-def usable_cpus():
-    """CPUs this process may run on: the size of the design pool and the bank pool."""
-    return len(os.sched_getaffinity(0))
-
-
-def _one_blas_thread():
-    """Pool initializer: cap each OpenBLAS library mapped in the worker at one thread.
-
-    A forked worker keeps the parent's BLAS thread count, so with one
-    worker per CPU the BLAS helper threads of each worker spin on the
-    CPUs the other workers need: the 19 reference branch fits took
-    3.7-5.6 s that way against 1.5 s with one BLAS thread per worker
-    (2 vCPUs; 3.0 s serial).  Only the thread count changes; the fits
-    are bit-identical.  A process without /proc/self/maps, or an
-    OpenBLAS without one of these entry points, is left as it is.
-    """
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as maps:
-            paths = {f[5] for f in map(str.split, maps) if len(f) == 6 and "openblas" in f[5]}
-        libs = [ctypes.CDLL(path) for path in sorted(paths)]
-    except OSError:
-        return
-    for lib in libs:
-        for name in ("openblas_set_num_threads", "scipy_openblas_set_num_threads64_",
-                     "scipy_openblas_set_num_threads"):
-            setter = getattr(lib, name, None)
-            if setter is not None:
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                setter(1)
-                break
-
-
-def _pool_worker(func, items, conn):
-    """Worker body: ``func`` over ``items`` in turn, each (ok, result or exception) sent back."""
-    _one_blas_thread()
-    for item in items:
-        try:
-            result = (True, func(item))
-        except Exception as exc:  # re-raised by the parent, in item order
-            result = (False, exc)
-        conn.send(result)
-    conn.close()
-
-
-def _design_pool(func, items):
-    """``[func(item) for item in items]`` in forked workers, one per usable CPU.
-
-    Worker ``w`` runs items ``w, w + n, w + 2n, ...`` and sends each result
-    on a pipe of its own, so no lock is shared between processes: a worker
-    killed at any point cannot leave the parent waiting on a lock it held,
-    as a killed ``multiprocessing.Pool`` worker can.  Workers are forked:
-    they start with the parent's modules and arguments in memory, where a
-    spawned worker would spend about a second importing scipy first.  The
-    first item that raised, in item order, raises here; the workers are
-    killed on the way out, also those still running or sending.
-    """
-    ctx = multiprocessing.get_context("fork")
-    n = max(1, min(usable_cpus(), len(items)))
-    workers, pipes = [], []
-    try:
-        for w in range(n):
-            recv, send = ctx.Pipe(duplex=False)
-            pipes.append(recv)
-            workers.append(ctx.Process(target=_pool_worker, args=(func, items[w::n], send),
-                                       daemon=True))
-            workers[-1].start()
-            send.close()  # only the worker holds the write end, so its death reads as EOF
-        return [_pool_result(pipes[i % n]) for i in range(len(items))]
-    finally:
-        for proc in workers:
-            proc.kill()
-        for proc in workers:
-            proc.join()
-        for recv in pipes:
-            recv.close()
-
-
-def _pool_result(recv):
-    try:
-        ok, value = recv.recv()
-    except EOFError:
-        raise RuntimeError("a design worker exited before sending its result") from None
-    if not ok:
-        raise value
-    return value
-
-
 def check_fir(taps, spec, method):
     """``FirCheck`` of ``taps`` against ``spec`` at ``measure_fir``'s default density."""
     pass_dev, stop_max = measure_fir(taps, spec)
@@ -439,7 +343,7 @@ def _branch_phase_error(d, kernel, rot):
     ``kernel`` is exp(-j*outer(w, m)) and ``rot`` is exp(-j*phi) on the
     fit grid; both are constant over a fit.
     """
-    dw = 1.0 + (kernel * d).sum(axis=1)
+    dw = 1.0 + kernel @ d
     return -2.0 * np.angle(dw * rot), dw
 
 
@@ -450,9 +354,8 @@ def _stable(d):
     a_m = d_m / rho^m (rho = _ALPHA_LIMIT), whose roots are the roots
     above divided by rho: they lie inside the unit circle exactly when
     each step's reflection coefficient k = a_M has |k| < 1, where a step
-    maps a_m to (a_m - k a_(M-m)) / (1 - k^2) and drops a_M.  The fit
-    tests every iterate, and this costs a fraction of the eigenvalue
-    solve in ``np.roots``.
+    maps a_m to (a_m - k a_(M-m)) / (1 - k^2) and drops a_M.  This costs
+    a fraction of the eigenvalue solve in ``np.roots``.
     """
     # a few dozen flops: Python floats beat per-step numpy calls
     a = (d / _ALPHA_LIMIT ** np.arange(1, d.size + 1)).tolist()
@@ -471,8 +374,8 @@ def _fit_branch_delay(order, delay, w_max):
     Returns the real denominator coefficients d[1..order] minimising the
     peak phase error over [0, w_max].  Linearised least squares seeds the
     solve; damped Gauss-Newton with envelope reweighting anneals toward
-    the equiripple solution.  Only iterates with all poles strictly
-    inside the unit circle are kept.
+    the equiripple solution.  Only an iterate with all poles strictly
+    inside the unit circle is returned.
     """
     w = np.linspace(1e-9, w_max, 1024)
     phi = 0.5 * (delay - order) * w  # required denominator phase
@@ -490,46 +393,46 @@ def _fit_branch_delay(order, delay, w_max):
         wt = 1.0 / np.abs(dw)
         wt /= wt.max()
 
-    err, dw = _branch_phase_error(d, kernel, rot)
-    best_d, best_peak = (d.copy(), np.abs(err).max()) if _stable(d) else (None, np.inf)
+    # (err, dw) belong to d from here on: the seed loop's last pass, then
+    # the accepted candidate of each step
+    iterates = []  # (peak phase error, d) at the top of each step, the seed first
     lawson = 1.0 / np.abs(dw)
     lawson /= lawson.max()
     lam = 1e-9
     for _ in range(200):
-        err, dw = _branch_phase_error(d, kernel, rot)
-        peak = np.abs(err).max()
-        if peak < best_peak and _stable(d):
-            best_d, best_peak = d.copy(), peak
         abs_err = np.abs(err)
-        lawson = lawson * ((abs_err + 1e-3 * peak) / (abs_err.max() + 1e-300)) ** 0.7
+        peak = abs_err.max()
+        iterates.append((peak, d))
+        lawson = lawson * ((abs_err + 1e-3 * peak) / (peak + 1e-300)) ** 0.7
         lawson /= lawson.max()
         lawson = np.maximum(lawson, 1e-9)
-        jac = -2.0 * (kernel / dw[:, None]).imag
-        lhs = jac.T @ (lawson[:, None] * jac)
-        rhs = -(jac.T @ (lawson * err))
+        jac = -2.0 * (kernel * (1.0 / dw)[:, None]).imag
+        wjac = lawson[:, None] * jac
+        lhs = jac.T @ wjac
+        rhs = -(err @ wjac)
         cost = np.dot(lawson, err * err)
-        accepted = False
+        damping = np.diag(np.diag(lhs) + 1e-12)
         for _ in range(15):
             try:
-                step = np.linalg.solve(lhs + lam * np.diag(np.diag(lhs) + 1e-12), rhs)
+                step = np.linalg.solve(lhs + lam * damping, rhs)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
             cand = d + step
-            cand_err, _ = _branch_phase_error(cand, kernel, rot)
+            cand_err, cand_dw = _branch_phase_error(cand, kernel, rot)
             if np.dot(lawson, cand_err * cand_err) < cost:
-                d = cand
+                d, err, dw = cand, cand_err, cand_dw
                 lam = max(lam / 2.0, 1e-12)
-                accepted = True
                 break
             lam *= 10.0
-        if not accepted:
+        else:
             lam = 1e-6
-    if best_d is None:
-        raise DesignFailureError(
-            f"no stable all-pass fit for order={order}, delay={delay:.4f}"
-        )
-    return best_d, best_peak
+    # the stable iterate of least peak error, the earliest on a tie (the
+    # sort is stable): one stability test per rejected iterate, not one per step
+    for peak, d in sorted(iterates, key=lambda it: it[0]):
+        if _stable(d):
+            return d, peak
+    raise DesignFailureError(f"no stable all-pass fit for order={order}, delay={delay:.4f}")
 
 
 def _alphas_from_denominator(d):
@@ -564,7 +467,7 @@ def design_iir_nthband_alp(spec, n_fos, phase_limit_deg=1.0):
             f"(need f_p/f_s < 1/(2N))"
         )
     delays = [n_fos - n / n_br for n in range(1, n_br)]
-    fits = _design_pool(partial(_fit_branch_delay, n_fos, w_max=w_max), delays)
+    fits = [_fit_branch_delay(n_fos, delay, w_max) for delay in delays]
     alphas = np.array([_alphas_from_denominator(d) for d, _ in fits], dtype=np.complex128)
     proto = AllPassPrototype(alphas, spec)
     check = verify_allpass(proto, phase_limit_deg=phase_limit_deg)

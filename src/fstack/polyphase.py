@@ -59,7 +59,7 @@ from scipy.signal import lfilter, sosfilt
 
 from .complexity import fir_candidate_cost, ifft_cost, iir_candidate_cost
 from .errors import FramingError
-from .filter_design import AllPassPrototype, FirPrototype, polyphase_decompose, usable_cpus
+from .filter_design import AllPassPrototype, FirPrototype, polyphase_decompose
 
 
 @dataclass
@@ -94,6 +94,12 @@ class ChannelFrame:
 # and is the unit of work of the bank pool.
 _FIR_COLUMN_BLOCK = 128
 
+
+def usable_cpus():
+    """CPUs this process may run on: the size of the bank pool."""
+    return len(os.sched_getaffinity(0))
+
+
 _POOL_LOCK = threading.Lock()
 _POOL = None  # (pid, cpus, executor): the bank pool, made by the first multi-block run
 
@@ -103,8 +109,8 @@ def _bank_pool():
 
     One helper per usable CPU but the caller's, made on first use and
     kept.  The pool is made again when the CPU count changes, and in a
-    forked child, whose copy of the parent's pool has no threads: a
-    forked design worker never submits to it.  None on one CPU.
+    child that a caller forks, whose copy of the parent's pool has no
+    threads: a bank run there never submits to it.  None on one CPU.
     """
     global _POOL
     cpus = usable_cpus()

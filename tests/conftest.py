@@ -159,7 +159,7 @@ def float_reports(pipelines):
 
 @pytest.fixture(autouse=True)
 def no_live_child_processes():
-    """Fail any test that leaves a live child process (a design worker) behind."""
+    """Fail any test that leaves a live child process behind."""
     yield
     leaked = multiprocessing.active_children()
     assert not leaked, f"live child processes after the test: {leaked}"

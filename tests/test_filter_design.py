@@ -40,6 +40,7 @@ from fstack.filter_design import (
     spike_intervals,
     verify_allpass,
 )
+from fstack.pipeline import build_coarse_prototype, build_plan
 
 TABLE_DF = 6.0 / 1280.0
 QUARTER_BAND = PrototypeSpec(1.0, 0.2, 0.3, 0.01, 0.01, 1, "fir")  # passes on the 5th length
@@ -221,6 +222,15 @@ class TestFirDesign:
         assert all(max(devs) > 0.01 for devs in shorter)
 
 
+_fit_branch_delay = filter_design._fit_branch_delay
+
+
+def _fit_failing_below_3_6(order, delay, w_max):
+    if delay < 3.6:
+        raise DesignFailureError(f"no stable all-pass fit for order={order}, delay={delay:.4f}")
+    return _fit_branch_delay(order, delay, w_max)
+
+
 class TestRecursiveDesign:
     def test_halfband_class_filter(self):
         # two sections per branch only reach ~29 dB at this transition
@@ -322,6 +332,34 @@ class TestRecursiveDesign:
     def test_fit_trajectory_pinned(self, iir_small, n):
         expected = np.array(PINNED_SMALL_ALPHAS[n])
         np.testing.assert_allclose(iir_small[n].alphas, expected, rtol=1e-10, atol=0)
+
+    def test_branch_fit_failure_reaches_caller(self, iir_small, monkeypatch):
+        monkeypatch.setattr(filter_design, "_fit_branch_delay", _fit_failing_below_3_6)
+        # N = 4, four sections: delays 3.75, 3.5 and 3.25; the first failure in
+        # branch order is reported
+        with pytest.raises(DesignFailureError, match=r"order=4, delay=3\.5000$"):
+            design_iir_nthband_alp(iir_small[4].spec, 4)
+
+    def test_branch_errors_belong_to_returned_denominators(self, ref_cfg, monkeypatch):
+        # the fit carries each iterate's phase error along instead of
+        # recomputing it: the reported peak must still be the error of the
+        # denominator it returns, evaluated afresh on the fit's grid
+        fits = []
+
+        def recording_fit(order, delay, w_max):
+            fits.append((order, delay, w_max, *_fit_branch_delay(order, delay, w_max)))
+            return fits[-1][3:]
+
+        monkeypatch.setattr(filter_design, "_fit_branch_delay", recording_fit)
+        proto = build_coarse_prototype(ref_cfg, build_plan(ref_cfg), "iir")
+        assert len(fits) == proto.num_branches - 1 == 19
+        assert proto.design_report.branch_phase_err_rad == tuple(peak for *_, peak in fits)
+        for order, delay, w_max, d, peak in fits:
+            w = np.linspace(1e-9, w_max, 1024)
+            kernel = np.exp(-1j * np.outer(w, np.arange(1, order + 1)))
+            rot = np.exp(-1j * 0.5 * (delay - order) * w)
+            err, _ = filter_design._branch_phase_error(d, kernel, rot)
+            assert peak == np.abs(err).max()
 
 
 def explicit_branch_response(proto, branch, w_dec):
@@ -619,36 +657,14 @@ class TestBookkeepingInvariants:
 
 
 # ---------------------------------------------------------------------------
-# the design pool against the one-process loop it replaced
-
-
-def serial_branch_fits(spec, n_fos):
-    """The one-process branch loop: (alphas, peak phase errors) in branch order."""
-    n_br = spec.num_branches
-    w_max = 2.0 * np.pi * n_br * spec.fp_norm
-    alphas = np.empty((n_br - 1, n_fos), dtype=np.complex128)
-    errs = []
-    for n in range(1, n_br):
-        d, peak = filter_design._fit_branch_delay(n_fos, n_fos - n / n_br, w_max)
-        alphas[n - 1] = filter_design._alphas_from_denominator(d)
-        errs.append(peak)
-    return alphas, tuple(errs)
-
-
-_fit_branch_delay = filter_design._fit_branch_delay
-
-
-def _fit_failing_below_3_6(order, delay, w_max):
-    if delay < 3.6:
-        raise DesignFailureError(f"no stable all-pass fit for order={order}, delay={delay:.4f}")
-    return _fit_branch_delay(order, delay, w_max)
+# forking a process that ran the threaded banks
 
 
 def run_isolated(code, timeout=120):
-    """Run ``code`` in a fresh interpreter, so a pool that hangs fails the test, not the suite.
+    """Run ``code`` in a fresh interpreter, so a run that hangs fails the test, not the suite.
 
     The interpreter leads a process group of its own, and a timeout kills
-    the whole group, so no forked worker of a hung run is left behind.
+    the whole group, so no forked child of a hung run is left behind.
     """
     src = os.path.dirname(os.path.dirname(filter_design.__file__))
     env = {**os.environ, "PYTHONPATH": src}
@@ -665,105 +681,42 @@ def run_isolated(code, timeout=120):
 
 
 class TestDesignPool:
-    def test_alphas_match_serial_loop(self, iir20, iir_small):
-        for proto in (iir20, *iir_small.values()):
-            alphas, errs = serial_branch_fits(proto.spec, proto.sections_per_branch)
-            np.testing.assert_array_equal(proto.alphas, alphas)
-            assert proto.design_report.branch_phase_err_rad == errs
-
-    def test_branch_fit_failure_reaches_caller(self, iir_small, monkeypatch):
-        monkeypatch.setattr(filter_design, "_fit_branch_delay", _fit_failing_below_3_6)
-        # N = 4, four sections: delays 3.75, 3.5 and 3.25; the first failure in
-        # branch order is reported, as the serial loop would
-        with pytest.raises(DesignFailureError, match=r"order=4, delay=3\.5000$"):
-            design_iir_nthband_alp(iir_small[4].spec, 4)
-
-    def test_one_cpu_gives_identical_designs(self, iir_small, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        iir = design_iir_nthband_alp(iir_small[8].spec, iir_small[8].sections_per_branch)
-        np.testing.assert_array_equal(iir.alphas, iir_small[8].alphas)
-        assert iir.design_report == iir_small[8].design_report
-
-    def test_leaving_early_with_workers_mid_send(self):
-        # item 0 raises once the other workers' 8 MiB results fill their
-        # pipes, so the pool is left with workers in the middle of a send; a
-        # multiprocessing.Pool deadlocks here on the result-queue lock a
-        # killed worker held
-        proc = run_isolated("""
-            import os
-            import time
-            import numpy as np
-            from fstack.filter_design import _design_pool
-
-            os.sched_getaffinity = lambda pid: {0, 1, 2, 3}  # four workers on any host
-
-            def big(i):
-                if i == 0:
-                    time.sleep(0.1)
-                    raise ValueError("item 0")
-                return np.full(1 << 20, float(i))
-
-            for _ in range(20):
-                try:
-                    _design_pool(big, list(range(64)))
-                except ValueError as exc:
-                    assert str(exc) == "item 0"
-                else:
-                    raise AssertionError("item 0 did not raise")
-            print("ok")
-        """)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["ok"]
+    """A child forked by a caller after a threaded bank run."""
 
     def test_fork_after_threaded_bank_run(self):
-        # the design pool forks a process whose bank pool threads did not
-        # survive the fork: a design after a multi-block bank run must not
-        # hang, and a bank run inside a forked worker must not submit to
-        # the copied pool (its blocks would wait forever)
+        # the child's copy of the bank pool lost its threads in the fork: a
+        # bank run there must make a pool of its own, since blocks submitted
+        # to the copied one would wait forever
         proc = run_isolated("""
+            import multiprocessing
             import os
             import numpy as np
             from fstack import polyphase
-            from fstack.filter_design import (
-                PrototypeSpec, _design_pool, attenuation_to_ripple, design_iir_nthband_alp,
-                fir_from_taps)
+            from fstack.filter_design import fir_from_taps
 
             os.sched_getaffinity = lambda pid: {0, 1, 2, 3}  # the bank pool runs anywhere
-            spec = PrototypeSpec(1.0, 0.1, 0.15, 0.01, attenuation_to_ripple(45.0), 4, "iir")
-            before = design_iir_nthband_alp(spec, 4).alphas
             rng = np.random.default_rng(5)
             proto = fir_from_taps(rng.standard_normal(6 * 256), 256)
             x = rng.standard_normal(256 * 30) + 1j * rng.standard_normal(256 * 30)
 
-            def analyse(_):
+            def analyse(conn):
                 frames = polyphase.AnalysisBank(proto).process_block(x)
-                return frames, polyphase._POOL[0] == os.getpid()
+                conn.send((frames, polyphase._POOL[0] == os.getpid()))
 
-            parent, _ = analyse(None)
+            parent = polyphase.AnalysisBank(proto).process_block(x)
             assert polyphase._POOL[0] == os.getpid()
-            after = design_iir_nthband_alp(spec, 4).alphas
-            assert np.array_equal(before, after)
-            for frames, own_pool in _design_pool(analyse, [0, 1]):
+            ctx = multiprocessing.get_context("fork")
+            for _ in range(2):
+                recv, send = ctx.Pipe(duplex=False)
+                child = ctx.Process(target=analyse, args=(send,))
+                child.start()
+                send.close()
+                frames, own_pool = recv.recv()
+                recv.close()
+                child.join()
+                assert child.exitcode == 0
                 assert own_pool and np.array_equal(frames, parent)
             print("ok")
         """, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["ok"]
-
-    def test_dead_worker_raises(self):
-        proc = run_isolated("""
-            import os
-            from fstack.filter_design import _design_pool
-
-            def dies_on_3(i):
-                if i == 3:
-                    os._exit(1)
-                return i
-
-            try:
-                print(_design_pool(dies_on_3, list(range(8))))
-            except RuntimeError as exc:
-                print(exc)
-        """)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "a design worker exited before sending its result"
