@@ -264,7 +264,8 @@ def aligned_mse(reference, output, delay, trim=0):
 
     ``trim`` drops extra samples at both ends of the overlap (bank
     transients die inside the structural delay for zero-state starts,
-    so a modest trim is only a guard).
+    so a modest trim is only a guard).  A reference silent over the
+    compared span has no relative MSE and raises ``InvalidSpecError``.
     """
     ref = np.asarray(reference)
     out = np.asarray(output)
@@ -275,7 +276,12 @@ def aligned_mse(reference, output, delay, trim=0):
     err = out[delay + lo : delay + hi] - ref[lo:hi]
     mse = float(np.mean(np.abs(err) ** 2))
     sig = float(np.mean(np.abs(ref[lo:hi]) ** 2))
-    return mse, (mse / sig if sig > 0 else 0.0)
+    if sig == 0.0:
+        raise InvalidSpecError(
+            f"nothing to measure: the reference is silent over the compared "
+            f"span {lo}..{hi}"
+        )
+    return mse, mse / sig
 
 
 def _channel_power_table(frames, warmup_frames):
@@ -316,7 +322,8 @@ def end_to_end(config, stimulus, adc_bits=None, snr_db=None, seed=1234,
     A stimulus shorter than the expected delay plus
     ``pipeline_warmup_samples`` raises ``InvalidSpecError``: its aligned
     span could not reach steady state.  So does a run with nothing to
-    measure: no occupied sub-band, or an empty or silent stimulus.
+    measure: no occupied sub-band, an empty or silent stimulus, or a
+    stimulus silent over the whole compared span.
     """
     if not config.occupied_subbands:
         raise InvalidSpecError("nothing to measure: no sub-band is occupied")

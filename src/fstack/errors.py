@@ -38,10 +38,6 @@ class RateMismatchError(FstackError):
     """Signal sample rate does not match the stage it was fed to."""
 
 
-class CoefficientFileError(FstackError):
-    """Malformed coefficient file; message carries the offending line."""
-
-
 class StabilityError(FstackError):
     """All-pass coefficient on or outside the unit circle."""
 

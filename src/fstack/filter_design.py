@@ -25,12 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.signal import firwin, freqz, remez
 
-from .errors import (
-    CoefficientFileError,
-    DesignFailureError,
-    InvalidSpecError,
-    StabilityError,
-)
+from .errors import DesignFailureError, InvalidSpecError, StabilityError
 
 _ALPHA_LIMIT = 1.0 - 1e-6
 
@@ -176,13 +171,6 @@ class AllPassPrototype:
         """Real-coefficient denominator polynomial of branch n (n >= 1)."""
         d = np.poly(-self.alphas[n - 1])
         return np.real_if_close(d, tol=1e6).astype(float)
-
-
-@dataclass(frozen=True)
-class FrequencyResponse:
-    grid: np.ndarray  # normalized frequency, cycles/sample, in [0, 0.5]
-    magnitude_db: np.ndarray
-    phase_rad: np.ndarray  # unwrapped
 
 
 # ---------------------------------------------------------------------------
@@ -348,33 +336,18 @@ def _branch_phase_error(d, kernel, rot):
 
 
 def _stable(d):
-    """True when every root of z^M + d1 z^(M-1) + ... + dM has |z| < _ALPHA_LIMIT.
-
-    Schur-Cohn step-down on the scaled polynomial with coefficients
-    a_m = d_m / rho^m (rho = _ALPHA_LIMIT), whose roots are the roots
-    above divided by rho: they lie inside the unit circle exactly when
-    each step's reflection coefficient k = a_M has |k| < 1, where a step
-    maps a_m to (a_m - k a_(M-m)) / (1 - k^2) and drops a_M.  This costs
-    a fraction of the eigenvalue solve in ``np.roots``.
-    """
-    # a few dozen flops: Python floats beat per-step numpy calls
-    a = (d / _ALPHA_LIMIT ** np.arange(1, d.size + 1)).tolist()
-    while a:
-        k = a.pop()
-        if not abs(k) < 1.0:
-            return False
-        g = 1.0 - k * k
-        a = [(x - k * y) / g for x, y in zip(a, a[::-1])]
-    return True
+    """True when every root of z^M + d1 z^(M-1) + ... + dM has |z| < _ALPHA_LIMIT."""
+    return bool(np.all(np.abs(np.roots(np.r_[1.0, d])) < _ALPHA_LIMIT))
 
 
 def _fit_branch_delay(order, delay, w_max):
     """Minimax fit of an order-``order`` all-pass to a ``delay``-sample delay.
 
-    Returns the real denominator coefficients d[1..order] minimising the
-    peak phase error over [0, w_max].  Linearised least squares seeds the
-    solve; damped Gauss-Newton with envelope reweighting anneals toward
-    the equiripple solution.  Only an iterate with all poles strictly
+    Returns ``(d, peak)``: the real denominator coefficients d[1..order]
+    minimising the peak phase error over [0, w_max], and that peak in
+    radians.  Linearised least squares seeds the solve; damped
+    Gauss-Newton with envelope reweighting anneals toward the equiripple
+    solution.  Only an iterate with all poles strictly
     inside the unit circle is returned.
     """
     w = np.linspace(1e-9, w_max, 1024)
@@ -538,40 +511,14 @@ def composite_response(proto, freqs):
     return h
 
 
-def evaluate_response(proto, grid_size):
-    """Magnitude/phase of the prototype on a uniform [0, 0.5] grid."""
-    if grid_size < 2:
-        raise InvalidSpecError(f"grid_size must be >= 2, got {grid_size}")
-    grid = np.linspace(0.0, 0.5, grid_size)
-    h = composite_response(proto, grid)
-    mag = np.abs(h)
-    mag_db = 20.0 * np.log10(np.maximum(mag, 1e-300))
-    return FrequencyResponse(grid=grid, magnitude_db=mag_db, phase_rad=np.unwrap(np.angle(h)))
-
-
-def spike_intervals(num_branches, fp_norm, fa_norm):
-    """Stopband intervals where the recursive prototype may spike.
-
-    These are the images of the transition band, centred midway between
-    channel centres: (k/N + fp, (k+1)/N - fp).  Attenuation is only
-    guaranteed on [k/N - fp, k/N + fp]; the plan's guardbands cover the
-    rest.
-    """
-    n = num_branches
-    out = []
-    k = 0
-    while True:
-        lo = k / n + fp_norm
-        hi = (k + 1) / n - fp_norm
-        if lo >= 0.5:
-            break
-        if hi > max(lo, fa_norm):
-            out.append((max(lo, fa_norm), min(hi, 0.5)))
-        k += 1
-    return out
-
-
 def _guarded_stopband_mask(freqs, num_branches, fp_norm, fa_norm):
+    """True at the stopband frequencies where the recursive prototype's
+    attenuation is guaranteed: [k/N - fp, k/N + fp] at and above fa.
+
+    The rest of the stopband, (k/N + fp, (k+1)/N - fp), holds the images
+    of the transition band midway between channel centres, where the
+    prototype may spike; the plan's guardbands cover them.
+    """
     mask = np.zeros(freqs.shape, dtype=bool)
     for k in range(1, num_branches // 2 + 1):
         mask |= np.abs(freqs - k / num_branches) <= fp_norm
@@ -658,17 +605,6 @@ def polyphase_decompose(proto_or_taps, num_branches):
     return [taps[n::num_branches].copy() for n in range(num_branches)]
 
 
-def polyphase_recompose(branches, num_branches):
-    """Inverse of the decomposition; tail zero-padded to a whole revolution."""
-    if len(branches) != num_branches:
-        raise InvalidSpecError("branch list length must equal num_branches")
-    longest = max((len(b) for b in branches), default=0)
-    out = np.zeros(num_branches * max(longest, 1))
-    for n, b in enumerate(branches):
-        out[n :: num_branches][: len(b)] = b
-    return out
-
-
 # ---------------------------------------------------------------------------
 # coefficient files
 
@@ -677,16 +613,15 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
-def _finite(text):
-    """``float(text)``, with a ValueError for NaN and infinities as well."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite number {text!r}")
-    return value
-
-
 def export_coefficients(proto, path):
-    """Write the coefficient text format (see import_coefficients)."""
+    """Write ``proto`` as a UTF-8 coefficient text file.
+
+    The '# key=value' header lines carry kind, N, n_fos, fs_hz, fp_hz,
+    fa_hz, dp and ds.  The body is one FIR tap per line, or one
+    'branch,section,alpha_re,alpha_im' line per all-pass section (branch
+    1..N-1, section 0..n_fos-1) for the recursive kind.  Every number is
+    written with 17 significant digits, so it reads back bit-exactly.
+    """
     spec = proto.spec
     lines = []
     lines.append(f"# kind={spec.kind}")
@@ -706,106 +641,3 @@ def export_coefficients(proto, path):
                 lines.append(f"{n},{m_idx},{_fmt(a.real)},{_fmt(a.imag)}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def import_coefficients(path):
-    """Read a coefficient file written by export_coefficients.
-
-    UTF-8 text; '#' lines carry key=value metadata; the body is one FIR
-    tap per line, or 'branch,section,alpha_re,alpha_im' for the
-    recursive kind.  Any coefficient with |alpha| >= 1 is rejected as
-    unstable; a non-finite number, a repeated metadata key or
-    branch/section entry, or metadata that ``PrototypeSpec`` rejects,
-    raises ``CoefficientFileError``.
-    """
-    meta = {}  # key -> (line number, value)
-    body = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                text = line[1:].strip()
-                if "=" in text:
-                    key, _, val = text.partition("=")
-                    key = key.strip()
-                    if key in meta:
-                        raise CoefficientFileError(
-                            f"{path}:{lineno}: metadata key {key!r} repeats line {meta[key][0]}"
-                        )
-                    meta[key] = (lineno, val.strip())
-                continue
-            body.append((lineno, line))
-
-    def _meta(key, conv, default):
-        if key not in meta:
-            return default
-        lineno, val = meta[key]
-        try:
-            return conv(val)
-        except ValueError as exc:
-            raise CoefficientFileError(f"{path}:{lineno}: bad metadata {key}={val!r}") from exc
-
-    kind = _meta("kind", str, "fir").lower()
-    if kind not in ("fir", "iir"):
-        raise CoefficientFileError(f"unknown kind {kind!r} in {path}")
-    fs = _meta("fs_hz", _finite, 1.0)
-    try:
-        spec = PrototypeSpec(
-            sample_rate_hz=fs,
-            passband_edge_hz=_meta("fp_hz", _finite, 0.2 * fs),
-            stopband_edge_hz=_meta("fa_hz", _finite, 0.3 * fs),
-            passband_ripple=_meta("dp", _finite, 0.1),
-            stopband_ripple=_meta("ds", _finite, 0.1),
-            num_branches=_meta("N", int, 1),
-            kind=kind,
-        )
-    except InvalidSpecError as exc:
-        raise CoefficientFileError(f"{path}: {exc}") from exc
-
-    if kind == "fir":
-        taps = []
-        for lineno, line in body:
-            try:
-                taps.append(_finite(line))
-            except ValueError as exc:
-                raise CoefficientFileError(
-                    f"{path}:{lineno}: expected one finite decimal tap, got {line!r}"
-                ) from exc
-        if not taps:
-            raise CoefficientFileError(f"{path}: FIR file with no taps")
-        return FirPrototype(np.asarray(taps), spec)
-
-    n_br = spec.num_branches
-    n_fos = _meta("n_fos", int, 0)
-    if n_br < 2 or n_fos < 1:
-        raise CoefficientFileError(f"{path}: recursive file needs N >= 2 and n_fos >= 1")
-    alphas = np.full((n_br - 1, n_fos), np.nan, dtype=np.complex128)
-    for lineno, line in body:
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise CoefficientFileError(
-                f"{path}:{lineno}: expected 'branch,section,alpha_re,alpha_im'"
-            )
-        try:
-            branch, section = int(parts[0]), int(parts[1])
-            value = complex(_finite(parts[2]), _finite(parts[3]))
-        except ValueError as exc:
-            raise CoefficientFileError(f"{path}:{lineno}: bad field in {line!r}") from exc
-        if not (1 <= branch < n_br) or not (0 <= section < n_fos):
-            raise CoefficientFileError(
-                f"{path}:{lineno}: branch/section out of range in {line!r}"
-            )
-        if not np.isnan(alphas[branch - 1, section]):
-            raise CoefficientFileError(
-                f"{path}:{lineno}: repeated entry for branch {branch}, section {section}"
-            )
-        if abs(value) >= 1.0:
-            raise StabilityError(
-                f"{path}:{lineno}: |alpha| = {abs(value):.6g} >= 1 (unstable pole)"
-            )
-        alphas[branch - 1, section] = value
-    if np.any(np.isnan(alphas)):
-        raise CoefficientFileError(f"{path}: missing branch/section entries")
-    return AllPassPrototype(alphas, spec)

@@ -25,10 +25,9 @@ Realisation: each all-pass branch is one chain of second-order sections
 run by a single ``scipy.signal.sosfilt`` call that carries its state;
 every conjugate pair of first-order sections becomes one real biquad,
 and the pure delay of branch 0 is written as exact delay sections, so
-real input stays real until the transform, and complex input to real
-sections runs as a real (real part, imaginary part) batch.  The FIR
-family is one (K, N) tap matrix with K-1 frames of history, and all N
-branches are filtered at once by an overlap-save convolution along the
+real input stays real until the transform; complex input runs through
+the same real sections.  The FIR family is one (K, N) tap matrix with
+K-1 frames of history, and all N branches are filtered at once by an overlap-save convolution along the
 frame axis, in column blocks shared by the calling thread and helper
 threads, one thread per usable CPU; a block's arithmetic does not
 depend on the thread that runs it, so neither does the output.  The
@@ -78,15 +77,6 @@ class OperationCounters:
 
     def copy(self):
         return OperationCounters(self.real_mults, self.real_adds, self.frames)
-
-
-@dataclass
-class ChannelFrame:
-    """One commutator revolution worth of channel samples."""
-
-    values: np.ndarray
-    frame_index: int
-    warm_up: bool = False
 
 
 # Column block of the FIR family's frequency-domain convolution: bounds
@@ -238,17 +228,7 @@ class _AllPassFamily:
         # each branch writes one contiguous row; the caller gets the transpose
         y = np.empty(u.shape[::-1], dtype=np.result_type(u, *self.sections, *self._zi))
         for br, sos in enumerate(self.sections):
-            x, zi = u[:, br], self._zi[br]
-            if y.dtype.kind == "c" and sos.dtype.kind == "f":
-                # real sections on complex data: the real and imaginary
-                # parts run as one real two-row batch
-                parts, zi = sosfilt(
-                    sos, np.stack([x.real, x.imag]), zi=np.stack([zi.real, zi.imag], axis=1)
-                )
-                y[br].real, y[br].imag = parts
-                self._zi[br] = zi[:, 0] + 1j * zi[:, 1]
-            else:
-                y[br], self._zi[br] = sosfilt(sos, x, zi=zi)
+            y[br], self._zi[br] = sosfilt(sos, u[:, br], zi=self._zi[br])
         y *= self.scale
         return y.T
 
@@ -350,7 +330,6 @@ class _Bank:
         self._branches = branches
         self._frame_cost = _frame_cost(prototype, self.num_branches)
         self.counters = OperationCounters()
-        self.frames_processed = 0
 
     @property
     def warmup_frames(self):
@@ -360,14 +339,12 @@ class _Bank:
     def reset(self):
         self._branches.reset()
         self.counters.reset()
-        self.frames_processed = 0
 
     def _count(self, n_frames):
         adds, mults = self._frame_cost
         self.counters.real_adds += n_frames * adds
         self.counters.real_mults += n_frames * mults
         self.counters.frames += n_frames
-        self.frames_processed += n_frames
 
 
 class AnalysisBank(_Bank):
@@ -376,18 +353,16 @@ class AnalysisBank(_Bank):
     def __init__(self, prototype):
         super().__init__(prototype, _branch_family(prototype))
         self._hist = np.zeros(self.num_branches - 1)
-        self.samples_consumed = 0
 
     def reset(self):
         super().reset()
         self._hist = np.zeros(self.num_branches - 1)
-        self.samples_consumed = 0
 
     def process_block(self, samples):
         """Analyse a whole number of commutator revolutions.
 
         Returns a (frames, N) array; row k is the channel vector of
-        frame ``frames_processed + k``.
+        frame ``counters.frames + k``, counted before the call.
         """
         x = np.asarray(samples)
         n = self.num_branches
@@ -406,19 +381,7 @@ class AnalysisBank(_Bank):
         self._hist = ext[ext.size - (n - 1) :].copy()
         frames = np.fft.ifft(self._branches.run(branch_in), axis=1)
         self._count(n_frames)
-        self.samples_consumed += x.size
         return frames
-
-    def process_frame(self, samples):
-        """Analyse exactly N new input samples into one ChannelFrame."""
-        x = np.asarray(samples)
-        if x.ndim != 1 or x.size != self.num_branches:
-            raise FramingError(
-                f"process_frame needs exactly N={self.num_branches} samples"
-            )
-        index = self.frames_processed
-        values = self.process_block(x)[0]
-        return ChannelFrame(values, index, warm_up=index < self.warmup_frames)
 
 
 class SynthesisBank(_Bank):
@@ -458,13 +421,6 @@ class SynthesisBank(_Bank):
         samples = out.reshape(-1)
         samples *= self.gain
         return samples
-
-    def process_frame(self, frame):
-        """Synthesise one channel frame into N output samples."""
-        values = frame.values if isinstance(frame, ChannelFrame) else np.asarray(frame)
-        if values.size != self.num_branches:
-            raise FramingError(f"frame must hold N={self.num_branches} values")
-        return self.process_block(values[None, :])
 
 
 def matched_cascade_delay(prototype):

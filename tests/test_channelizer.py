@@ -415,6 +415,16 @@ class TestEndToEnd:
         with pytest.raises(InvalidSpecError, match="nothing to measure: the stimulus"):
             end_to_end(pipe, zero, snr_db=40.0, adc_bits=12)
 
+    def test_silent_compared_span_rejected(self, pipelines):
+        # silent after its first 4 000 samples: the delay search still locks
+        # on, but the span that aligned_mse compares holds no reference power
+        pipe = pipelines["pipes"]["fir"]
+        stim = pipelines["stimulus"]
+        samples = stim.samples.copy()
+        samples[4000:] = 0.0
+        with pytest.raises(InvalidSpecError, match="silent over the compared span"):
+            end_to_end(pipe, SignalBuffer(samples, stim.rate_hz, "real"))
+
     def test_no_occupied_subband_rejected(self, pipelines):
         pipe = dataclasses.replace(pipelines["pipes"]["iir"], occupied_subbands=())
         with pytest.raises(InvalidSpecError, match="nothing to measure: no sub-band"):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from fstack import pipeline
+from fstack import cli, pipeline
 from fstack.cli import main
 from fstack.config import DEFAULTS, load_config
 from fstack.errors import ConfigError
@@ -138,6 +138,19 @@ class TestRunCommand:
         cfg = write_mini(tmp_path, **{"num_samples = 64000": "num_samples = 4000"})
         assert main(["run", "--config", cfg]) == 4
         assert "too short" in capsys.readouterr().err
+
+    def test_silent_compared_span_exits_4(self, tmp_path, capsys, monkeypatch):
+        # a stimulus silent after its first 4 000 samples has no relative MSE
+        def silent_tail(*args):
+            stimulus = pipeline.build_stimulus(*args)
+            stimulus.samples[4000:] = 0.0
+            return stimulus
+
+        monkeypatch.setattr(cli, "build_stimulus", silent_tail)
+        cfg = write_mini(tmp_path)
+        assert main(["run", "--config", cfg]) == 4
+        assert "silent over the compared span" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "metrics.csv").exists()
 
     def test_metrics_deterministic(self, tmp_path):
         cfg = write_mini(tmp_path)

@@ -1,7 +1,10 @@
 """Filter-bank runtime tests: oracle equality, reconstruction, counters."""
 
 import os
+import signal
+import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -62,8 +65,6 @@ class TestFraming:
         bank = AnalysisBank(fir_small[4])
         with pytest.raises(FramingError):
             bank.process_block(np.zeros(63))
-        with pytest.raises(FramingError):
-            bank.process_frame(np.zeros(3))
 
     def test_synthesis_frame_shape_rejected(self, fir_small):
         bank = SynthesisBank(fir_small[4])
@@ -85,7 +86,7 @@ class TestFraming:
         with pytest.raises(FramingError):
             bank.process_block(dirty_complex)
         with pytest.raises(FramingError):
-            bank.process_frame(dirty[8:12])
+            bank.process_block(dirty[8:12])
         # a rejected block leaves the bank's state untouched
         np.testing.assert_array_equal(
             bank.process_block(clean), AnalysisBank(proto).process_block(clean)
@@ -97,24 +98,22 @@ class TestFraming:
         with pytest.raises(FramingError):
             synth.process_block(dirty_frames)
         with pytest.raises(FramingError):
-            synth.process_frame(dirty_frames[5])
+            synth.process_block(dirty_frames[5:6])
         np.testing.assert_array_equal(
             synth.process_block(frames), SynthesisBank(proto).process_block(frames)
         )
 
-    def test_frame_metadata(self, fir_small):
-        bank = AnalysisBank(fir_small[4])
-        first = bank.process_frame(np.ones(4))
-        assert first.frame_index == 0 and first.warm_up
-        for _ in range(bank.warmup_frames):
-            frame = bank.process_frame(np.ones(4))
-        assert not frame.warm_up
+    def test_frame_metadata(self, fir_small, iir_small):
+        # the warm-up is the matched cascade delay in whole frames: K for
+        # FIR, 2 * n_fos for all-pass
+        fir, iir = fir_small[4], iir_small[4]
+        assert AnalysisBank(fir).warmup_frames == fir.length // 4
+        assert AnalysisBank(iir).warmup_frames == 2 * iir.sections_per_branch
 
     def test_rate_bookkeeping(self, fir_small, rng):
         bank = AnalysisBank(fir_small[8])
         bank.process_block(rng.standard_normal(8 * 17))
-        bank.process_frame(rng.standard_normal(8))
-        assert bank.samples_consumed == 8 * bank.counters.frames
+        bank.process_block(rng.standard_normal(8))
         assert bank.counters.frames == 18
 
 
@@ -125,7 +124,7 @@ class TestStreamingEquivalence:
         block_bank = AnalysisBank(proto)
         frames_block = block_bank.process_block(x)
         stream_bank = AnalysisBank(proto)
-        rows = [stream_bank.process_frame(x[4 * k : 4 * (k + 1)]).values for k in range(50)]
+        rows = [stream_bank.process_block(x[4 * k : 4 * (k + 1)])[0] for k in range(50)]
         np.testing.assert_allclose(np.asarray(rows), frames_block, atol=1e-12)
 
     def test_superposition(self, iir_small, rng):
@@ -400,7 +399,7 @@ class TestReconstruction:
 
     def test_zero_frames_give_zero_output(self, iir_small):
         bank = SynthesisBank(iir_small[4])
-        out = bank.process_frame(np.zeros(4, dtype=complex))
+        out = bank.process_block(np.zeros((1, 4), dtype=complex))
         np.testing.assert_array_equal(out, 0.0)
 
     @pytest.mark.parametrize("kind", ["iir", "fir"])
@@ -448,7 +447,7 @@ class TestCounters:
     def test_fir_frame_model(self):
         proto = fir_from_taps(np.ones(320), 16)
         bank = AnalysisBank(proto)
-        bank.process_frame(np.zeros(16))
+        bank.process_block(np.zeros(16))
         assert bank.counters.real_adds == pytest.approx(896.0)
         assert bank.counters.real_mults == pytest.approx(736.0)
 
@@ -456,7 +455,7 @@ class TestCounters:
         spec = PrototypeSpec(1.0, 0.02, 1.0 / 16 - 0.02, 0.01, 0.01, 16, "iir")
         proto = AllPassPrototype(np.full((15, 10), 0.1 + 0j), spec)
         bank = AnalysisBank(proto)
-        bank.process_frame(rng.standard_normal(16))
+        bank.process_block(rng.standard_normal(16))
         assert bank.counters.real_adds == pytest.approx(888.0)
         assert bank.counters.real_mults == pytest.approx(396.0)
 
@@ -504,3 +503,69 @@ class TestImpulseResponse:
         h = prototype_impulse_response(iir_small[4])
         peak = np.max(np.abs(h))
         assert np.max(np.abs(h[-40:])) <= 1e-12 * peak
+
+
+# ---------------------------------------------------------------------------
+# forking a process that ran the threaded banks
+
+
+def run_isolated(code, timeout=120):
+    """Run ``code`` in a fresh interpreter, so a run that hangs fails the test, not the suite.
+
+    The interpreter leads a process group of its own, and a timeout kills
+    the whole group, so no forked child of a hung run is left behind.
+    """
+    src = os.path.dirname(os.path.dirname(polyphase.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    with subprocess.Popen([sys.executable, "-c", textwrap.dedent(code)], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          start_new_session=True) as proc:
+        try:
+            out, err = proc.communicate(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            raise
+    return subprocess.CompletedProcess(proc.args, proc.returncode, out, err)
+
+
+class TestBankPoolFork:
+    """A child forked by a caller after a threaded bank run."""
+
+    def test_fork_after_threaded_bank_run(self):
+        # the child's copy of the bank pool lost its threads in the fork: a
+        # bank run there must make a pool of its own, since blocks submitted
+        # to the copied one would wait forever
+        proc = run_isolated("""
+            import multiprocessing
+            import os
+            import numpy as np
+            from fstack import polyphase
+            from fstack.filter_design import fir_from_taps
+
+            os.sched_getaffinity = lambda pid: {0, 1, 2, 3}  # the bank pool runs anywhere
+            rng = np.random.default_rng(5)
+            proto = fir_from_taps(rng.standard_normal(6 * 256), 256)
+            x = rng.standard_normal(256 * 30) + 1j * rng.standard_normal(256 * 30)
+
+            def analyse(conn):
+                frames = polyphase.AnalysisBank(proto).process_block(x)
+                conn.send((frames, polyphase._POOL[0] == os.getpid()))
+
+            parent = polyphase.AnalysisBank(proto).process_block(x)
+            assert polyphase._POOL[0] == os.getpid()
+            ctx = multiprocessing.get_context("fork")
+            for _ in range(2):
+                recv, send = ctx.Pipe(duplex=False)
+                child = ctx.Process(target=analyse, args=(send,))
+                child.start()
+                send.close()
+                frames, own_pool = recv.recv()
+                recv.close()
+                child.join()
+                assert child.exitcode == 0
+                assert own_pool and np.array_equal(frames, parent)
+            print("ok")
+        """, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["ok"]
