@@ -81,6 +81,8 @@ def cmd_design(cfg, out_dir):
         "candidate 2 (Nth-band all-pass recursive, almost linear phase):",
         f"  coefficients      : {iir.coefficient_count} "
         f"({iir.num_branches} branches x {iir.sections_per_branch} sections)",
+        f"  branch fits       : {iir.sections_per_branch} sections per branch, "
+        f"{min(rep.branch_fit_steps)}-{max(rep.branch_fit_steps)} Gauss-Newton steps",
         f"  passband deviation: {rep.passband_dev_db*1e6:.1f} microdB",
         f"  guarded stopband  : {rep.stopband_atten_db:.2f} dB "
         f"(spec {cfg.stopband_db} dB)",

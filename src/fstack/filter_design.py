@@ -28,6 +28,10 @@ from scipy.signal import firwin, freqz, remez
 from .errors import DesignFailureError, InvalidSpecError, StabilityError
 
 _ALPHA_LIMIT = 1.0 - 1e-6
+# stopping rule of the all-pass branch fit (_fit_branch_delay)
+_FIT_RTOL = 1e-3
+_FIT_WINDOW = 10
+_FIT_MAX_STEPS = 200
 
 
 def attenuation_to_ripple(atten_db):
@@ -343,12 +347,16 @@ def _stable(d):
 def _fit_branch_delay(order, delay, w_max):
     """Minimax fit of an order-``order`` all-pass to a ``delay``-sample delay.
 
-    Returns ``(d, peak)``: the real denominator coefficients d[1..order]
-    minimising the peak phase error over [0, w_max], and that peak in
-    radians.  Linearised least squares seeds the solve; damped
-    Gauss-Newton with envelope reweighting anneals toward the equiripple
-    solution.  Only an iterate with all poles strictly
-    inside the unit circle is returned.
+    Returns ``(d, peak, steps)``: the real denominator coefficients
+    d[1..order] minimising the peak phase error over [0, w_max], that
+    peak in radians, and the number of Gauss-Newton steps taken.
+    Linearised least squares seeds the solve; damped Gauss-Newton with
+    envelope reweighting anneals toward the equiripple solution.  The
+    steps stop once the least peak seen so far has fallen by less than
+    ``_FIT_RTOL`` times itself over the last ``_FIT_WINDOW`` steps, and
+    after ``_FIT_MAX_STEPS`` at most.  Of the seed and every step's
+    iterate, the one of least peak with all poles strictly inside the
+    unit circle is returned, the earliest on a tie.
     """
     w = np.linspace(1e-9, w_max, 1024)
     phi = 0.5 * (delay - order) * w  # required denominator phase
@@ -369,13 +377,19 @@ def _fit_branch_delay(order, delay, w_max):
     # (err, dw) belong to d from here on: the seed loop's last pass, then
     # the accepted candidate of each step
     iterates = []  # (peak phase error, d) at the top of each step, the seed first
+    best = []  # least peak seen so far, at the top of each step
     lawson = 1.0 / np.abs(dw)
     lawson /= lawson.max()
     lam = 1e-9
-    for _ in range(200):
+    for steps in range(_FIT_MAX_STEPS + 1):
         abs_err = np.abs(err)
         peak = abs_err.max()
         iterates.append((peak, d))
+        best.append(min(peak, best[-1]) if best else peak)
+        if steps == _FIT_MAX_STEPS or (
+                steps >= _FIT_WINDOW
+                and best[-1 - _FIT_WINDOW] - best[-1] < _FIT_RTOL * best[-1]):
+            break
         lawson = lawson * ((abs_err + 1e-3 * peak) / (peak + 1e-300)) ** 0.7
         lawson /= lawson.max()
         lawson = np.maximum(lawson, 1e-9)
@@ -404,7 +418,7 @@ def _fit_branch_delay(order, delay, w_max):
     # sort is stable): one stability test per rejected iterate, not one per step
     for peak, d in sorted(iterates, key=lambda it: it[0]):
         if _stable(d):
-            return d, peak
+            return d, peak, steps
     raise DesignFailureError(f"no stable all-pass fit for order={order}, delay={delay:.4f}")
 
 
@@ -441,10 +455,11 @@ def design_iir_nthband_alp(spec, n_fos, phase_limit_deg=1.0):
         )
     delays = [n_fos - n / n_br for n in range(1, n_br)]
     fits = [_fit_branch_delay(n_fos, delay, w_max) for delay in delays]
-    alphas = np.array([_alphas_from_denominator(d) for d, _ in fits], dtype=np.complex128)
+    alphas = np.array([_alphas_from_denominator(d) for d, *_ in fits], dtype=np.complex128)
     proto = AllPassPrototype(alphas, spec)
     check = verify_allpass(proto, phase_limit_deg=phase_limit_deg)
-    check.branch_phase_err_rad = tuple(peak for _, peak in fits)
+    check.branch_phase_err_rad = tuple(peak for _, peak, _ in fits)
+    check.branch_fit_steps = tuple(steps for *_, steps in fits)
     proto.design_report = check
     if not check.ok:
         raise DesignFailureError(
@@ -539,6 +554,7 @@ class AlpCheck:
     ok_stopband: bool
     ok_phase: bool
     branch_phase_err_rad: tuple = ()
+    branch_fit_steps: tuple = ()
 
     @property
     def ok(self):

@@ -194,6 +194,8 @@ class TestDesignCommand:
         assert (out / "coarse_iir.coef").exists()
         report = (out / "design_report.txt").read_text()
         assert "candidate 1" in report and "candidate 2" in report
+        assert re.search(r"branch fits +: 6 sections per branch, \d+-\d+ Gauss-Newton steps",
+                         report)
 
     def test_design_failure_exit_code(self, tmp_path, capsys):
         cfg = write_mini(tmp_path, **{"n_fos = 6": "n_fos = 1"})

@@ -30,61 +30,91 @@ TABLE_DF = 6.0 / 1280.0
 QUARTER_BAND = PrototypeSpec(1.0, 0.2, 0.3, 0.01, 0.01, 1, "fir")  # passes on the 5th length
 
 # alphas of the iir_small fixture designs for N = 4 and N = 8, printed with
-# repr() from the fit as it stood when this pin was added; a change that
-# alters the fit's trajectory moves them
+# repr() from the fit that stops once its least peak phase error has
+# converged (_FIT_RTOL = 1e-3 over _FIT_WINDOW = 10 steps); a change that
+# alters the fit's trajectory or its stopping rule moves them
 PINNED_SMALL_ALPHAS = {
     4: [
         [
-            -0.30181805862621836, -0.015214098519216825-0.322119225325895j,
-            -0.015214098519216825+0.322119225325895j, 0.5721073726713547,
+            -0.30163105077948077, -0.015266600748864895-0.32196996813165074j,
+            -0.015266600748864895+0.32196996813165074j, 0.5720205821427895,
         ],
         [
-            -0.2755050004813279, 0.009616132111046422-0.3016079321405839j,
-            0.009616132111046422+0.3016079321405839j, 0.7418019218112522,
+            -0.27533842060284797, 0.00955933463154829-0.3014774559825413j,
+            0.00955933463154829+0.3014774559825413j, 0.7417420569238472,
         ],
         [
-            -0.21004761718608983, 0.03582348363624315-0.2350253968988354j,
-            0.03582348363624315+0.2350253968988354j, 0.8767575590949848,
+            -0.20992999943608626, 0.03577719884044532-0.23493153311177828j,
+            0.03577719884044532+0.23493153311177828j, 0.8767268766348497,
         ],
     ],
     8: [
         [
-            -0.26344847673483085-0.17998401883185905j, -0.26344847673483085+0.17998401883185905j,
-            0.07587418822774937-0.335106763631644j, 0.07587418822774937+0.335106763631644j,
-            0.4952176708773123,
+            -0.263367385596572-0.1798995693426906j, -0.263367385596572+0.1798995693426906j,
+            0.07581384334931474-0.33504507552656754j, 0.07581384334931474+0.33504507552656754j,
+            0.49517568841048076,
         ],
         [
-            -0.2728578898099563-0.19038558922932988j, -0.2728578898099563+0.19038558922932988j,
-            0.08890124409783204-0.3511465993491774j, 0.08890124409783204+0.3511465993491774j,
-            0.6092336344915695,
+            -0.2727823778361086-0.19030263339562503j, -0.2727823778361086+0.19030263339562503j,
+            0.08884008245431327-0.3510936764550117j, 0.08884008245431327+0.3510936764550117j,
+            0.6092043329443264,
         ],
         [
-            -0.2649748338061244-0.1895332231772825j, -0.2649748338061244+0.1895332231772825j,
-            0.09986756158958568-0.34500695393789654j, 0.09986756158958568+0.34500695393789654j,
-            0.6940705950473159,
+            -0.26490159232234584-0.18945078297258858j, -0.26490159232234584+0.18945078297258858j,
+            0.09980571383922471-0.34495684415342165j, 0.09980571383922471+0.34495684415342165j,
+            0.6940468970160883,
         ],
         [
-            -0.24810655703408652-0.18248406144368656j, -0.24810655703408652+0.18248406144368656j,
-            0.10922424271898834-0.32674068821738556j, 0.10922424271898834+0.32674068821738556j,
-            0.7655503220526516,
+            -0.24804461923467547-0.1824124798449983j, -0.24804461923467547+0.1824124798449983j,
+            0.1091697647666403-0.3266994896396778j, 0.1091697647666403+0.3266994896396778j,
+            0.7655345913933389,
         ],
         [
-            -0.22471128844543597-0.1705666449984611j, -0.22471128844543597+0.1705666449984611j,
-            0.11658516658526172-0.29880920819068935j, 0.11658516658526172+0.29880920819068935j,
-            0.8294802894677146,
+            -0.22466053404750097-0.17050690329906734j, -0.22466053404750097+0.17050690329906734j,
+            0.11653904247533345-0.29877565239687476j, 0.11653904247533345+0.29877565239687476j,
+            0.829470359558406,
         ],
         [
-            -0.19494613223713833-0.1535186692311712j, -0.19494613223713833+0.1535186692311712j,
-            0.12070694074170844-0.26038205949799836j, 0.12070694074170844+0.26038205949799836j,
-            0.8887915584828794,
+            -0.1949116414089765-0.15347687346775388j, -0.1949116414089765+0.15347687346775388j,
+            0.12067429088379014-0.2603599332825291j, 0.12067429088379014+0.2603599332825291j,
+            0.8887877151158943,
         ],
         [
-            -0.15552120684933746-0.12833389767436698j, -0.15552120684933746+0.12833389767436698j,
-            0.11749384833898197-0.2052028650479903j, 0.11749384833898197+0.2052028650479903j,
-            0.9452390720273036,
+            -0.15549666504997361-0.12830424478849015j, -0.15549666504997361+0.12830424478849015j,
+            0.11747004746111656-0.20518607519791665j, 0.11747004746111656+0.20518607519791665j,
+            0.9452375057133249,
         ],
     ],
 }
+
+# peak phase errors (rad) of the default design's 19 branch fits, printed with
+# repr() when every fit ran all 200 Gauss-Newton steps
+FULL_RUN_DEFAULT_PEAKS = (
+    0.0007664868925842919,
+    0.001295708484121205,
+    0.0016343919228522922,
+    0.001822068568101083,
+    0.0018924857533701568,
+    0.0018744630855537972,
+    0.0017914636409783107,
+    0.001663406138764688,
+    0.0015057623696692584,
+    0.001331761028930921,
+    0.0011515123189791633,
+    0.0009723218591998247,
+    0.000800341822150717,
+    0.0006396332201801222,
+    0.000492829477749794,
+    0.00036173741875775655,
+    0.0002470943324255777,
+    0.00014897141124948493,
+    6.68920428937103e-05,
+)
+# the stopped fits may lose at most 1 % on each of those peaks: the guarded
+# stopband leakage grows about in proportion to the branch phase errors, so
+# 1 % costs at most 20*log10(1.01) = 0.086 dB of the default design's
+# 0.43 dB margin over its 66.5 dB spec
+STOPPED_PEAK_TOL = 0.01
 
 
 class TestEstimators:
@@ -334,13 +364,38 @@ class TestRecursiveDesign:
         monkeypatch.setattr(filter_design, "_fit_branch_delay", recording_fit)
         proto = build_coarse_prototype(ref_cfg, build_plan(ref_cfg), "iir")
         assert len(fits) == proto.num_branches - 1 == 19
-        assert proto.design_report.branch_phase_err_rad == tuple(peak for *_, peak in fits)
-        for order, delay, w_max, d, peak in fits:
+        assert proto.design_report.branch_phase_err_rad == tuple(fit[4] for fit in fits)
+        assert proto.design_report.branch_fit_steps == tuple(fit[5] for fit in fits)
+        for order, delay, w_max, d, peak, _ in fits:
             w = np.linspace(1e-9, w_max, 1024)
             kernel = np.exp(-1j * np.outer(w, np.arange(1, order + 1)))
             rot = np.exp(-1j * 0.5 * (delay - order) * w)
             err, _ = filter_design._branch_phase_error(d, kernel, rot)
             assert peak == np.abs(err).max()
+
+    def test_stopped_fits_keep_full_run_peaks(self, pipelines):
+        rep = pipelines["pipes"]["iir"].coarse_prototype.design_report
+        assert len(rep.branch_phase_err_rad) == len(FULL_RUN_DEFAULT_PEAKS) == 19
+        for got, full in zip(rep.branch_phase_err_rad, FULL_RUN_DEFAULT_PEAKS):
+            assert got <= (1.0 + STOPPED_PEAK_TOL) * full
+        assert max(rep.branch_fit_steps) < filter_design._FIT_MAX_STEPS
+
+    def test_stalled_fit_returns_its_seed(self, monkeypatch):
+        # the first branch of the N = 4 fixture: order 4, delay 3.75, w_max 0.8*pi
+        args = (4, 3.75, 2.0 * np.pi * 4 * 0.1)
+        with monkeypatch.context() as m:
+            m.setattr(filter_design, "_FIT_MAX_STEPS", 0)
+            seed, seed_peak, _ = _fit_branch_delay(*args)
+        calls = []
+
+        def singular_solve(a, b):
+            calls.append(a)
+            raise np.linalg.LinAlgError("singular matrix")
+
+        monkeypatch.setattr(filter_design.np.linalg, "solve", singular_solve)
+        d, peak, steps = _fit_branch_delay(*args)
+        assert np.array_equal(d, seed) and peak == seed_peak
+        assert steps <= 11 and len(calls) == 15 * steps
 
 
 def explicit_branch_response(proto, branch, w_dec):
