@@ -179,20 +179,25 @@ def coarse_analyze(config, stacked):
 def coarse_synthesize(config, subbands):
     """Restack sub-band streams into the real wideband signal.
 
-    The conjugate channels N-n are filled from the given streams so the
-    synthesis output is real; channels 0 and N/2 stay empty.
+    The real output's spectrum is conjugate-symmetric, so the Hermitian
+    synthesis bank takes only channels 0..N/2: a stream given for a
+    channel s > N/2 goes conjugated into channel N-s.  Channels the
+    streams leave out stay empty.
     """
     n = config.num_coarse_channels
     lengths = {len(buf) for buf in subbands.values()}
     if len(lengths) > 1:
         raise ConfigError("sub-band streams must share one length")
     n_frames = lengths.pop() if lengths else 0
-    frames = np.zeros((n_frames, n), dtype=np.complex128)
+    frames = np.zeros((n_frames, n // 2 + 1), dtype=np.complex128)
     for sub, buf in subbands.items():
         if abs(buf.rate_hz - config.subband_rate_hz) > 1e-6:
             raise RateMismatchError(f"sub-band {sub} rate {buf.rate_hz}")
-        frames[:, sub] = buf.samples
-        if 0 < sub < n and sub != n // 2:
+        if not 0 <= sub < n:
+            raise ConfigError(f"sub-band {sub} outside [0, {n})")
+        if sub <= n // 2:
+            frames[:, sub] = buf.samples
+        else:
             frames[:, n - sub] = np.conj(buf.samples)
     bank = SynthesisBank(config.coarse_prototype, hermitian=True)
     y = bank.process_block(frames)

@@ -26,22 +26,30 @@ run by a single ``scipy.signal.sosfilt`` call that carries its state;
 every conjugate pair of first-order sections becomes one real biquad,
 and the pure delay of branch 0 is written as exact delay sections, so
 real input stays real until the transform; complex input runs through
-the same real sections.  The FIR family is one (K, N) tap matrix with
-K-1 frames of history, and all N branches are filtered at once by an overlap-save convolution along the
-frame axis, in column blocks shared by the calling thread and helper
-threads, one thread per usable CPU; a block's arithmetic does not
+the same real sections.  Each branch writes one contiguous row of the
+output and applies the family's scale in that pass (for synthesis the
+scale holds the cascade gain).  The FIR family is one (K, N) tap matrix
+with K-1 frames of history, and all N branches are filtered at once by
+an overlap-save convolution along the frame axis, in column blocks.
+Both families share their work with the bank pool: the calling thread
+and helper threads, one thread per usable CPU, take all-pass branches
+or FIR column blocks from one queue; a block's arithmetic does not
 depend on the thread that runs it, so neither does the output.  The
 spectrum of the tap matrix is computed once per prototype, data kind
 (real or complex) and transform length and cached on the prototype, so
 every analysis and synthesis bank built from it shares it; the
 synthesis family runs its branches in output-slot order, where its taps
-are the analysis taps.
+are the analysis taps.  The N-point channel transforms are
+``scipy.fft`` calls with one worker per usable CPU; the transform of
+real branch output takes the real-input path, and a Hermitian synthesis
+bank gets only the N/2+1 non-negative channels and runs ``hfft`` on
+them.
 
 Operation counters do not count what the realisation executes; they
 follow the per-frame accounting model: branch work counted as
 complex-by-real operations (2 mults per tap; each all-pass first-order
 section 1 coefficient multiply and 2 additions, doubled for complex
-data), and the transform (computed by numpy.fft) charged with the
+data), and the transform (computed by ``scipy.fft``) charged with the
 analytic butterfly model.
 """
 
@@ -53,7 +61,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import fft, ifft, irfft, next_fast_len, rfft
+from scipy.fft import fft, hfft, ifft, irfft, next_fast_len, rfft
 from scipy.signal import lfilter, sosfilt
 
 from .complexity import fir_candidate_cost, ifft_cost, iir_candidate_cost
@@ -95,7 +103,7 @@ _POOL = None  # (pid, cpus, executor): the bank pool, made by the first multi-bl
 
 
 def _bank_pool():
-    """(executor, cpus): this process's helper threads for FIR column blocks.
+    """(executor, cpus): this process's helper threads for bank blocks.
 
     One helper per usable CPU but the caller's, made on first use and
     kept.  The pool is made again when the CPU count changes, and in a
@@ -108,7 +116,7 @@ def _bank_pool():
         return None
     with _POOL_LOCK:
         if _POOL is None or _POOL[:2] != (os.getpid(), cpus):
-            helpers = ThreadPoolExecutor(cpus - 1, thread_name_prefix="fstack-fir")
+            helpers = ThreadPoolExecutor(cpus - 1, thread_name_prefix="fstack-bank")
             _POOL = (os.getpid(), cpus, helpers)
         return _POOL[2], cpus
 
@@ -124,16 +132,16 @@ def _run_blocks(block, blocks):
     """
     pool = _bank_pool() if len(blocks) > 1 else None
     todo = queue.SimpleQueue()
-    for cols in blocks:
-        todo.put(cols)
+    for item in blocks:
+        todo.put(item)
 
     def drain():
         while True:
             try:
-                cols = todo.get_nowait()
+                item = todo.get_nowait()
             except queue.Empty:
                 return
-            block(cols)
+            block(item)
 
     helpers = []
     if pool is not None:
@@ -154,13 +162,15 @@ class _FirFamily:
     at least frames + K - 1, multiplied by the tap spectrum (from the
     prototype's cache, see ``_tap_spectrum``) and transformed back.  The
     circular wrap-around lands only on the first K-1 outputs, which
-    belong to the history rows and are dropped.  Each block has its own
-    buffer and writes its own output columns, so the blocks can run on
-    several threads (``_run_blocks``): pocketfft and numpy release the GIL.
+    belong to the history rows and are dropped; the rest are scaled by
+    ``scale`` as they are written out.  Each block has its own buffer and
+    writes its own output columns, so the blocks can run on several
+    threads (``_run_blocks``): pocketfft and numpy release the GIL.
     """
 
-    def __init__(self, prototype):
+    def __init__(self, prototype, scale):
         self.prototype = prototype
+        self.scale = scale
         n = prototype.spec.num_branches
         self.shape = (max(math.ceil(prototype.length / n), 1), n)
         self.reset()
@@ -185,7 +195,8 @@ class _FirFamily:
             ext[delay + frames :] = 0.0
             spec = fwd(ext, axis=0, overwrite_x=True)
             spec *= taps[:, cols]
-            y[:, cols] = inv(spec, nfft, axis=0, overwrite_x=True)[delay : delay + frames]
+            kept = inv(spec, nfft, axis=0, overwrite_x=True)[delay : delay + frames]
+            np.multiply(kept, self.scale, out=y[:, cols])
 
         n = u.shape[1]
         _run_blocks(block, [slice(c, min(c + _FIR_COLUMN_BLOCK, n))
@@ -214,7 +225,14 @@ def _tap_spectrum(prototype, nfft, real):
 
 
 class _AllPassFamily:
-    """N branches, each one chain of second-order sections with its state."""
+    """N branches, each one chain of second-order sections with its state.
+
+    ``run`` filters column n of its (frames, N) input through branch n
+    into row n of an (N, frames) array, scaled in the same pass, and
+    returns the transpose.  Each branch reads its own column and writes
+    its own row and state, so the branches run on several threads
+    (``_run_blocks``), one branch per block.
+    """
 
     def __init__(self, sections, scale):
         self.sections = sections
@@ -225,11 +243,13 @@ class _AllPassFamily:
         self._zi = [np.zeros((sos.shape[0], 2)) for sos in self.sections]
 
     def run(self, u):
-        # each branch writes one contiguous row; the caller gets the transpose
         y = np.empty(u.shape[::-1], dtype=np.result_type(u, *self.sections, *self._zi))
-        for br, sos in enumerate(self.sections):
-            y[br], self._zi[br] = sosfilt(sos, u[:, br], zi=self._zi[br])
-        y *= self.scale
+
+        def branch(br):
+            out, self._zi[br] = sosfilt(self.sections[br], u[:, br], zi=self._zi[br])
+            np.multiply(out, self.scale, out=y[br])
+
+        _run_blocks(branch, range(len(self.sections)))
         return y.T
 
 
@@ -273,7 +293,7 @@ def _fir_taps(prototype):
 def _branch_family(prototype):
     """Analysis branch filters 0..N-1 of the prototype, gains included."""
     if isinstance(prototype, FirPrototype):
-        return _FirFamily(prototype)
+        return _FirFamily(prototype, 1.0)
     if isinstance(prototype, AllPassPrototype):
         n = prototype.num_branches
         sections = [_delay_sos(prototype.branch0_delay)]
@@ -289,14 +309,18 @@ def _synthesis_family(prototype):
     slot m < N-1 carries analysis branch m+1's sections and the last slot
     the shortened branch-0 delay; for FIR branches (index reversal) slot
     m carries analysis tap column m, which is the analysis family itself.
+    The family's scale carries the gain N^2 / dc_gain^2 that gives a
+    matched cascade unity passband gain.
     """
+    n = prototype.spec.num_branches
+    dc = prototype.dc_gain
+    gain = n * n / (dc * dc)
     if isinstance(prototype, FirPrototype):
-        return _FirFamily(prototype)
+        return _FirFamily(prototype, gain)
     if isinstance(prototype, AllPassPrototype):
-        n = prototype.num_branches
         sections = [_allpass_sos(prototype.alphas[m]) for m in range(n - 1)]
         sections.append(_delay_sos(prototype.branch0_delay - 1))
-        return _AllPassFamily(sections, 1.0 / n)
+        return _AllPassFamily(sections, gain / n)
     raise TypeError(f"unsupported prototype {type(prototype).__name__}")
 
 
@@ -317,7 +341,11 @@ def _frame_cost(prototype, num_branches):
 
 
 def _require_finite(x):
-    if not np.isfinite(x).all():
+    # a finite sum proves every sample finite; a sum that overflows is
+    # checked sample by sample
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.sum(x)
+    if not np.isfinite(total) and not np.isfinite(x).all():
         raise FramingError("filter-bank input holds NaN or Inf samples")
 
 
@@ -379,7 +407,7 @@ class AnalysisBank(_Bank):
         # row k of the delay line, reversed, holds x[k*N - n] in column n
         branch_in = ext[: n_frames * n].reshape(n_frames, n)[:, ::-1]
         self._hist = ext[ext.size - (n - 1) :].copy()
-        frames = np.fft.ifft(self._branches.run(branch_in), axis=1)
+        frames = ifft(self._branches.run(branch_in), axis=1, workers=usable_cpus())
         self._count(n_frames)
         return frames
 
@@ -387,40 +415,39 @@ class AnalysisBank(_Bank):
 class SynthesisBank(_Bank):
     """Streaming N-channel synthesis bank (mirror of AnalysisBank).
 
-    ``hermitian`` declares every frame the bank gets conjugate-symmetric
-    (channel N-n holds the conjugate of channel n), as a real restack
-    builds them: the transformed frames are then real up to rounding, and
-    the branches run on their real part, so the output is real for real
-    branch filters.  The frames are not checked for the symmetry.
+    ``hermitian`` declares every frame conjugate-symmetric (channel N-n
+    holds the conjugate of channel n), as a real restack builds them.
+    Such a bank takes only channels 0..N/2, a (frames, N//2 + 1) array,
+    and transforms them with ``hfft``, whose output is real; the
+    imaginary part of channel 0 (and of N/2 for even N) is ignored.
+    The branches then run on real data, so the output is real for real
+    branch filters.
     """
 
     def __init__(self, prototype, hermitian=False):
         super().__init__(prototype, _synthesis_family(prototype))
         self.hermitian = hermitian
-        n = self.num_branches
-        dc = prototype.dc_gain
-        self.gain = n * n / (dc * dc)
 
     def process_block(self, frames):
-        """Synthesise a (frames, N) channel array back to F*N samples."""
+        """Synthesise a (frames, N) channel array back to F*N samples.
+
+        A ``hermitian`` bank takes (frames, N//2 + 1) arrays.
+        """
         frames = np.asarray(frames, dtype=np.complex128)
         n = self.num_branches
-        if frames.ndim != 2 or frames.shape[1] != n:
-            raise FramingError(f"expected (frames, {n}) input, got {frames.shape}")
+        width = n // 2 + 1 if self.hermitian else n
+        if frames.ndim != 2 or frames.shape[1] != width:
+            raise FramingError(f"expected (frames, {width}) input, got {frames.shape}")
         _require_finite(frames)
         n_frames = frames.shape[0]
         if n_frames == 0:
             return np.zeros(0, dtype=np.complex128)
-        slots = np.fft.fft(frames, axis=1)
-        if self.hermitian:
-            slots = slots.real
+        transform = hfft if self.hermitian else fft
+        slots = transform(frames, n, axis=1, workers=usable_cpus())
         # branch n feeds output slot k*N + N-1-n; the family runs in slot order
         out = self._branches.run(slots[:, ::-1])
         self._count(n_frames)
-        # the branch output is this call's own array: scale it in place
-        samples = out.reshape(-1)
-        samples *= self.gain
-        return samples
+        return out.reshape(-1)
 
 
 def matched_cascade_delay(prototype):

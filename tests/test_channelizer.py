@@ -119,13 +119,23 @@ class TestCoarseStage:
         with pytest.raises(ConfigError, match="one length"):
             coarse_synthesize(pipe, subs)
 
+    def test_upper_channel_stream_restacks_as_its_conjugate(self, pipelines, rng):
+        pipe = pipelines["pipes"]["iir"]
+        n, rate = pipe.num_coarse_channels, pipe.subband_rate_hz
+        z = rng.standard_normal(256) + 1j * rng.standard_normal(256)
+        lower = coarse_synthesize(pipe, {3: SignalBuffer(z, rate, "complex")})
+        upper = coarse_synthesize(pipe, {n - 3: SignalBuffer(np.conj(z), rate, "complex")})
+        np.testing.assert_array_equal(upper.samples, lower.samples)
+        with pytest.raises(ConfigError, match="outside"):
+            coarse_synthesize(pipe, {n: SignalBuffer(z, rate, "complex")})
+
     @pytest.mark.parametrize("kind", ["iir", "fir"])
     def test_restack_matches_complex_synthesis(self, pipelines, kind):
-        """The restack's real-data branches against the complex synthesis they replace.
+        """The half-width Hermitian restack against the full complex synthesis.
 
-        The all-pass sections see the same real part, so the IIR restack
-        is bit-identical; the FIR branches swap a complex transform for a
-        real one.
+        The restack transforms channels 0..N/2 with ``hfft`` and runs
+        the branches on real data, where the complex path transforms all
+        N channels and filters complex slots; the two agree to rounding.
         """
         pipe = pipelines["pipes"][kind]
         n = pipe.num_coarse_channels
@@ -138,11 +148,8 @@ class TestCoarseStage:
         complex_path = np.real(polyphase.SynthesisBank(pipe.coarse_prototype).process_block(frames))
         restacked = coarse_synthesize(pipe, subs).samples
         assert restacked.dtype == float
-        if kind == "iir":
-            np.testing.assert_array_equal(restacked, complex_path)
-        else:
-            np.testing.assert_allclose(restacked, complex_path, rtol=0,
-                                       atol=1e-12 * np.max(np.abs(complex_path)))
+        np.testing.assert_allclose(restacked, complex_path, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(complex_path)))
 
     def test_nine_subbands_extracted(self, pipelines, float_reports):
         leak = float_reports["iir"].per_channel_leakage_db

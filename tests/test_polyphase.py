@@ -55,6 +55,43 @@ def bandlimited_real(rng, total, num_branches, fp_norm, occupied):
     return x / np.std(x)
 
 
+def assert_cpu_count_keeps_outputs(proto, x, monkeypatch):
+    """Analysis and synthesis outputs are equal on the usable CPUs, four and one CPU.
+
+    Real input goes back through a Hermitian synthesis of channels
+    0..N/2, complex input through the full synthesis.  The four-CPU run
+    switches threads as often as it can: a block lost, or read back
+    before its thread wrote it, would change the output.
+    """
+    n = proto.spec.num_branches
+
+    def run():
+        channels = AnalysisBank(proto).process_block(x)
+        # a Hermitian synthesis takes channels 0..N/2 and runs its
+        # branches on real data
+        if np.isrealobj(x):
+            out = SynthesisBank(proto, hermitian=True).process_block(channels[:, : n // 2 + 1])
+        else:
+            out = SynthesisBank(proto).process_block(channels)
+        return channels, out
+
+    default = run()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        four = run()
+    finally:
+        sys.setswitchinterval(interval)
+    assert polyphase._POOL[1] == 4
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    one = run()
+    assert (default[1].dtype.kind == "f") == np.isrealobj(x)
+    for a, b, c in zip(default, four, one):
+        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(a, c)
+
+
 class TestFraming:
     def test_zero_input_gives_zero_frames(self, fir_small):
         bank = AnalysisBank(fir_small[4])
@@ -70,6 +107,13 @@ class TestFraming:
         bank = SynthesisBank(fir_small[4])
         with pytest.raises(FramingError):
             bank.process_block(np.zeros((5, 3)))
+
+    @pytest.mark.parametrize("kind", ["iir", "fir"])
+    def test_hermitian_synthesis_takes_half_width_frames(self, kind, iir_small, fir_small):
+        bank = SynthesisBank((iir_small if kind == "iir" else fir_small)[8], hermitian=True)
+        with pytest.raises(FramingError, match=r"\(frames, 5\)"):
+            bank.process_block(np.ones((6, 8), dtype=complex))
+        assert bank.process_block(np.ones((6, 5), dtype=complex)).shape == (48,)
 
     @pytest.mark.parametrize("kind", ["iir", "fir"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -102,6 +146,28 @@ class TestFraming:
         np.testing.assert_array_equal(
             synth.process_block(frames), SynthesisBank(proto).process_block(frames)
         )
+
+    def test_finite_input_whose_sum_overflows_accepted(self, iir_small):
+        # the banks' own arithmetic may overflow on such samples; only
+        # the input check is under test
+        proto = iir_small[4]
+        with np.errstate(over="ignore", invalid="ignore"):
+            frames = AnalysisBank(proto).process_block(np.full(4 * 8, 1e308))
+            out = SynthesisBank(proto).process_block(np.full((8, 4), 1e308 + 0j))
+        assert frames.shape == (8, 4)
+        assert out.shape == (32,)
+
+    def test_opposite_infinities_rejected(self, iir_small):
+        # their sum is NaN, not an infinity
+        proto = iir_small[4]
+        x = np.zeros(4 * 8)
+        x[[3, 17]] = np.inf, -np.inf
+        with pytest.raises(FramingError):
+            AnalysisBank(proto).process_block(x)
+        frames = np.zeros((8, 4), dtype=complex)
+        frames[2, 1], frames[5, 3] = complex(0.0, np.inf), complex(0.0, -np.inf)
+        with pytest.raises(FramingError):
+            SynthesisBank(proto).process_block(frames)
 
     def test_frame_metadata(self, fir_small, iir_small):
         # the warm-up is the matched cascade delay in whole frames: K for
@@ -278,7 +344,7 @@ class TestFirFamily:
     def test_matches_fftconvolve_blocks(self, n, taps_per_branch, data, rng):
         proto = fir_from_taps(rng.standard_normal(taps_per_branch * n - n // 2), n)
         taps = polyphase._fir_taps(proto)
-        family = polyphase._FirFamily(proto)
+        family = polyphase._FirFamily(proto, 1.0)
         hist = np.zeros((taps.shape[0] - 1, n))
         nffts = []
         for i, frames in enumerate(self.BLOCK_FRAMES):
@@ -301,31 +367,7 @@ class TestFirFamily:
         x = rng.standard_normal(n * 40)
         if data == "complex":
             x = x + 1j * rng.standard_normal(x.size)
-
-        def run():
-            channels = AnalysisBank(proto).process_block(x)
-            # a Hermitian synthesis runs its branches on real data
-            out = SynthesisBank(proto, hermitian=data == "real").process_block(channels)
-            return channels, out
-
-        default = run()
-        # four threads on any machine, switching as often as they can: a
-        # block lost, or read back before its thread wrote it, would
-        # change the output
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            four = run()
-        finally:
-            sys.setswitchinterval(interval)
-        assert polyphase._POOL[1] == 4
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        one = run()
-        assert (default[1].dtype.kind == "f") == (data == "real")
-        for a, b, c in zip(default, four, one):
-            np.testing.assert_array_equal(a, b)
-            np.testing.assert_array_equal(a, c)
+        assert_cpu_count_keeps_outputs(proto, x, monkeypatch)
 
     def test_one_spectrum_for_both_banks(self, rng, monkeypatch):
         n, frames = 16, 24
@@ -371,6 +413,18 @@ class TestFirFamily:
             AnalysisBank(proto).process_block(x),
             AnalysisBank(fir_from_taps(other, n)).process_block(x),
         )
+
+
+class TestAllPassFamily:
+    @pytest.mark.parametrize("data", ["real", "complex"])
+    @pytest.mark.parametrize("n", [8, 20])
+    def test_worker_count_does_not_change_results(self, n, data, iir_small, iir20, rng,
+                                                  monkeypatch):
+        proto = iir20 if n == 20 else iir_small[n]
+        x = rng.standard_normal(n * 400)
+        if data == "complex":
+            x = x + 1j * rng.standard_normal(x.size)
+        assert_cpu_count_keeps_outputs(proto, x, monkeypatch)
 
 
 class TestChannelSelectivity:
