@@ -23,7 +23,7 @@ from scipy.fft import fft, ifft, irfft, next_fast_len, rfft
 
 from .errors import ConfigError, InvalidSpecError, RateMismatchError
 from .frontend import AdcModel, SignalBuffer, adc_quantize, add_awgn
-from .polyphase import AnalysisBank, SynthesisBank, matched_cascade_delay
+from .polyphase import AnalysisBank, SynthesisBank, matched_cascade_delay, run_blocks
 
 GMR1_GRANULARITY_HZ = 31.25e3
 GMR2_GRANULARITY_HZ = 50.0e3
@@ -146,9 +146,11 @@ class MetricsReport:
 
 
 def _coarse_frames(config, stacked):
-    """Coarse analysis of the stacked real input into all N channels.
+    """Coarse analysis of the stacked real input.
 
-    Returns the (frames, N) channel array and the bank's warm-up in frames.
+    Returns the (frames, N//2 + 1) array of channels 0..N/2 (the real
+    input's channel N-s is the conjugate of channel s) and the bank's
+    warm-up in frames.
     """
     f_s = config.plan.inputs.f_s
     if abs(stacked.rate_hz - f_s) > 1e-6:
@@ -161,13 +163,27 @@ def _coarse_frames(config, stacked):
     return bank.process_block(stacked.samples[:usable]), bank.warmup_frames
 
 
+def _half_width_column(n, sub):
+    """(column, conjugated): where sub-band ``sub`` sits in a frame of channels 0..N/2.
+
+    A real signal's channel N-s holds the conjugate of channel s, so a
+    sub-band s > N/2 is the conjugate of column N-s.
+    """
+    return (sub, False) if sub <= n // 2 else (n - sub, True)
+
+
 def _occupied_streams(config, frames, label):
-    """The occupied columns of a coarse (frames, N) array as sub-band streams."""
-    rate = config.subband_rate_hz
-    return {
-        sub: SignalBuffer(frames[:, sub], rate, "complex", label=f"{label}|coarse{sub}")
-        for sub in config.occupied_subbands
-    }
+    """The occupied sub-bands of a coarse (frames, N//2 + 1) array as streams.
+
+    A sub-band s > N/2 is the conjugate of column N-s.
+    """
+    rate, n = config.subband_rate_hz, config.num_coarse_channels
+    streams = {}
+    for sub in config.occupied_subbands:
+        col, conj = _half_width_column(n, sub)
+        samples = np.conj(frames[:, col]) if conj else frames[:, col]
+        streams[sub] = SignalBuffer(samples, rate, "complex", label=f"{label}|coarse{sub}")
+    return streams
 
 
 def coarse_analyze(config, stacked):
@@ -195,10 +211,8 @@ def coarse_synthesize(config, subbands):
             raise RateMismatchError(f"sub-band {sub} rate {buf.rate_hz}")
         if not 0 <= sub < n:
             raise ConfigError(f"sub-band {sub} outside [0, {n})")
-        if sub <= n // 2:
-            frames[:, sub] = buf.samples
-        else:
-            frames[:, n - sub] = np.conj(buf.samples)
+        col, conj = _half_width_column(n, sub)
+        frames[:, col] = np.conj(buf.samples) if conj else buf.samples
     bank = SynthesisBank(config.coarse_prototype, hermitian=True)
     y = bank.process_block(frames)
     return SignalBuffer(np.real(y), config.plan.inputs.f_s, "real", label="restacked")
@@ -289,16 +303,19 @@ def aligned_mse(reference, output, delay, trim=0):
     return mse, mse / sig
 
 
-def _channel_power_table(frames, warmup_frames):
+def _channel_power_table(frames, n, warmup_frames):
     """Per-coarse-channel power, dB relative to the strongest channel.
 
-    Reads all N columns of the coarse (frames, N) array (not just the
-    occupied set) so the reserved DC/Nyquist channels and the conjugate
-    images are visible in reports.
+    Reports all N channels (not just the occupied set) so the reserved
+    DC/Nyquist channels and the conjugate images are visible in reports.
+    It reads every column of the coarse (frames, N//2 + 1) array of
+    channels 0..N/2; channel N-c, the conjugate of channel c, has the
+    same power.
     """
     skip = min(frames.shape[0] // 4, 16 * warmup_frames)
     body = frames[skip:] if frames.shape[0] > skip else frames
     power = np.mean(np.abs(body) ** 2, axis=0)
+    power = np.concatenate([power, power[1 : n - power.size + 1][::-1]])
     peak = float(np.max(power)) if power.size else 1.0
     floor = peak * 1e-30 + 1e-300
     return {
@@ -313,7 +330,11 @@ def end_to_end(config, stimulus, adc_bits=None, snr_db=None, seed=1234,
     stimulus -> [AWGN] -> [ADC] -> coarse analysis -> fine analysis ->
     fine synthesis -> coarse synthesis -> metrics against the clean
     stimulus.  Impairments are optional; the float path is the
-    transparency benchmark.
+    transparency benchmark.  The coarse analysis keeps channels 0..N/2
+    of the real input; each occupied sub-band's fine analysis and
+    synthesis is one block of the bank pool (``run_blocks``), so the
+    sub-bands run on every usable CPU, and the output does not depend on
+    the thread that runs a block.
 
     The aligned delay is the cross-correlation peak over lags
     0..2·expected + 1024 (the expected delay is searched for, not
@@ -356,16 +377,17 @@ def end_to_end(config, stimulus, adc_bits=None, snr_db=None, seed=1234,
         )
 
     coarse, warmup_frames = _coarse_frames(config, x)
+    leakage = _channel_power_table(coarse, config.num_coarse_channels, warmup_frames)
     subbands = _occupied_streams(config, coarse, x.label)
+    spectra = dict(subbands) if capture_spectra else {}
+    processed = dict.fromkeys(config.occupied_subbands)  # restacked in this order
 
-    processed = {}
-    spectra = {}
-    for sub in config.occupied_subbands:
-        channels = fine_analyze(config, subbands[sub])
-        rebuilt = fine_synthesize(config, channels)
-        processed[sub] = rebuilt
-        if capture_spectra:
-            spectra[sub] = subbands[sub]
+    def cascade(sub):
+        processed[sub] = fine_synthesize(config, fine_analyze(config, subbands[sub]))
+
+    run_blocks(cascade, config.occupied_subbands)
+    # the coarse frames' last references: they are freed before the restack
+    del coarse, subbands
     restacked = coarse_synthesize(config, processed)
     ref, out = stimulus.samples, restacked.samples
     lo = min(theory, len(ref) - DELAY_SEARCH_SPAN)
@@ -378,7 +400,6 @@ def end_to_end(config, stimulus, adc_bits=None, snr_db=None, seed=1234,
     trim = min(pipeline_warmup_samples(config), max(0, (span - 4096) // 3))
     mse, rel = aligned_mse(stimulus.samples, restacked.samples, delay, trim=trim)
 
-    leakage = _channel_power_table(coarse, warmup_frames)
     extras["expected_delay"] = theory
     extras["occupied_subbands"] = len(config.occupied_subbands)
     extras["fine_channels_occupied"] = config.total_fine_channels_occupied
@@ -391,8 +412,7 @@ def end_to_end(config, stimulus, adc_bits=None, snr_db=None, seed=1234,
         extras=extras,
     )
     if capture_spectra:
-        spectra["output"] = restacked
-        report.extras["spectra"] = spectra
+        report.extras["spectra"] = {**spectra, "output": restacked}
     return report
 
 

@@ -31,19 +31,20 @@ output and applies the family's scale in that pass (for synthesis the
 scale holds the cascade gain).  The FIR family is one (K, N) tap matrix
 with K-1 frames of history, and all N branches are filtered at once by
 an overlap-save convolution along the frame axis, in column blocks.
-Both families share their work with the bank pool: the calling thread
-and helper threads, one thread per usable CPU, take all-pass branches
-or FIR column blocks from one queue; a block's arithmetic does not
-depend on the thread that runs it, so neither does the output.  The
+Both families share their work with the bank pool (``run_blocks``, which
+the channelizer also uses for its sub-band cascades): the calling
+thread and helper threads, one thread per usable CPU, take all-pass
+branches or FIR column blocks from one queue; a block's arithmetic does
+not depend on the thread that runs it, so neither does the output.  The
 spectrum of the tap matrix is computed once per prototype, data kind
 (real or complex) and transform length and cached on the prototype, so
 every analysis and synthesis bank built from it shares it; the
 synthesis family runs its branches in output-slot order, where its taps
 are the analysis taps.  The N-point channel transforms are
-``scipy.fft`` calls with one worker per usable CPU; the transform of
-real branch output takes the real-input path, and a Hermitian synthesis
-bank gets only the N/2+1 non-negative channels and runs ``hfft`` on
-them.
+``scipy.fft`` calls with one worker per usable CPU.  Real branch output
+has conjugate-symmetric channels, so its analysis keeps only channels
+0..N/2, computed as conj(rfft)/N, and a Hermitian synthesis bank takes
+those N/2+1 channels and runs ``hfft`` on them.
 
 Operation counters do not count what the realisation executes; they
 follow the per-frame accounting model: branch work counted as
@@ -121,14 +122,16 @@ def _bank_pool():
         return _POOL[2], cpus
 
 
-def _run_blocks(block, blocks):
+def run_blocks(block, blocks):
     """``block`` over ``blocks`` on the calling thread and the bank pool's helpers.
 
     The caller takes blocks from the shared queue as well, so it never
     sleeps waiting for a helper to start: on a host that is slow to
     schedule the helpers it runs most blocks itself, and a helper that
-    has not started when the queue runs dry is cancelled.  A family of
-    one block runs inline.
+    has not started when the queue runs dry is cancelled.  One block
+    runs inline.  A block may call ``run_blocks`` itself: every caller
+    drains its own queue and waits only for helpers that have started,
+    so nested runs cannot deadlock on a pool of any size.
     """
     pool = _bank_pool() if len(blocks) > 1 else None
     todo = queue.SimpleQueue()
@@ -165,7 +168,7 @@ class _FirFamily:
     belong to the history rows and are dropped; the rest are scaled by
     ``scale`` as they are written out.  Each block has its own buffer and
     writes its own output columns, so the blocks can run on several
-    threads (``_run_blocks``): pocketfft and numpy release the GIL.
+    threads (``run_blocks``): pocketfft and numpy release the GIL.
     """
 
     def __init__(self, prototype, scale):
@@ -177,6 +180,11 @@ class _FirFamily:
 
     def reset(self):
         self._hist = np.zeros((self.shape[0] - 1, self.shape[1]))
+
+    @property
+    def real(self):
+        """Whether real input gives real output (the history is real)."""
+        return not np.iscomplexobj(self._hist)
 
     def run(self, u):
         hist = self._hist
@@ -199,8 +207,8 @@ class _FirFamily:
             np.multiply(kept, self.scale, out=y[:, cols])
 
         n = u.shape[1]
-        _run_blocks(block, [slice(c, min(c + _FIR_COLUMN_BLOCK, n))
-                            for c in range(0, n, _FIR_COLUMN_BLOCK)])
+        run_blocks(block, [slice(c, min(c + _FIR_COLUMN_BLOCK, n))
+                           for c in range(0, n, _FIR_COLUMN_BLOCK)])
         self._hist = np.concatenate([hist[frames:], u[max(frames - delay, 0) :]], dtype=dtype)
         return y
 
@@ -231,7 +239,7 @@ class _AllPassFamily:
     into row n of an (N, frames) array, scaled in the same pass, and
     returns the transpose.  Each branch reads its own column and writes
     its own row and state, so the branches run on several threads
-    (``_run_blocks``), one branch per block.
+    (``run_blocks``), one branch per block.
     """
 
     def __init__(self, sections, scale):
@@ -242,6 +250,11 @@ class _AllPassFamily:
     def reset(self):
         self._zi = [np.zeros((sos.shape[0], 2)) for sos in self.sections]
 
+    @property
+    def real(self):
+        """Whether real input gives real output (sections and state are real)."""
+        return not any(map(np.iscomplexobj, self.sections + self._zi))
+
     def run(self, u):
         y = np.empty(u.shape[::-1], dtype=np.result_type(u, *self.sections, *self._zi))
 
@@ -249,7 +262,7 @@ class _AllPassFamily:
             out, self._zi[br] = sosfilt(self.sections[br], u[:, br], zi=self._zi[br])
             np.multiply(out, self.scale, out=y[br])
 
-        _run_blocks(branch, range(len(self.sections)))
+        run_blocks(branch, range(len(self.sections)))
         return y.T
 
 
@@ -390,7 +403,13 @@ class AnalysisBank(_Bank):
         """Analyse a whole number of commutator revolutions.
 
         Returns a (frames, N) array; row k is the channel vector of
-        frame ``counters.frames + k``, counted before the call.
+        frame ``counters.frames + k``, counted before the call.  Real
+        branch output has conjugate-symmetric channels (channel N-c holds
+        the conjugate of channel c), so a real block into a bank whose
+        delay line, branch filters and branch state are real returns only
+        channels 0..N/2, a (frames, N//2 + 1) array: the half a Hermitian
+        ``SynthesisBank`` takes.  A real prototype keeps such a bank real
+        until it is fed a complex block.
         """
         x = np.asarray(samples)
         n = self.num_branches
@@ -400,14 +419,21 @@ class AnalysisBank(_Bank):
             )
         _require_finite(x)
         n_frames = x.size // n
-        if n_frames == 0:
-            return np.zeros((0, n), dtype=np.complex128)
         x = x.astype(np.complex128 if np.iscomplexobj(x) else float, copy=False)
         ext = np.concatenate([self._hist, x])
         # row k of the delay line, reversed, holds x[k*N - n] in column n
         branch_in = ext[: n_frames * n].reshape(n_frames, n)[:, ::-1]
+        real = not np.iscomplexobj(branch_in) and self._branches.real
+        if n_frames == 0:
+            return np.zeros((0, n // 2 + 1 if real else n), dtype=np.complex128)
         self._hist = ext[ext.size - (n - 1) :].copy()
-        frames = ifft(self._branches.run(branch_in), axis=1, workers=usable_cpus())
+        branch_out = self._branches.run(branch_in)
+        if real:
+            # the ifft of real data: channel c is conj(rfft)[c] / N
+            frames = rfft(branch_out, axis=1, norm="forward", workers=usable_cpus())
+            np.conjugate(frames, out=frames)
+        else:
+            frames = ifft(branch_out, axis=1, workers=usable_cpus())
         self._count(n_frames)
         return frames
 

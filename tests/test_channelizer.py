@@ -33,6 +33,7 @@ from fstack.pipeline import (
     build_stimulus,
 )
 from fstack.polyphase import matched_cascade_delay
+from tests.test_polyphase import on_cpus
 
 SUBBAND_RATE = 64e6
 
@@ -128,6 +129,22 @@ class TestCoarseStage:
         np.testing.assert_array_equal(upper.samples, lower.samples)
         with pytest.raises(ConfigError, match="outside"):
             coarse_synthesize(pipe, {n: SignalBuffer(z, rate, "complex")})
+
+    def test_upper_subband_stream_is_conjugate_of_its_column(self, pipelines):
+        # the real input's channel N-s is the conjugate of channel s: the
+        # half-width analysis hands out an upper sub-band as the conjugate
+        # of column N-s, which the complex analysis of all N channels confirms
+        pipe = pipelines["pipes"]["iir"]
+        n = pipe.num_coarse_channels
+        pipe = dataclasses.replace(pipe, occupied_subbands=(3, n - 3))
+        stacked = pipelines["stimulus"]
+        x = stacked.samples[: n * 4096]
+        subs = coarse_analyze(pipe, SignalBuffer(x, stacked.rate_hz, "real"))
+        np.testing.assert_array_equal(subs[n - 3].samples, np.conj(subs[3].samples))
+        full = polyphase.AnalysisBank(pipe.coarse_prototype).process_block(x.astype(complex))
+        for sub in (3, n - 3):
+            np.testing.assert_allclose(subs[sub].samples, full[:, sub], rtol=0,
+                                       atol=1e-12 * np.max(np.abs(full[:, sub])))
 
     @pytest.mark.parametrize("kind", ["iir", "fir"])
     def test_restack_matches_complex_synthesis(self, pipelines, kind):
@@ -367,6 +384,27 @@ class TestEndToEnd:
         for report in reports:
             assert report.aligned_delay == float_reports["fir"].aligned_delay
             assert report.mse_over_signal == float_reports["fir"].mse_over_signal
+
+    @pytest.mark.parametrize("kind", ["iir", "fir"])
+    def test_outputs_kept_across_cpu_counts(self, kind, pipelines, float_reports,
+                                            monkeypatch):
+        """One, two and four usable CPUs give the same restack and report.
+
+        The sub-band cascades and the banks' blocks run on the bank pool,
+        switching threads as often as they can; the output must not depend
+        on which thread ran a block, or in which order.
+        """
+        pipe = pipelines["pipes"][kind]
+
+        def run():
+            report = end_to_end(pipe, pipelines["stimulus"], capture_spectra=True)
+            return report.extras.pop("spectra")["output"].samples, report
+
+        runs = [on_cpus(monkeypatch, cpus, run) for cpus in (1, 2, 4)]
+        assert polyphase._POOL[1] == 4
+        for out, report in runs:
+            assert out.tobytes() == runs[0][0].tobytes()
+            assert report == runs[0][1] == float_reports[kind]
 
     def test_stage_composability(self, pipelines, float_reports):
         """Each stage's own round trip stays within 2x of the composed MSE."""

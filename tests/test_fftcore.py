@@ -1,14 +1,18 @@
-"""Transform convention tests: the numpy.fft calls the banks make.
+"""Transform convention tests: the scipy.fft calls the banks make.
 
-``AnalysisBank`` applies ``np.fft.ifft(x, axis=1)`` (inverse kernel, 1/N
-scaling) and ``SynthesisBank`` applies ``np.fft.fft(x, axis=1)`` (forward
-kernel, unscaled) to (frames, N) arrays.  These tests pin that convention
-against an independent O(N^2) DFT, at the channelizer sizes and at sizes
-with large prime factors.
+On (frames, N) arrays, ``AnalysisBank`` applies ``ifft(x, axis=1)``
+(inverse kernel, 1/N scaling) to complex branch output, and to real
+branch output ``conj(rfft(x, axis=1, norm="forward"))``: channels 0..N/2
+of the same inverse transform.  ``SynthesisBank`` applies
+``fft(x, axis=1)`` (forward kernel, unscaled), and a Hermitian one
+``hfft(x, N, axis=1)`` to channels 0..N/2.  These tests pin that
+convention against an independent O(N^2) DFT, at the channelizer sizes
+and at sizes with large prime factors.
 """
 
 import numpy as np
 import pytest
+from scipy.fft import fft, hfft, ifft, rfft
 
 
 def dft_oracle(x, inverse=False):
@@ -29,12 +33,24 @@ def rel_err(a, b):
 
 def forward(x):
     """The synthesis-bank transform, applied to one frame."""
-    return np.fft.fft(np.asarray(x, dtype=complex)[None, :], axis=1)[0]
+    return fft(np.asarray(x, dtype=complex)[None, :], axis=1)[0]
 
 
 def inverse(x):
-    """The analysis-bank transform, applied to one frame."""
-    return np.fft.ifft(np.asarray(x, dtype=complex)[None, :], axis=1)[0]
+    """The analysis-bank transform of complex branch output, applied to one frame."""
+    return ifft(np.asarray(x, dtype=complex)[None, :], axis=1)[0]
+
+
+def real_inverse(x):
+    """The analysis-bank transform of real branch output: channels 0..N/2."""
+    half = rfft(np.asarray(x, dtype=float)[None, :], axis=1, norm="forward")
+    np.conjugate(half, out=half)
+    return half[0]
+
+
+def hermitian_forward(half, n):
+    """The Hermitian synthesis-bank transform of channels 0..N/2, applied to one frame."""
+    return hfft(np.asarray(half, dtype=complex)[None, :], n, axis=1)[0]
 
 
 class TestPlans:
@@ -64,13 +80,17 @@ class TestTransform:
     def test_input_not_modified(self, rng):
         x = rng.standard_normal((3, 40)) + 1j * rng.standard_normal((3, 40))
         keep = x.copy()
-        np.fft.fft(x, axis=1)
-        np.fft.ifft(x, axis=1)
+        fft(x, axis=1)
+        ifft(x, axis=1)
         np.testing.assert_array_equal(x, keep)
+        real = x.real.copy()
+        half = rfft(real, axis=1, norm="forward")
+        hfft(half, 40, axis=1)
+        np.testing.assert_array_equal(real, keep.real)
 
     def test_batch_matches_single(self, rng):
         xs = rng.standard_normal((7, 20)) + 1j * rng.standard_normal((7, 20))
-        batch = np.fft.ifft(xs, axis=1)
+        batch = ifft(xs, axis=1)
         for row_in, row_out in zip(xs, batch):
             np.testing.assert_allclose(dft_oracle(row_in, inverse=True), row_out)
 
@@ -103,7 +123,34 @@ class TestProperties:
 
     @pytest.mark.parametrize("n", [2, 4, 5, 8, 10, 16, 20, 40, 64, 1280, 2048])
     def test_mixed_radix_equals_direct(self, n, rng):
-        # numpy's composite-size FFT against the explicit DFT, both kernels
+        # scipy's composite-size FFT against the explicit DFT, both kernels
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         assert rel_err(forward(x), dft_oracle(x)) < 1e-10
         assert rel_err(inverse(x), dft_oracle(x, inverse=True)) < 1e-10
+
+
+class TestHermitian:
+    """The half-width transforms of real analysis and Hermitian synthesis."""
+
+    SIZES = [1, 2, 3, 4, 5, 7, 8, 13, 20, 22, 64, 101, 1280]
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_real_inverse_is_lower_half_of_oracle(self, n, rng):
+        x = rng.standard_normal(n)
+        half = real_inverse(x)
+        assert half.shape == (n // 2 + 1,)
+        assert rel_err(half, dft_oracle(x, inverse=True)[: n // 2 + 1]) < 1e-10
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_hermitian_forward_is_full_transform(self, n, rng):
+        # the channels of a real frame are conjugate-symmetric; hfft of
+        # their lower half is the forward transform of all N, which is real
+        channels = dft_oracle(rng.standard_normal(n), inverse=True)
+        out = hermitian_forward(channels[: n // 2 + 1], n)
+        assert out.dtype == float
+        assert rel_err(out, dft_oracle(channels)) < 1e-10
+
+    @pytest.mark.parametrize("n", [2, 5, 20, 64, 1280])
+    def test_half_width_round_trip(self, n, rng):
+        x = rng.standard_normal(n)
+        assert np.max(np.abs(hermitian_forward(real_inverse(x), n) - x)) < 1e-10

@@ -55,37 +55,45 @@ def bandlimited_real(rng, total, num_branches, fp_norm, occupied):
     return x / np.std(x)
 
 
+def full_width(frames, n):
+    """All N channels of a (frames, N//2 + 1) real analysis: channel N-c is conj(c)."""
+    width = frames.shape[1]
+    return np.concatenate([frames, np.conj(frames[:, 1 : n - width + 1][:, ::-1])], axis=1)
+
+
+def on_cpus(monkeypatch, cpus, run):
+    """``run()`` with ``cpus`` usable CPUs, switching threads as often as it can.
+
+    A block lost, or read back before its thread wrote it, would then
+    change the output.
+    """
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        return run()
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def assert_cpu_count_keeps_outputs(proto, x, monkeypatch):
     """Analysis and synthesis outputs are equal on the usable CPUs, four and one CPU.
 
-    Real input goes back through a Hermitian synthesis of channels
-    0..N/2, complex input through the full synthesis.  The four-CPU run
-    switches threads as often as it can: a block lost, or read back
-    before its thread wrote it, would change the output.
+    Real input gives channels 0..N/2 and goes back through a Hermitian
+    synthesis, complex input through the full synthesis.
     """
-    n = proto.spec.num_branches
 
     def run():
         channels = AnalysisBank(proto).process_block(x)
         # a Hermitian synthesis takes channels 0..N/2 and runs its
         # branches on real data
-        if np.isrealobj(x):
-            out = SynthesisBank(proto, hermitian=True).process_block(channels[:, : n // 2 + 1])
-        else:
-            out = SynthesisBank(proto).process_block(channels)
+        out = SynthesisBank(proto, hermitian=np.isrealobj(x)).process_block(channels)
         return channels, out
 
     default = run()
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        four = run()
-    finally:
-        sys.setswitchinterval(interval)
+    four = on_cpus(monkeypatch, 4, run)
     assert polyphase._POOL[1] == 4
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    one = run()
+    one = on_cpus(monkeypatch, 1, run)
     assert (default[1].dtype.kind == "f") == np.isrealobj(x)
     for a, b, c in zip(default, four, one):
         np.testing.assert_array_equal(a, b)
@@ -154,7 +162,7 @@ class TestFraming:
         with np.errstate(over="ignore", invalid="ignore"):
             frames = AnalysisBank(proto).process_block(np.full(4 * 8, 1e308))
             out = SynthesisBank(proto).process_block(np.full((8, 4), 1e308 + 0j))
-        assert frames.shape == (8, 4)
+        assert frames.shape == (8, 3)  # real input: channels 0..N/2
         assert out.shape == (32,)
 
     def test_opposite_infinities_rejected(self, iir_small):
@@ -175,6 +183,34 @@ class TestFraming:
         fir, iir = fir_small[4], iir_small[4]
         assert AnalysisBank(fir).warmup_frames == fir.length // 4
         assert AnalysisBank(iir).warmup_frames == 2 * iir.sections_per_branch
+
+    @pytest.mark.parametrize("kind", ["iir", "fir"])
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_real_input_gives_half_width_frames(self, kind, n, iir_small, fir_small, rng):
+        # channels 0..N/2 of the complex analysis of the same samples; the
+        # upper channels it leaves out are the conjugates of 1..N/2-1
+        proto = (iir_small if kind == "iir" else fir_small)[n]
+        x = rng.standard_normal(n * 64)
+        half = AnalysisBank(proto).process_block(x)
+        full = AnalysisBank(proto).process_block(x.astype(complex))
+        assert half.shape == (64, n // 2 + 1)
+        assert rel_err(full_width(half, n), full) <= 1e-12
+        assert AnalysisBank(proto).process_block(x[:0]).shape == (0, n // 2 + 1)
+        # a bank that has seen a complex block is complex from then on
+        bank = AnalysisBank(proto)
+        bank.process_block(x[: n * 8].astype(complex))
+        assert bank.process_block(x[n * 8 :]).shape == (56, n)
+
+    def test_real_input_to_complex_sections_gives_all_channels(self, rng):
+        # sections with no conjugate partner make real input's channels
+        # asymmetric, so all N are returned
+        n = 4
+        spec = PrototypeSpec(1.0, 0.4 / n, 0.6 / n, 0.01, 0.01, n, "iir")
+        proto = AllPassPrototype(np.full((n - 1, 2), 0.3 + 0.2j), spec)
+        x = rng.standard_normal(n * 32)
+        frames = AnalysisBank(proto).process_block(x)
+        assert frames.shape == (32, n)
+        np.testing.assert_array_equal(frames, AnalysisBank(proto).process_block(x + 0j))
 
     def test_rate_bookkeeping(self, fir_small, rng):
         bank = AnalysisBank(fir_small[8])
@@ -243,8 +279,15 @@ class TestChunking:
         blocks = self._blocks(data, cuts, real)
         whole = np.concatenate([b.astype(complex) for b in blocks])
         if direction == "analysis":
-            bank = AnalysisBank(proto)
-            chunked = np.concatenate([bank.process_block(b.reshape(-1)) for b in blocks])
+            # a real block gives channels 0..N/2 until a complex block of
+            # at least one frame has made the bank's state complex
+            bank, outs, state_real = AnalysisBank(proto), [], True
+            for b in blocks:
+                out = bank.process_block(b.reshape(-1))
+                assert out.shape[1] == (n // 2 + 1 if state_real and np.isrealobj(b) else n)
+                state_real = state_real and (np.isrealobj(b) or b.size == 0)
+                outs.append(full_width(out, n))
+            chunked = np.concatenate(outs)
             single = AnalysisBank(proto).process_block(whole.reshape(-1))
         else:
             bank = SynthesisBank(proto)
@@ -256,13 +299,14 @@ class TestChunking:
 class TestOracleEquivalence:
     def test_boxcar_frames_are_idft_of_reversed_blocks(self):
         # unit taps on every branch: frame k is the inverse transform of
-        # (x[4k], x[4k-1], x[4k-2], x[4k-3])
+        # (x[4k], x[4k-1], x[4k-2], x[4k-3]); real input keeps bins 0..2
         proto = fir_from_taps(np.ones(4), 4)
         x = np.arange(16, dtype=float)
         frames = AnalysisBank(proto).process_block(x)
+        assert frames.shape == (4, 3)
         for k in range(4):
             block = np.array([x[4 * k - n] if 4 * k - n >= 0 else 0.0 for n in range(4)])
-            expected = np.fft.ifft(block)
+            expected = np.fft.ifft(block)[:3]
             np.testing.assert_allclose(frames[k], expected, atol=1e-12)
 
     def test_single_tap_prototype_oracle(self, rng):
@@ -446,7 +490,7 @@ class TestReconstruction:
     def test_boxcar_cascade_is_pure_delay(self, rng):
         proto = fir_from_taps(np.ones(4), 4)
         x = rng.standard_normal(4 * 64)
-        y = SynthesisBank(proto).process_block(AnalysisBank(proto).process_block(x))
+        y = SynthesisBank(proto, hermitian=True).process_block(AnalysisBank(proto).process_block(x))
         delay = matched_cascade_delay(proto)
         assert delay == 3
         assert np.max(np.abs(np.real(y[delay:]) - x[: y.size - delay])) < 1e-12
@@ -468,7 +512,7 @@ class TestReconstruction:
         proto = pipelines["pipes"][kind].coarse_prototype
         n = proto.spec.num_branches
         x = bandlimited_real(rng, n * 4096, n, proto.spec.fp_norm, occupied=range(1, 10))
-        y = np.real(SynthesisBank(proto).process_block(AnalysisBank(proto).process_block(x)))
+        y = SynthesisBank(proto, hermitian=True).process_block(AnalysisBank(proto).process_block(x))
         delay = matched_cascade_delay(proto)
         tail = 2 * delay
         err = y[delay + tail :] - x[tail : y.size - delay]
@@ -479,7 +523,7 @@ class TestReconstruction:
         # the minimum-order reference design sits at the 1e-4 level
         n = 20
         x = bandlimited_real(rng, n * 4096, n, iir20.spec.fp_norm, occupied=range(1, 10))
-        y = np.real(SynthesisBank(iir20).process_block(AnalysisBank(iir20).process_block(x)))
+        y = SynthesisBank(iir20, hermitian=True).process_block(AnalysisBank(iir20).process_block(x))
         delay = matched_cascade_delay(iir20)
         tail = 2 * delay
         err = y[delay + tail :] - x[tail : y.size - delay]
@@ -491,7 +535,7 @@ class TestReconstruction:
         t = np.arange(n * 4096)
         f0 = 3.0 / n + 0.004  # inside channel 3's passband
         x = np.cos(2 * np.pi * f0 * t)
-        y = np.real(SynthesisBank(iir20).process_block(AnalysisBank(iir20).process_block(x)))
+        y = SynthesisBank(iir20, hermitian=True).process_block(AnalysisBank(iir20).process_block(x))
         spectrum = np.abs(np.fft.rfft(y[matched_cascade_delay(iir20) :] * np.hanning(y.size - matched_cascade_delay(iir20))))
         peak = np.argmax(spectrum) / (y.size - matched_cascade_delay(iir20))
         assert abs(peak - f0) < 1.0 / 4096
@@ -581,6 +625,39 @@ def run_isolated(code, timeout=120):
             proc.communicate()
             raise
     return subprocess.CompletedProcess(proc.args, proc.returncode, out, err)
+
+
+class TestRunBlocks:
+    def test_nested_runs_run_every_block_once(self):
+        # each outer block runs a pool run of its own, as a full-scale fine
+        # bank's column blocks do inside a sub-band block; every inner block
+        # must run exactly once.  A deadlock would also hang the pool's
+        # threads at exit, so the run has an interpreter of its own, which
+        # the timeout kills
+        proc = run_isolated("""
+            import os
+            import sys
+            import time
+            from fstack import polyphase
+
+            os.sched_getaffinity = lambda pid: {0, 1, 2, 3}
+            sys.setswitchinterval(1e-6)
+            done = []
+
+            def outer(i):
+                def inner(j):
+                    time.sleep(1e-3)  # lets the helpers take blocks from the queue
+                    done.append((i, j))
+
+                polyphase.run_blocks(inner, range(5))
+
+            polyphase.run_blocks(outer, range(6))
+            assert polyphase._POOL[1] == 4
+            assert sorted(done) == [(i, j) for i in range(6) for j in range(5)]
+            print("ok")
+        """, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["ok"]
 
 
 class TestBankPoolFork:
