@@ -192,13 +192,24 @@ def coarse_analyze(config, stacked):
     return _occupied_streams(config, frames, stacked.label)
 
 
+def _restack(config, frames):
+    """The real wideband signal of (frames, N//2 + 1) restack frames.
+
+    The one home of the coarse synthesis bank call (a Hermitian bank).
+    """
+    bank = SynthesisBank(config.coarse_prototype, hermitian=True)
+    y = bank.process_block(frames)
+    return SignalBuffer(np.real(y), config.plan.inputs.f_s, "real", label="restacked")
+
+
 def coarse_synthesize(config, subbands):
     """Restack sub-band streams into the real wideband signal.
 
-    The real output's spectrum is conjugate-symmetric, so the Hermitian
-    synthesis bank takes only channels 0..N/2: a stream given for a
-    channel s > N/2 goes conjugated into channel N-s.  Channels the
-    streams leave out stay empty.
+    A stream given for a channel s > N/2 goes conjugated into channel
+    N-s of the restack frames (``_restack``); channels the streams leave
+    out stay empty, and of two streams for one column the later one in
+    ``subbands`` is kept.  ``end_to_end`` fills the same frames straight
+    from its fine cascades instead of going through this function.
     """
     n = config.num_coarse_channels
     lengths = {len(buf) for buf in subbands.values()}
@@ -213,9 +224,7 @@ def coarse_synthesize(config, subbands):
             raise ConfigError(f"sub-band {sub} outside [0, {n})")
         col, conj = _half_width_column(n, sub)
         frames[:, col] = np.conj(buf.samples) if conj else buf.samples
-    bank = SynthesisBank(config.coarse_prototype, hermitian=True)
-    y = bank.process_block(frames)
-    return SignalBuffer(np.real(y), config.plan.inputs.f_s, "real", label="restacked")
+    return _restack(config, frames)
 
 
 def fine_analyze(config, subband):
@@ -334,7 +343,11 @@ def end_to_end(config, stimulus, adc_bits=None, snr_db=None, seed=1234,
     of the real input; each occupied sub-band's fine analysis and
     synthesis is one block of the bank pool (``run_blocks``), so the
     sub-bands run on every usable CPU, and the output does not depend on
-    the thread that runs a block.
+    the thread that runs a block.  Each cascade writes its output
+    straight into its column of the half-width restack frames that
+    ``coarse_synthesize`` would build from the same streams, so no
+    dict of fine outputs outlives the fine stage, and the coarse frames
+    are freed before the restack.
 
     The aligned delay is the cross-correlation peak over lags
     0..2·expected + 1024 (the expected delay is searched for, not
@@ -376,19 +389,25 @@ def end_to_end(config, stimulus, adc_bits=None, snr_db=None, seed=1234,
             f"needs at least {needed} (expected delay {theory} plus warm-up)"
         )
 
+    n, n_f = config.num_coarse_channels, config.channel_plan.channels_per_subband
     coarse, warmup_frames = _coarse_frames(config, x)
-    leakage = _channel_power_table(coarse, config.num_coarse_channels, warmup_frames)
+    leakage = _channel_power_table(coarse, n, warmup_frames)
     subbands = _occupied_streams(config, coarse, x.label)
     spectra = dict(subbands) if capture_spectra else {}
-    processed = dict.fromkeys(config.occupied_subbands)  # restacked in this order
+    # rows: the fine cascade's output length, whole fine frames of the coarse frames
+    frames = np.zeros(((coarse.shape[0] // n_f) * n_f, n // 2 + 1), dtype=np.complex128)
+    # of two sub-bands on one column the later is kept, as coarse_synthesize does
+    columns = {_half_width_column(n, sub)[0]: sub for sub in config.occupied_subbands}
 
     def cascade(sub):
-        processed[sub] = fine_synthesize(config, fine_analyze(config, subbands[sub]))
+        out = fine_synthesize(config, fine_analyze(config, subbands[sub])).samples
+        col, conj = _half_width_column(n, sub)
+        frames[:, col] = np.conj(out) if conj else out
 
-    run_blocks(cascade, config.occupied_subbands)
+    run_blocks(cascade, columns.values())
     # the coarse frames' last references: they are freed before the restack
     del coarse, subbands
-    restacked = coarse_synthesize(config, processed)
+    restacked = _restack(config, frames)
     ref, out = stimulus.samples, restacked.samples
     lo = min(theory, len(ref) - DELAY_SEARCH_SPAN)
     if lo >= 0:

@@ -166,9 +166,12 @@ class _FirFamily:
     prototype's cache, see ``_tap_spectrum``) and transformed back.  The
     circular wrap-around lands only on the first K-1 outputs, which
     belong to the history rows and are dropped; the rest are scaled by
-    ``scale`` as they are written out.  Each block has its own buffer and
-    writes its own output columns, so the blocks can run on several
-    threads (``run_blocks``): pocketfft and numpy release the GIL.
+    ``scale`` as they are written out.  A block frees its input buffer
+    once it is transformed and its spectrum once it is transformed back,
+    so at most two of its three buffers are alive at once.  Each block
+    has its own buffers and writes its own output columns, so the blocks
+    can run on several threads (``run_blocks``): pocketfft and numpy
+    release the GIL.
     """
 
     def __init__(self, prototype, scale):
@@ -202,9 +205,11 @@ class _FirFamily:
             ext[delay : delay + frames] = u[:, cols]
             ext[delay + frames :] = 0.0
             spec = fwd(ext, axis=0, overwrite_x=True)
+            del ext
             spec *= taps[:, cols]
-            kept = inv(spec, nfft, axis=0, overwrite_x=True)[delay : delay + frames]
-            np.multiply(kept, self.scale, out=y[:, cols])
+            full = inv(spec, nfft, axis=0, overwrite_x=True)
+            del spec
+            np.multiply(full[delay : delay + frames], self.scale, out=y[:, cols])
 
         n = u.shape[1]
         run_blocks(block, [slice(c, min(c + _FIR_COLUMN_BLOCK, n))
@@ -410,6 +415,10 @@ class AnalysisBank(_Bank):
         channels 0..N/2, a (frames, N//2 + 1) array: the half a Hermitian
         ``SynthesisBank`` takes.  A real prototype keeps such a bank real
         until it is fed a complex block.
+
+        The block's delay line (the kept history followed by the block, a
+        copy of the input) is freed once the branches have run, before
+        the channel transform allocates the frames.
         """
         x = np.asarray(samples)
         n = self.num_branches
@@ -428,6 +437,7 @@ class AnalysisBank(_Bank):
             return np.zeros((0, n // 2 + 1 if real else n), dtype=np.complex128)
         self._hist = ext[ext.size - (n - 1) :].copy()
         branch_out = self._branches.run(branch_in)
+        del ext, branch_in  # the delay line is freed before the transform's output exists
         if real:
             # the ifft of real data: channel c is conj(rfft)[c] / N
             frames = rfft(branch_out, axis=1, norm="forward", workers=usable_cpus())
@@ -457,7 +467,10 @@ class SynthesisBank(_Bank):
     def process_block(self, frames):
         """Synthesise a (frames, N) channel array back to F*N samples.
 
-        A ``hermitian`` bank takes (frames, N//2 + 1) arrays.
+        A ``hermitian`` bank takes (frames, N//2 + 1) arrays.  Branch
+        output not yet in sample order (the all-pass family's rows) is
+        interleaved into the transformed frames, which the branches have
+        read, so the returned samples reuse that buffer.
         """
         frames = np.asarray(frames, dtype=np.complex128)
         n = self.num_branches
@@ -472,6 +485,9 @@ class SynthesisBank(_Bank):
         slots = transform(frames, n, axis=1, workers=usable_cpus())
         # branch n feeds output slot k*N + N-1-n; the family runs in slot order
         out = self._branches.run(slots[:, ::-1])
+        if not out.flags.c_contiguous and out.dtype == slots.dtype:
+            slots[...] = out
+            out = slots
         self._count(n_frames)
         return out.reshape(-1)
 

@@ -2,7 +2,9 @@
 
 import dataclasses
 import math
+import os
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +38,21 @@ from fstack.polyphase import matched_cascade_delay
 from tests.test_polyphase import on_cpus
 
 SUBBAND_RATE = 64e6
+
+
+def _fir_pipeline_at(channels, fs_hz, fc_hz):
+    """A small FIR-candidate pipeline with 2 * ``channels`` coarse channels and its stimulus."""
+    cfg = load_config(overrides={
+        "plan.num_coarse_channels": channels, "plan.fs_hz": fs_hz,
+        "plan.fc_hz": fc_hz, "plan.bandwidth_hz": 75e6,
+        "coarse.prototype": "fir", "coarse.fir_stopband_db": 55,
+        "coarse.passband_ripple_db": 0.01,
+        "fine.granularity_hz": 12.5e6, "sim.num_samples": 200_000,
+    })
+    plan = build_plan(cfg)
+    channel_plan = build_channel_plan(cfg)
+    pipe = build_pipeline_config(cfg, "fir", plan, channel_plan)
+    return pipe, build_stimulus(cfg, plan, channel_plan, pipe.occupied_subbands)
 
 
 class TestChannelPlan:
@@ -324,18 +341,9 @@ class TestEndToEnd:
     )
     def test_fir_pipeline_at_other_even_n(self, channels, fs_hz, fc_hz):
         """A small FIR-candidate pipeline at N = 14 and 22 lands on its delay."""
-        cfg = load_config(overrides={
-            "plan.num_coarse_channels": channels, "plan.fs_hz": fs_hz,
-            "plan.fc_hz": fc_hz, "plan.bandwidth_hz": 75e6,
-            "coarse.prototype": "fir", "coarse.fir_stopband_db": 55,
-            "coarse.passband_ripple_db": 0.01,
-            "fine.granularity_hz": 12.5e6, "sim.num_samples": 200_000,
-        })
-        plan = build_plan(cfg)
-        channel_plan = build_channel_plan(cfg)
-        pipe = build_pipeline_config(cfg, "fir", plan, channel_plan)
+        pipe, stimulus = _fir_pipeline_at(channels, fs_hz, fc_hz)
         assert pipe.num_coarse_channels == 2 * channels
-        report = end_to_end(pipe, build_stimulus(cfg, plan, channel_plan, pipe.occupied_subbands))
+        report = end_to_end(pipe, stimulus)
         assert report.aligned_delay == pipe.expected_delay_samples()
         assert report.mse_over_signal < 1e-4
 
@@ -405,6 +413,55 @@ class TestEndToEnd:
         for out, report in runs:
             assert out.tobytes() == runs[0][0].tobytes()
             assert report == runs[0][1] == float_reports[kind]
+
+    @pytest.mark.parametrize("kind", ["iir", "fir", "fir_n14", "iir_mirrored"])
+    def test_in_place_restack_equals_coarse_synthesize(self, kind, pipelines):
+        """The restack that end_to_end fills from its fine cascades is the
+        one coarse_synthesize builds from the same fine outputs, byte for byte.
+
+        At N = 14 the fine output (14 280 rows) is shorter than the coarse
+        frames (14 285), so the restack frames take the fine length.  With
+        sub-bands 3 and 17 both occupied, both land on column 3 and the
+        later one is kept.
+        """
+        if kind == "fir_n14":
+            pipe, stimulus = _fir_pipeline_at(7, 1400e6, 1650.75e6)
+        else:
+            pipe, stimulus = pipelines["pipes"][kind[:3]], pipelines["stimulus"]
+        if kind == "iir_mirrored":
+            pipe = dataclasses.replace(pipe, occupied_subbands=(3, 17))
+        spectra = end_to_end(pipe, stimulus, capture_spectra=True).extras["spectra"]
+        restacked = spectra.pop("output").samples
+        processed = {sub: fine_synthesize(pipe, fine_analyze(pipe, buf))
+                     for sub, buf in spectra.items()}
+        assert restacked.tobytes() == coarse_synthesize(pipe, processed).samples.tobytes()
+        (fine_rows,) = {len(buf) for buf in processed.values()}
+        (coarse_rows,) = {len(buf) for buf in spectra.values()}
+        assert (fine_rows < coarse_rows) == (kind == "fir_n14")
+
+    @pytest.mark.parametrize("kind, budget", [("iir", 3.5), ("fir", 5.5)])
+    def test_working_set_budget(self, kind, budget, pipelines, monkeypatch):
+        """A warm float pass allocates at most ``budget`` times the stimulus's bytes.
+
+        Every full-length array of the pass lives only as long as its
+        stage (3.21x for the IIR candidate and 5.14x for the FIR one when
+        the restack frames were first filled in place; 5.01x and 7.05x
+        when the fine outputs and the delay lines were kept).  Each fine
+        cascade running at once adds its own buffers, so the pass runs on
+        two usable CPUs whatever the host has.
+        """
+        pipe, stimulus = pipelines["pipes"][kind], pipelines["stimulus"]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        end_to_end(pipe, stimulus)  # warms the tap spectra and the bank pool
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            end_to_end(pipe, stimulus)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ratio = (peak - before) / stimulus.samples.nbytes
+        assert ratio <= budget, f"{ratio:.2f}x the stimulus against a {budget}x budget"
 
     def test_stage_composability(self, pipelines, float_reports):
         """Each stage's own round trip stays within 2x of the composed MSE."""
@@ -513,14 +570,14 @@ class TestDelaySearch:
         """An output moved by k samples aligns at expected + k, also when
         k is wider than the correlated segment."""
         pipe = pipelines["pipes"]["iir"]
-        inner = channelizer.coarse_synthesize
+        inner = channelizer._restack
 
-        def shifted(config, streams):
-            y = inner(config, streams).samples
+        def shifted(config, frames):
+            y = inner(config, frames).samples
             y = np.concatenate([np.zeros(shift), y]) if shift > 0 else y[-shift:]
             return SignalBuffer(y, pipe.plan.inputs.f_s, "real")
 
-        monkeypatch.setattr(channelizer, "coarse_synthesize", shifted)
+        monkeypatch.setattr(channelizer, "_restack", shifted)
         sizes = self._reference_sizes(monkeypatch)
         report = end_to_end(pipe, pipelines["stimulus"])
         assert report.aligned_delay == pipe.expected_delay_samples() + shift
