@@ -358,11 +358,11 @@ def end_to_end(config, stimulus, adc_bits=None, snr_db=None, seed=1234,
     segment with under a quarter of the stimulus's mean power (a record
     that starts or ends quiet), is correlated whole instead.
 
-    A stimulus shorter than the expected delay plus
-    ``pipeline_warmup_samples`` raises ``InvalidSpecError``: its aligned
-    span could not reach steady state.  So does a run with nothing to
-    measure: no occupied sub-band, an empty or silent stimulus, or a
-    stimulus silent over the whole compared span.
+    A stimulus shorter than the expected delay plus ``pipeline_warmup_samples``
+    raises ``InvalidSpecError``: its aligned span could not reach steady
+    state.  So does a run with nothing to measure: no occupied sub-band, an
+    empty or silent stimulus, or a stimulus silent over the whole compared
+    span.  So does an SNR of -inf or NaN; +inf adds no noise.
     """
     if not config.occupied_subbands:
         raise InvalidSpecError("nothing to measure: no sub-band is occupied")
@@ -371,7 +371,7 @@ def end_to_end(config, stimulus, adc_bits=None, snr_db=None, seed=1234,
         raise InvalidSpecError("nothing to measure: the stimulus is empty or silent")
     x = stimulus
     extras = {}
-    if snr_db is not None and not math.isinf(snr_db):
+    if snr_db is not None and snr_db != math.inf:
         x = add_awgn(x, snr_db, seed)
         extras["snr_db"] = snr_db
     if adc_bits is not None:

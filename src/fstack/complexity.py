@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidSpecError
-from .filter_design import estimate_fir_length, estimate_iir_sections
+from .filter_design import estimate_fir_length, estimate_iir_order
 
 CSV_HEADER = [
     "N", "delta_pct", "L_fir", "L_iir",
@@ -108,9 +108,7 @@ def point_report(n, guardband_pct, passband_ripple, stopband_ripple):
     """Cost report for one sweep point; ripples are linear peak deviations."""
     delta_f = guardband_pct / (100.0 * n)
     l_fir = max(estimate_fir_length(passband_ripple, stopband_ripple, delta_f), n)
-    l_raw = estimate_iir_sections(stopband_ripple, delta_f)
-    # round the coefficient estimate to whole sections per branch
-    l_iir = n * max(1, round(l_raw / n))
+    l_iir = n * estimate_iir_order(stopband_ripple, delta_f, n)
     a_ifft, p_ifft = ifft_cost(n)
     a1, p1 = fir_candidate_cost(n, l_fir)
     a2, p2 = iir_candidate_cost(n, l_iir)

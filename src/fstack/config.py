@@ -3,18 +3,19 @@
 Sections and keys:
 
     [plan]   fs_hz, fo_hz, fc_hz, nyquist_zone, bandwidth_hz, num_coarse_channels
-    [coarse] prototype (fir|iir), n_fos, stopband_db, passband_ripple_db,
+    [coarse] prototype (fir|iir), stopband_db, passband_ripple_db,
              fir_stopband_db
     [fine]   standard (gmr1|gmr2|custom), granularity_hz, guardband_fraction
     [sim]    seed, num_samples, adc_bits, snr_db, occupied_subbands
     [io]     output_dir
 
-Every key is validated before any work starts; a failure lists all the
-bad keys at once.  ``fine.granularity_hz`` applies to the custom
-standard only: under gmr1 or gmr2 it must keep its default.
+Every key is validated before any work starts, and every number must be
+finite; a failure lists all the bad keys at once.  ``fine.granularity_hz``
+applies to the custom standard only (gmr1 and gmr2 keep its default).
 """
 
 import configparser
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -33,7 +34,6 @@ DEFAULTS = {
         # pipeline defaults are sized for end-to-end transparency, not
         # the minimum that merely meets the reference stopband spec
         # (see README); reconstruction error scales like N * ripple^2
-        "n_fos": "14",
         "stopband_db": "66.5",
         "passband_ripple_db": "0.005",
         # optional FIR-candidate override: the comparison wants the two
@@ -69,7 +69,6 @@ class RunConfig:
     bandwidth_hz: float
     num_coarse_channels: int
     coarse_kind: str
-    n_fos: int
     stopband_db: float
     passband_ripple_db: float
     fir_stopband_db: float | None
@@ -119,6 +118,9 @@ def load_config(path=None, overrides=None):
         except ValueError:
             errors.append(f"{section}.{key}: cannot parse {raw!r}")
             return None
+        if not math.isfinite(val):
+            errors.append(f"{section}.{key}: {raw!r} is not a finite number")
+            return None
         if pred is not None and not pred(val):
             errors.append(f"{section}.{key}: {raw!r} out of range {desc}")
             return None
@@ -139,7 +141,6 @@ def load_config(path=None, overrides=None):
     kind = data["coarse"]["prototype"].strip().lower()
     if kind not in ("fir", "iir"):
         errors.append(f"coarse.prototype: {kind!r} not fir|iir")
-    n_fos = _num("coarse", "n_fos", int, lambda v: v >= 1, "(>= 1)")
     stop_db = _num("coarse", "stopband_db", float, lambda v: v > 0, "(> 0)")
     pass_db = _num("coarse", "passband_ripple_db", float, lambda v: v > 0, "(> 0)")
     fir_stop_db = _opt("coarse", "fir_stopband_db", float, lambda v: v > 0, "(> 0)")
@@ -179,7 +180,7 @@ def load_config(path=None, overrides=None):
     return RunConfig(
         fs_hz=fs, fo_hz=fo, fc_hz=fc, nyquist_zone=zone, bandwidth_hz=bw,
         num_coarse_channels=n_c,
-        coarse_kind=kind, n_fos=n_fos, stopband_db=stop_db,
+        coarse_kind=kind, stopband_db=stop_db,
         passband_ripple_db=pass_db,
         fir_stopband_db=fir_stop_db,
         fine_standard=standard, granularity_hz=gran, guardband_fraction=guard,

@@ -32,6 +32,8 @@ _ALPHA_LIMIT = 1.0 - 1e-6
 _FIT_RTOL = 1e-3
 _FIT_WINDOW = 10
 _FIT_MAX_STEPS = 200
+# orders (sections per branch) tried by the recursive design's search
+_ORDER_ATTEMPTS = 8
 
 
 def attenuation_to_ripple(atten_db):
@@ -118,7 +120,7 @@ class FirPrototype:
 
     @property
     def sections_per_branch(self):
-        # branch length bookkeeping: L = N * (n_fos + 1) when N divides L
+        # branch length bookkeeping: L = N * (sections + 1) when N divides L
         return math.ceil(self.length / self.spec.num_branches) - 1
 
     @property
@@ -137,7 +139,7 @@ class AllPassPrototype:
     sections_per_branch samples and carries no coefficients.
     """
 
-    alphas: np.ndarray  # (N-1, n_fos) complex
+    alphas: np.ndarray  # (N-1, sections per branch) complex
     spec: PrototypeSpec
     design_report: object = field(default=None, repr=False, compare=False)
 
@@ -158,10 +160,6 @@ class AllPassPrototype:
     @property
     def sections_per_branch(self):
         return self.alphas.shape[1]
-
-    @property
-    def branch0_delay(self):
-        return self.sections_per_branch
 
     @property
     def coefficient_count(self):
@@ -195,9 +193,9 @@ def estimate_fir_length(passband_ripple, stopband_ripple, delta_f):
 def estimate_iir_sections(stopband_ripple, delta_f):
     """Empirical total all-pass coefficient count for the recursive candidate.
 
-    Returns L_IIR (= N * n_fos).  A zero return means the requested
-    attenuation is below the validity floor of the fit and should be
-    treated as an infeasible-spec warning by the caller.
+    Returns L_IIR (= N * sections per branch).  A zero return means the
+    requested attenuation is below the validity floor of the fit and
+    should be treated as an infeasible-spec warning by the caller.
     """
     if delta_f <= 0:
         raise InvalidSpecError(f"transition width must be positive, got {delta_f}")
@@ -205,6 +203,11 @@ def estimate_iir_sections(stopband_ripple, delta_f):
         raise InvalidSpecError(f"ripple must lie in (0, 1), got {stopband_ripple}")
     value = 0.058 * (-10.0 * math.log10(stopband_ripple) - 10.0) / delta_f
     return max(0, round(value))
+
+
+def estimate_iir_order(stopband_ripple, delta_f, num_branches):
+    """``estimate_iir_sections`` in whole sections per branch, at least one."""
+    return max(1, round(estimate_iir_sections(stopband_ripple, delta_f) / num_branches))
 
 
 # ---------------------------------------------------------------------------
@@ -430,33 +433,49 @@ def _alphas_from_denominator(d):
     return alphas[order]
 
 
-def design_iir_nthband_alp(spec, n_fos, phase_limit_deg=1.0):
-    """Design the recursive Nth-band almost-linear-phase prototype.
+def design_iir_nthband_alp(spec, phase_limit_deg=1.0):
+    """Recursive Nth-band almost-linear-phase prototype of the fewest sections.
 
-    Branch n (n = 1..N-1) is an order-``n_fos`` all-pass approximating a
-    delay of n_fos - n/N samples at the decimated rate over the passband
-    image [0, 2*pi*N*f_p/f_s]; branch 0 is a pure n_fos-sample delay.
-    The returned design is verified (passband flatness, guarded stopband,
-    phase linearity within ``phase_limit_deg``) and a failed verification
-    raises with the achieved numbers attached.
+    The order (sections per branch) starts at ``estimate_iir_order`` and
+    grows by one until the design passes ``verify_allpass``, as
+    ``design_fir_equiripple`` grows its length.  After ``_ORDER_ATTEMPTS``
+    failing orders it raises with the best verification report attached.
     """
     if spec.kind != "iir":
         raise InvalidSpecError("spec.kind must be 'iir' for the recursive design")
-    if n_fos < 1:
-        raise InvalidSpecError(f"n_fos must be >= 1, got {n_fos}")
+    first = estimate_iir_order(spec.stopband_ripple, spec.delta_f, spec.num_branches)
+    best = None
+    for order in range(first, first + _ORDER_ATTEMPTS):
+        try:
+            return _design_iir_at_order(spec, order, phase_limit_deg)
+        except DesignFailureError as err:
+            best = min(filter(None, (best, err.report)), default=None,
+                       key=lambda c: c.passband_dev + c.stopband_max)
+    raise DesignFailureError(
+        f"no passing recursive design at {first}-{order} sections per branch", report=best)
+
+
+def _design_iir_at_order(spec, order, phase_limit_deg):
+    """The recursive design at ``order`` sections per branch.
+
+    Branch n (n = 1..N-1) is an order-``order`` all-pass approximating a
+    delay of order - n/N samples at the decimated rate over the passband
+    image [0, 2*pi*N*f_p/f_s]; branch 0 is a pure ``order``-sample delay.
+    The design is verified (passband flatness, guarded stopband, phase
+    linearity within ``phase_limit_deg``), and a failed verification
+    raises with the achieved numbers attached.
+    """
     n_br = spec.num_branches
-    if n_br == 1:
-        return AllPassPrototype(np.zeros((0, n_fos)), spec)
     w_max = 2.0 * np.pi * n_br * spec.fp_norm
     if w_max >= np.pi:
         raise InvalidSpecError(
             f"passband edge {spec.fp_norm} too wide for {n_br} branches "
             f"(need f_p/f_s < 1/(2N))"
         )
-    delays = [n_fos - n / n_br for n in range(1, n_br)]
-    fits = [_fit_branch_delay(n_fos, delay, w_max) for delay in delays]
+    delays = [order - n / n_br for n in range(1, n_br)]
+    fits = [_fit_branch_delay(order, delay, w_max) for delay in delays]
     alphas = np.array([_alphas_from_denominator(d) for d, *_ in fits], dtype=np.complex128)
-    proto = AllPassPrototype(alphas, spec)
+    proto = AllPassPrototype(alphas.reshape(n_br - 1, order), spec)  # (0, order) at N = 1
     check = verify_allpass(proto, phase_limit_deg=phase_limit_deg)
     check.branch_phase_err_rad = tuple(peak for _, peak, _ in fits)
     check.branch_fit_steps = tuple(steps for *_, steps in fits)
@@ -466,8 +485,7 @@ def design_iir_nthband_alp(spec, n_fos, phase_limit_deg=1.0):
             f"recursive design failed verification: pass_dev={check.passband_dev:.3g} "
             f"(limit {max(spec.passband_ripple, 1e-5):.3g}), "
             f"stop_max={check.stopband_max:.3g} (limit {spec.stopband_ripple:.3g}), "
-            f"phase_dev={check.phase_dev_deg:.3g} deg (limit {phase_limit_deg:.3g}); "
-            f"retry with larger n_fos",
+            f"phase_dev={check.phase_dev_deg:.3g} deg (limit {phase_limit_deg:.3g})",
             report=check,
         )
     return proto
@@ -505,9 +523,9 @@ def _branch_response(proto, branch, w_dec, z):
 def composite_response(proto, freqs):
     """Response of the recomposed prototype at normalized frequencies.
 
-    For the recursive kind, sum_n e^{-jwn} A_n(e^{jNw}) z^-n_fos / N with
-    A_0 = 1: the delay factor is shared and applied once, e^{-jwn} comes
-    by recurrence, and each branch costs one Horner evaluation.
+    For the recursive kind, sum_n e^{-jwn} A_n(e^{jNw}) z^-M / N with
+    A_0 = 1 and M sections per branch: the delay factor is applied once,
+    e^{-jwn} comes by recurrence, and each branch costs one Horner evaluation.
     """
     freqs = np.asarray(freqs, dtype=float)
     if isinstance(proto, FirPrototype):

@@ -335,11 +335,13 @@ def adc_quantize(buf, model):
 
 
 def add_awgn(buf, snr_db, seed):
-    """Additive white Gaussian noise at the requested SNR (inf = passthrough)."""
-    if snr_db is None or math.isinf(snr_db):
+    """Additive white Gaussian noise at the requested SNR (+inf passes, -inf and NaN raise)."""
+    if snr_db is None or snr_db == math.inf:
         out = SignalBuffer(buf.samples.copy(), buf.rate_hz, buf.domain, buf.label)
         out.meta.update(buf.meta)
         return out
+    if not math.isfinite(snr_db):
+        raise InvalidSpecError(f"SNR must be finite or +inf, got {snr_db} dB")
     rng = np.random.default_rng(seed)
     power = buf.power
     noise_power = power / (10.0 ** (snr_db / 10.0))

@@ -72,7 +72,7 @@ def build_coarse_prototype(cfg, plan, kind):
     spec = _coarse_spec(cfg, plan, kind)
     if kind == "fir":
         return design_fir_equiripple(spec)
-    return design_iir_nthband_alp(spec, cfg.n_fos)
+    return design_iir_nthband_alp(spec)
 
 
 def build_channel_plan(cfg):

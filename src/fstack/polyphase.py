@@ -16,8 +16,8 @@ frame delay (a fractional or branch-dependent product delay would make
 the cascade time-varying instead of a delay): FIR branches pair by
 index reversal with the tap count padded to a whole number of branches
 (product delay L/N - 1 frames); the all-pass family pairs branch n with
-member N-n and replaces the pure n_fos-sample delay of branch 0 by an
-(n_fos - 1)-sample delay, making every product a 2*n_fos - 1 frame
+member N-n and shortens the pure delay of branch 0 from M samples (M
+sections per branch) to M - 1, making every product a 2M - 1 frame
 delay.  Output gain is scaled so a matched cascade has unity passband
 gain.
 
@@ -78,11 +78,6 @@ class OperationCounters:
     real_mults: float = 0.0
     real_adds: float = 0.0
     frames: int = 0
-
-    def reset(self):
-        self.real_mults = 0.0
-        self.real_adds = 0.0
-        self.frames = 0
 
     def copy(self):
         return OperationCounters(self.real_mults, self.real_adds, self.frames)
@@ -178,11 +173,7 @@ class _FirFamily:
         self.prototype = prototype
         self.scale = scale
         n = prototype.spec.num_branches
-        self.shape = (max(math.ceil(prototype.length / n), 1), n)
-        self.reset()
-
-    def reset(self):
-        self._hist = np.zeros((self.shape[0] - 1, self.shape[1]))
+        self._hist = np.zeros((max(math.ceil(prototype.length / n), 1) - 1, n))
 
     @property
     def real(self):
@@ -250,10 +241,7 @@ class _AllPassFamily:
     def __init__(self, sections, scale):
         self.sections = sections
         self.scale = scale
-        self.reset()
-
-    def reset(self):
-        self._zi = [np.zeros((sos.shape[0], 2)) for sos in self.sections]
+        self._zi = [np.zeros((sos.shape[0], 2)) for sos in sections]
 
     @property
     def real(self):
@@ -314,7 +302,7 @@ def _branch_family(prototype):
         return _FirFamily(prototype, 1.0)
     if isinstance(prototype, AllPassPrototype):
         n = prototype.num_branches
-        sections = [_delay_sos(prototype.branch0_delay)]
+        sections = [_delay_sos(prototype.sections_per_branch)]
         sections.extend(_allpass_sos(prototype.alphas[i]) for i in range(n - 1))
         return _AllPassFamily(sections, 1.0 / n)
     raise TypeError(f"unsupported prototype {type(prototype).__name__}")
@@ -337,7 +325,7 @@ def _synthesis_family(prototype):
         return _FirFamily(prototype, gain)
     if isinstance(prototype, AllPassPrototype):
         sections = [_allpass_sos(prototype.alphas[m]) for m in range(n - 1)]
-        sections.append(_delay_sos(prototype.branch0_delay - 1))
+        sections.append(_delay_sos(prototype.sections_per_branch - 1))
         return _AllPassFamily(sections, gain / n)
     raise TypeError(f"unsupported prototype {type(prototype).__name__}")
 
@@ -379,12 +367,8 @@ class _Bank:
 
     @property
     def warmup_frames(self):
-        """Whole frames of the matched cascade delay: K for FIR, 2*n_fos for all-pass."""
+        """Whole frames of the matched cascade delay: K for FIR, 2M for all-pass."""
         return (matched_cascade_delay(self.prototype) + 1) // self.num_branches
-
-    def reset(self):
-        self._branches.reset()
-        self.counters.reset()
 
     def _count(self, n_frames):
         adds, mults = self._frame_cost
@@ -398,10 +382,6 @@ class AnalysisBank(_Bank):
 
     def __init__(self, prototype):
         super().__init__(prototype, _branch_family(prototype))
-        self._hist = np.zeros(self.num_branches - 1)
-
-    def reset(self):
-        super().reset()
         self._hist = np.zeros(self.num_branches - 1)
 
     def process_block(self, samples):
@@ -521,7 +501,7 @@ def prototype_impulse_response(prototype, min_length=None):
         k = max(k, math.ceil(min_length / n))
     while True:
         rows = np.zeros((n, k), dtype=np.complex128)
-        rows[0, prototype.branch0_delay] = 1.0 / n
+        rows[0, prototype.sections_per_branch] = 1.0 / n
         for branch_idx in range(1, n):
             rows[branch_idx, 0] = 1.0 / n
             for a in prototype.alphas[branch_idx - 1]:

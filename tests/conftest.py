@@ -11,6 +11,7 @@ import pytest
 from hypothesis import settings
 
 from fstack.channelizer import end_to_end
+from fstack import filter_design
 from fstack.config import load_config
 from fstack.filter_design import (
     PrototypeSpec,
@@ -66,8 +67,8 @@ def iir20_spec():
 
 @pytest.fixture(scope="session")
 def iir20(iir20_spec):
-    """Reference-grade recursive prototype: N=20, 9 sections per branch."""
-    return design_iir_nthband_alp(iir20_spec, 9)
+    """Reference-grade recursive prototype: N=20, the search finds 9 sections per branch."""
+    return design_iir_nthband_alp(iir20_spec)
 
 
 @pytest.fixture(scope="session")
@@ -85,7 +86,7 @@ def fir20():
     return design_fir_equiripple(spec)
 
 
-def _small_iir(num_branches, n_fos, fp_norm, stop_db, phase_limit_deg=1.0):
+def _small_iir(num_branches, order, fp_norm, stop_db, phase_limit_deg=1.0):
     spec = PrototypeSpec(
         sample_rate_hz=1.0,
         passband_edge_hz=fp_norm,
@@ -95,12 +96,13 @@ def _small_iir(num_branches, n_fos, fp_norm, stop_db, phase_limit_deg=1.0):
         num_branches=num_branches,
         kind="iir",
     )
-    return design_iir_nthband_alp(spec, n_fos, phase_limit_deg=phase_limit_deg)
+    return filter_design._design_iir_at_order(spec, order, phase_limit_deg)
 
 
 @pytest.fixture(scope="session")
 def iir_small():
-    """Quick recursive designs for the small bank sizes used in oracle tests.
+    """Quick recursive designs for the small bank sizes used in oracle tests,
+    each at a pinned order (sections per branch).
 
     The 2-branch case is a deliberately loose half-band-class design, so
     its almost-linear-phase deviation is allowed a few degrees.

@@ -360,7 +360,7 @@ class TestEndToEnd:
         cfg = load_config(overrides={
             "plan.num_coarse_channels": channels, "plan.fs_hz": fs_hz,
             "plan.fc_hz": fc_hz, "plan.bandwidth_hz": 75e6,
-            "coarse.prototype": "iir", "coarse.n_fos": 6, "coarse.stopband_db": 55,
+            "coarse.prototype": "iir", "coarse.stopband_db": 55,
             "coarse.passband_ripple_db": 0.01,
             "fine.granularity_hz": 12.5e6, "sim.num_samples": 200_000,
         })
@@ -517,6 +517,12 @@ class TestEndToEnd:
         with pytest.raises(InvalidSpecError, match="nothing to measure: the stimulus"):
             end_to_end(pipe, zero, snr_db=40.0, adc_bits=12)
 
+    @pytest.mark.parametrize("snr_db", [float("-inf"), float("nan")])
+    def test_non_finite_snr_rejected(self, pipelines, snr_db):
+        # -inf used to count as +inf and run noiseless
+        with pytest.raises(InvalidSpecError, match="SNR must be finite or \\+inf"):
+            end_to_end(pipelines["pipes"]["iir"], pipelines["stimulus"], snr_db=snr_db)
+
     def test_silent_compared_span_rejected(self, pipelines):
         # silent after its first 4 000 samples: the delay search still locks
         # on, but the span that aligned_mse compares holds no reference power
@@ -602,7 +608,7 @@ class TestDelaySearch:
         cfg = load_config(overrides={
             "plan.num_coarse_channels": 7, "plan.fs_hz": 1400e6,
             "plan.fc_hz": 1650.75e6, "plan.bandwidth_hz": 75e6,
-            "coarse.prototype": "iir", "coarse.n_fos": 6, "coarse.stopband_db": 55,
+            "coarse.prototype": "iir", "coarse.stopband_db": 55,
             "coarse.passband_ripple_db": 0.01,
             "fine.granularity_hz": 12.5e6, "sim.num_samples": 64_000,
         })

@@ -10,6 +10,7 @@ from fstack import cli, pipeline
 from fstack.cli import main
 from fstack.config import DEFAULTS, load_config
 from fstack.errors import ConfigError
+from fstack.filter_design import estimate_iir_order
 
 # A deliberately small but fully feasible scenario so design and run
 # complete in seconds: 4 coarse channels (one occupied), 8 fine channels.
@@ -24,7 +25,6 @@ num_coarse_channels = 2
 
 [coarse]
 prototype = iir
-n_fos = 6
 stopband_db = 50
 passband_ripple_db = 0.01
 fir_stopband_db = 55
@@ -194,11 +194,21 @@ class TestDesignCommand:
         assert (out / "coarse_iir.coef").exists()
         report = (out / "design_report.txt").read_text()
         assert "candidate 1" in report and "candidate 2" in report
-        assert re.search(r"branch fits +: 6 sections per branch, \d+-\d+ Gauss-Newton steps",
+        assert re.search(r"branch fits +: 4 sections per branch, \d+-\d+ Gauss-Newton steps",
                          report)
 
+    def test_order_search_steps_past_the_estimate(self, tmp_path):
+        # at 160 dB the mini spec's estimate is 16 sections per branch; the
+        # search steps to 18, the first order that passes
+        cfg = load_config(write_mini(tmp_path, **{"stopband_db = 50": "stopband_db = 160"}))
+        proto = pipeline.build_coarse_prototype(cfg, pipeline.build_plan(cfg), "iir")
+        spec = proto.spec
+        assert estimate_iir_order(spec.stopband_ripple, spec.delta_f, spec.num_branches) == 16
+        assert proto.sections_per_branch == 18 and proto.design_report.ok
+
     def test_design_failure_exit_code(self, tmp_path, capsys):
-        cfg = write_mini(tmp_path, **{"n_fos = 6": "n_fos = 1"})
+        # the guarded stopband saturates near 250 dB: no order within the search's cap
+        cfg = write_mini(tmp_path, **{"stopband_db = 50": "stopband_db = 400"})
         assert main(["design", "--config", cfg]) == 3
         assert "error: design" in capsys.readouterr().err
 
@@ -237,12 +247,42 @@ class TestConfigHandling:
     def test_all_bad_values_enumerated(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
         path.write_text(
-            "[plan]\nfs_hz = zero\nnyquist_zone = 0\n[coarse]\nn_fos = -3\n"
+            "[plan]\nfs_hz = zero\nnyquist_zone = 0\n[coarse]\nstopband_db = -3\n"
         )
         assert main(["plan", "--config", str(path)]) == 2
         err = capsys.readouterr().err
-        for key in ("plan.fs_hz", "plan.nyquist_zone", "coarse.n_fos"):
+        for key in ("plan.fs_hz", "plan.nyquist_zone", "coarse.stopband_db"):
             assert key in err
+
+    def test_removed_order_key_rejected(self, tmp_path, capsys):
+        # the search sizes the recursive design; its order is no setting
+        cfg = write_mini(tmp_path, **{"prototype = iir": "prototype = iir\nn_fos = 6"})
+        assert main(["design", "--config", cfg]) == 2
+        assert "'n_fos'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new", [
+        ("fs_hz = 1280e6", "fs_hz = inf"),
+        ("stopband_db = 50", "stopband_db = inf"),
+        ("num_samples = 64000", "num_samples = 64000\nsnr_db = nan"),
+        ("num_samples = 64000", "num_samples = 64000\nsnr_db = -inf"),
+    ])
+    def test_non_finite_number_rejected(self, tmp_path, capsys, old, new):
+        cfg = write_mini(tmp_path, **{old: new})
+        assert main(["run", "--config", cfg]) == 2
+        key = new.rpartition("\n")[2].partition(" =")[0]
+        assert f"{key}: " in capsys.readouterr().err
+        assert not (tmp_path / "out" / "metrics.csv").exists()
+
+    def test_non_finite_numbers_enumerated(self, tmp_path, capsys):
+        path = tmp_path / "bad.ini"
+        path.write_text("[plan]\nfs_hz = inf\n[coarse]\nstopband_db = -inf\n"
+                        "[sim]\nsnr_db = nan\n")
+        assert main(["plan", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        for key in ("plan.fs_hz", "coarse.stopband_db", "sim.snr_db"):
+            assert f"{key}: " in err and "is not a finite number" in err
+        # a blank SNR still means no noise
+        assert load_config(overrides={"sim.snr_db": ""}).snr_db is None
 
     def test_readme_config_block_matches_defaults(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()

@@ -237,6 +237,7 @@ class TestFirDesign:
 
 
 _fit_branch_delay = filter_design._fit_branch_delay
+_design_at_order = filter_design._design_iir_at_order
 
 
 def _fit_failing_below_3_6(order, delay, w_max):
@@ -250,7 +251,7 @@ class TestRecursiveDesign:
         # two sections per branch only reach ~29 dB at this transition
         # width, with a correspondingly relaxed phase-linearity bound
         spec = PrototypeSpec(1.0, 0.2, 0.3, 0.01, attenuation_to_ripple(28.0), 2, "iir")
-        proto = design_iir_nthband_alp(spec, 2, phase_limit_deg=6.0)
+        proto = _design_at_order(spec, 2, 6.0)
         rep = proto.design_report
         assert rep.branch_mag_err <= 1e-10  # all-pass branch magnitude
         # passband flatness lands at the micro-to-milli dB level
@@ -259,14 +260,14 @@ class TestRecursiveDesign:
 
     def test_table_point(self, iir20):
         rep = iir20.design_report
-        assert iir20.coefficient_count == 180
+        assert (iir20.sections_per_branch, iir20.coefficient_count) == (9, 180)
         assert rep.stopband_atten_db >= 49.0
         assert rep.passband_dev_db <= 1e-3  # criterion bound; 140 udB target
         assert rep.phase_dev_deg < 1.0
 
     def test_single_branch_degenerates(self):
         spec = PrototypeSpec(1.0, 0.2, 0.3, 0.01, 0.01, 1, "iir")
-        proto = design_iir_nthband_alp(spec, 3)
+        proto = _design_at_order(spec, 3, 1.0)
         assert proto.alphas.shape[0] == 0
         assert proto.coefficient_count == 3
 
@@ -300,7 +301,7 @@ class TestRecursiveDesign:
 
     def test_verification_failure_raises_with_report(self, iir20_spec):
         with pytest.raises(DesignFailureError) as err:
-            design_iir_nthband_alp(iir20_spec, 2)  # far too few sections
+            _design_at_order(iir20_spec, 2, 1.0)  # far too few sections
         assert err.value.report is not None
         assert err.value.report.stopband_atten_db < 49.0
 
@@ -326,13 +327,13 @@ class TestRecursiveDesign:
                 attenuation_to_ripple(120.0), n, "iir",  # never passes; read report
             )
             achieved = None
-            for n_fos in orders:
+            for order in orders:
                 try:
-                    report = design_iir_nthband_alp(spec, n_fos).design_report
+                    report = _design_at_order(spec, order, 1.0).design_report
                 except DesignFailureError as err:
                     report = err.report
                 if report.stopband_atten_db >= atten_db:
-                    achieved = n * n_fos
+                    achieved = n * order
                     break
             assert achieved is not None, f"no design reached {atten_db} dB at N={n}"
             assert abs(predicted - achieved) / achieved <= 0.15, (
@@ -349,7 +350,7 @@ class TestRecursiveDesign:
         # N = 4, four sections: delays 3.75, 3.5 and 3.25; the first failure in
         # branch order is reported
         with pytest.raises(DesignFailureError, match=r"order=4, delay=3\.5000$"):
-            design_iir_nthband_alp(iir_small[4].spec, 4)
+            _design_at_order(iir_small[4].spec, 4, 1.0)
 
     def test_branch_errors_belong_to_returned_denominators(self, ref_cfg, monkeypatch):
         # the fit carries each iterate's phase error along instead of
@@ -396,6 +397,70 @@ class TestRecursiveDesign:
         d, peak, steps = _fit_branch_delay(*args)
         assert np.array_equal(d, seed) and peak == seed_peak
         assert steps <= 11 and len(calls) == 15 * steps
+
+
+def _record_orders(monkeypatch):
+    """Orders the search tries from now on, in order."""
+    tried = []
+
+    def recording(spec, order, phase_limit_deg):
+        tried.append(order)
+        return _design_at_order(spec, order, phase_limit_deg)
+
+    monkeypatch.setattr(filter_design, "_design_iir_at_order", recording)
+    return tried
+
+
+class TestOrderSearch:
+    """design_iir_nthband_alp sizes the design from its spec alone."""
+
+    def test_operating_points_take_one_attempt(self, pipelines, iir20, monkeypatch):
+        # the default (14 sections) and the reference (9 sections) come out of
+        # the estimate's order, so the search designs each once, and the
+        # design is the fixed-order one bit for bit
+        default = pipelines["pipes"]["iir"].coarse_prototype
+        tried = _record_orders(monkeypatch)
+        for searched, order in ((default, 14), (iir20, 9)):
+            tried.clear()
+            again = design_iir_nthband_alp(searched.spec)
+            assert tried == [order] == [searched.sections_per_branch]
+            assert np.array_equal(again.alphas, searched.alphas)
+
+    def test_undershooting_estimate_steps_up(self, iir_small, monkeypatch):
+        spec = iir_small[8].spec
+        assert filter_design.estimate_iir_order(spec.stopband_ripple, spec.delta_f, 8) == 3
+        tried = _record_orders(monkeypatch)
+        proto = design_iir_nthband_alp(spec)
+        assert tried == [3, 4]
+        assert proto.sections_per_branch == 4 and proto.design_report.ok
+
+    def test_fit_failure_moves_to_next_order(self, iir_small, monkeypatch):
+        def failing_at_4(order, delay, w_max):
+            if order == 4:
+                raise DesignFailureError(f"no stable all-pass fit for order={order}")
+            return _fit_branch_delay(order, delay, w_max)
+
+        monkeypatch.setattr(filter_design, "_fit_branch_delay", failing_at_4)
+        # the estimate's order, 4, would pass
+        proto = design_iir_nthband_alp(iir_small[4].spec)
+        assert proto.sections_per_branch == 5 and proto.design_report.ok
+
+    def test_no_passing_order_raises_with_report(self, iir_small, monkeypatch):
+        monkeypatch.setattr(filter_design, "_ORDER_ATTEMPTS", 1)
+        with pytest.raises(DesignFailureError, match="at 3-3 sections per branch") as err:
+            design_iir_nthband_alp(iir_small[8].spec)
+        report = err.value.report
+        assert report is not None and not report.ok
+        assert len(report.branch_fit_steps) == 7
+
+    def test_no_stable_fit_raises_without_report(self, iir_small, monkeypatch):
+        def no_fit(order, delay, w_max):
+            raise DesignFailureError(f"no stable all-pass fit for order={order}")
+
+        monkeypatch.setattr(filter_design, "_fit_branch_delay", no_fit)
+        with pytest.raises(DesignFailureError, match=r"at 4-11 sections per branch$") as err:
+            design_iir_nthband_alp(iir_small[4].spec)
+        assert err.value.report is None
 
 
 def explicit_branch_response(proto, branch, w_dec):

@@ -377,6 +377,13 @@ class TestAwgn:
         y = add_awgn(x, float("inf"), seed=1)
         np.testing.assert_array_equal(y.samples, x.samples)
 
+    @pytest.mark.parametrize("snr_db", [float("-inf"), float("nan")])
+    def test_non_finite_snr_rejected(self, rng, snr_db):
+        # only +inf passes the signal through; -inf used to run noiseless
+        x = SignalBuffer(rng.standard_normal(1024), 1.0, "real")
+        with pytest.raises(InvalidSpecError, match="SNR must be finite or \\+inf"):
+            add_awgn(x, snr_db, seed=1)
+
     def test_achieved_snr(self, rng):
         x = SignalBuffer(rng.standard_normal(1 << 20), 1.0, "real")
         y = add_awgn(x, 35.0, seed=9)
