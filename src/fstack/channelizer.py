@@ -75,11 +75,9 @@ class ChanneliserConfig:
         if self.occupied_subbands is None:
             self.occupied_subbands = self.plan.occupied_subbands
         self.occupied_subbands = tuple(sorted(set(self.occupied_subbands)))
-        reserved = {0, n // 2}
-        if reserved & set(self.occupied_subbands):
-            raise ConfigError("channels 0 and N/2 are reserved empty")
-        if any(not 0 <= s < n for s in self.occupied_subbands):
-            raise ConfigError(f"occupied sub-band outside [0, {n})")
+        outside = [s for s in self.occupied_subbands if s not in self.plan.occupied_subbands]
+        if outside:
+            raise ConfigError(f"occupied sub-bands {outside} outside the plan's 1..{n // 2 - 1}")
         if self.coarse_prototype.spec.num_branches != n:
             raise ConfigError("coarse prototype branch count != plan channel count")
         n_f = self.channel_plan.channels_per_subband
@@ -163,27 +161,16 @@ def _coarse_frames(config, stacked):
     return bank.process_block(stacked.samples[:usable]), bank.warmup_frames
 
 
-def _half_width_column(n, sub):
-    """(column, conjugated): where sub-band ``sub`` sits in a frame of channels 0..N/2.
-
-    A real signal's channel N-s holds the conjugate of channel s, so a
-    sub-band s > N/2 is the conjugate of column N-s.
-    """
-    return (sub, False) if sub <= n // 2 else (n - sub, True)
-
-
 def _occupied_streams(config, frames, label):
     """The occupied sub-bands of a coarse (frames, N//2 + 1) array as streams.
 
-    A sub-band s > N/2 is the conjugate of column N-s.
+    Sub-band s is column s.
     """
-    rate, n = config.subband_rate_hz, config.num_coarse_channels
-    streams = {}
-    for sub in config.occupied_subbands:
-        col, conj = _half_width_column(n, sub)
-        samples = np.conj(frames[:, col]) if conj else frames[:, col]
-        streams[sub] = SignalBuffer(samples, rate, "complex", label=f"{label}|coarse{sub}")
-    return streams
+    rate = config.subband_rate_hz
+    return {
+        sub: SignalBuffer(frames[:, sub], rate, "complex", label=f"{label}|coarse{sub}")
+        for sub in config.occupied_subbands
+    }
 
 
 def coarse_analyze(config, stacked):
@@ -205,11 +192,11 @@ def _restack(config, frames):
 def coarse_synthesize(config, subbands):
     """Restack sub-band streams into the real wideband signal.
 
-    A stream given for a channel s > N/2 goes conjugated into channel
-    N-s of the restack frames (``_restack``); channels the streams leave
-    out stay empty, and of two streams for one column the later one in
-    ``subbands`` is kept.  ``end_to_end`` fills the same frames straight
-    from its fine cascades instead of going through this function.
+    The stream of sub-band s fills column s of the (frames, N//2 + 1)
+    restack frames (``_restack``); s must be one of the plan's sub-bands
+    1..N/2-1, and channels the streams leave out stay empty.
+    ``end_to_end`` fills the same frames straight from its fine cascades
+    instead of going through this function.
     """
     n = config.num_coarse_channels
     lengths = {len(buf) for buf in subbands.values()}
@@ -220,10 +207,9 @@ def coarse_synthesize(config, subbands):
     for sub, buf in subbands.items():
         if abs(buf.rate_hz - config.subband_rate_hz) > 1e-6:
             raise RateMismatchError(f"sub-band {sub} rate {buf.rate_hz}")
-        if not 0 <= sub < n:
-            raise ConfigError(f"sub-band {sub} outside [0, {n})")
-        col, conj = _half_width_column(n, sub)
-        frames[:, col] = np.conj(buf.samples) if conj else buf.samples
+        if sub not in config.plan.occupied_subbands:
+            raise ConfigError(f"sub-band {sub} outside the plan's 1..{n // 2 - 1}")
+        frames[:, sub] = buf.samples
     return _restack(config, frames)
 
 
@@ -343,8 +329,8 @@ def end_to_end(config, stimulus, adc_bits=None, snr_db=None, seed=1234,
     of the real input; each occupied sub-band's fine analysis and
     synthesis is one block of the bank pool (``run_blocks``), so the
     sub-bands run on every usable CPU, and the output does not depend on
-    the thread that runs a block.  Each cascade writes its output
-    straight into its column of the half-width restack frames that
+    the thread that runs a block.  The cascade of sub-band s writes its
+    output straight into column s of the half-width restack frames that
     ``coarse_synthesize`` would build from the same streams, so no
     dict of fine outputs outlives the fine stage, and the coarse frames
     are freed before the restack.
@@ -396,15 +382,11 @@ def end_to_end(config, stimulus, adc_bits=None, snr_db=None, seed=1234,
     spectra = dict(subbands) if capture_spectra else {}
     # rows: the fine cascade's output length, whole fine frames of the coarse frames
     frames = np.zeros(((coarse.shape[0] // n_f) * n_f, n // 2 + 1), dtype=np.complex128)
-    # of two sub-bands on one column the later is kept, as coarse_synthesize does
-    columns = {_half_width_column(n, sub)[0]: sub for sub in config.occupied_subbands}
 
     def cascade(sub):
-        out = fine_synthesize(config, fine_analyze(config, subbands[sub])).samples
-        col, conj = _half_width_column(n, sub)
-        frames[:, col] = np.conj(out) if conj else out
+        frames[:, sub] = fine_synthesize(config, fine_analyze(config, subbands[sub])).samples
 
-    run_blocks(cascade, columns.values())
+    run_blocks(cascade, config.occupied_subbands)
     # the coarse frames' last references: they are freed before the restack
     del coarse, subbands
     restacked = _restack(config, frames)

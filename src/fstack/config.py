@@ -53,7 +53,7 @@ DEFAULTS = {
         "adc_bits": "",
         "snr_db": "",
         # "all" fills every plannable sub-band; a blank value runs none;
-        # otherwise a whitespace/comma separated index list
+        # otherwise a whitespace/comma separated index list in 1..N_c - 1
         "occupied_subbands": "all",
     },
     "io": {"output_dir": "out"},
@@ -173,6 +173,11 @@ def load_config(path=None, overrides=None):
         except ValueError:
             occupied = None
             errors.append(f"sim.occupied_subbands: cannot parse {raw_occ!r}")
+        if occupied and n_c is not None:
+            outside = sorted({sub for sub in occupied if not 1 <= sub < n_c})
+            if outside:
+                errors.append(f"sim.occupied_subbands: {' '.join(map(str, outside))} "
+                              f"out of range [1, {n_c - 1}]")
 
     if errors:
         raise ConfigError("config validation failed: " + "; ".join(errors))

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import firwin, freqz, remez
+from scipy.signal import firwin, freqz, kaiser_beta, remez
 
 from .errors import DesignFailureError, InvalidSpecError, StabilityError
 
@@ -34,6 +34,8 @@ _FIT_WINDOW = 10
 _FIT_MAX_STEPS = 200
 # orders (sections per branch) tried by the recursive design's search
 _ORDER_ATTEMPTS = 8
+# lengths tried by the equiripple FIR design
+_LENGTH_ATTEMPTS = 64
 
 
 def attenuation_to_ripple(atten_db):
@@ -257,14 +259,7 @@ def kaiser_taps(length, spec):
     """Kaiser-window lowpass of ``length`` taps, cut midway through the transition."""
     cutoff = 0.5 * (spec.fp_norm + spec.fa_norm)
     atten = -20.0 * math.log10(min(spec.stopband_ripple, spec.passband_ripple))
-    beta = (
-        0.1102 * (atten - 8.7)
-        if atten > 50
-        else 0.5842 * (atten - 21) ** 0.4 + 0.07886 * (atten - 21)
-        if atten > 21
-        else 0.0
-    )
-    taps = firwin(length, cutoff, window=("kaiser", beta), fs=1.0)
+    taps = firwin(length, cutoff, window=("kaiser", kaiser_beta(atten)), fs=1.0)
     taps.setflags(write=False)  # a FirPrototype holds a read-only array without a copy
     return taps
 
@@ -276,21 +271,23 @@ def check_fir(taps, spec, method):
                     stop_max <= spec.stopband_ripple, len(taps), method)
 
 
-def design_fir_equiripple(spec, max_attempts=64):
+def design_fir_equiripple(spec):
     """Equiripple lowpass meeting ``spec`` on a dense verification grid.
 
     Starts from the practical length estimate (rounded up to a multiple
     of the branch count N, so the polyphase branches come out equal
     length) and grows until the measured ripples pass.  Remez exchange
     first; Kaiser-window fallback if the exchange fails to converge at
-    some length.  The shortest passing length wins.
+    some length.  The shortest passing length wins; after
+    ``_LENGTH_ATTEMPTS`` failing lengths it raises with the best check
+    attached.
     """
     n = spec.num_branches
     est = estimate_fir_length(spec.passband_ripple, spec.stopband_ripple, spec.delta_f)
     step = n if n > 1 else max(1, est // 256)
     length = n * math.ceil(max(est, 2) / n)
     best = None
-    for _ in range(max_attempts):
+    for _ in range(_LENGTH_ATTEMPTS):
         try:
             taps, method = remez(length, [0.0, spec.fp_norm, spec.fa_norm, 0.5], [1.0, 0.0],
                                  weight=[1.0 / spec.passband_ripple, 1.0 / spec.stopband_ripple],
@@ -305,7 +302,7 @@ def design_fir_equiripple(spec, max_attempts=64):
         best = min(best or check, check, key=lambda c: c.passband_dev + c.stopband_max)
         length += step
     raise DesignFailureError(
-        f"no passing FIR design within {max_attempts} attempts "
+        f"no passing FIR design within {_LENGTH_ATTEMPTS} attempts "
         f"(best: pass_dev={best.passband_dev:.3g}, stop_max={best.stopband_max:.3g})",
         report=best)
 
@@ -433,7 +430,7 @@ def _alphas_from_denominator(d):
     return alphas[order]
 
 
-def design_iir_nthband_alp(spec, phase_limit_deg=1.0):
+def design_iir_nthband_alp(spec):
     """Recursive Nth-band almost-linear-phase prototype of the fewest sections.
 
     The order (sections per branch) starts at ``estimate_iir_order`` and
@@ -447,7 +444,7 @@ def design_iir_nthband_alp(spec, phase_limit_deg=1.0):
     best = None
     for order in range(first, first + _ORDER_ATTEMPTS):
         try:
-            return _design_iir_at_order(spec, order, phase_limit_deg)
+            return _design_iir_at_order(spec, order)
         except DesignFailureError as err:
             best = min(filter(None, (best, err.report)), default=None,
                        key=lambda c: c.passband_dev + c.stopband_max)
@@ -455,7 +452,7 @@ def design_iir_nthband_alp(spec, phase_limit_deg=1.0):
         f"no passing recursive design at {first}-{order} sections per branch", report=best)
 
 
-def _design_iir_at_order(spec, order, phase_limit_deg):
+def _design_iir_at_order(spec, order, phase_limit_deg=1.0):
     """The recursive design at ``order`` sections per branch.
 
     Branch n (n = 1..N-1) is an order-``order`` all-pass approximating a
@@ -508,18 +505,6 @@ def _allpass_ratio(d, z):
     return np.conj(dw) / dw
 
 
-def _branch_response(proto, branch, w_dec, z):
-    """Branch transfer function (with its 1/N gain) at decimated-rate w.
-
-    ``z`` is exp(-j*w_dec), shared by every branch on the grid.
-    """
-    n_br = proto.num_branches
-    delay = np.exp(-1j * w_dec * proto.sections_per_branch)
-    if branch == 0:
-        return delay / n_br
-    return delay * _allpass_ratio(proto.branch_denominator(branch), z) / n_br
-
-
 def composite_response(proto, freqs):
     """Response of the recomposed prototype at normalized frequencies.
 
@@ -567,7 +552,6 @@ class AlpCheck:
     spike_max_db: float
     phase_dev_deg: float
     group_delay: float  # full-rate samples
-    branch_mag_err: float
     ok_passband: bool
     ok_stopband: bool
     ok_phase: bool
@@ -600,14 +584,6 @@ def verify_allpass(proto, grid_points=1 << 17, phase_limit_deg=1.0):
     slope, intercept = np.polyfit(w, phase, 1)
     phase_dev = float(np.degrees(np.max(np.abs(phase - (slope * w + intercept)))))
 
-    # branch all-pass magnitude sanity on its own grid
-    w_dec = np.linspace(0.0, np.pi, 4096)
-    z = np.exp(-1j * w_dec)
-    branch_err = 0.0
-    for n in range(1, proto.num_branches):
-        a_resp = _branch_response(proto, n, w_dec, z) * proto.num_branches
-        branch_err = max(branch_err, float(np.max(np.abs(np.abs(a_resp) - 1.0))))
-
     return AlpCheck(
         passband_dev=pass_dev,
         passband_dev_db=pass_dev_db,
@@ -616,27 +592,10 @@ def verify_allpass(proto, grid_points=1 << 17, phase_limit_deg=1.0):
         spike_max_db=20.0 * math.log10(max(spike_max, 1e-300)),
         phase_dev_deg=phase_dev,
         group_delay=float(-slope),
-        branch_mag_err=branch_err,
         ok_passband=pass_dev <= max(spec.passband_ripple, 1e-5),
         ok_stopband=stop_max <= spec.stopband_ripple,
         ok_phase=phase_dev < phase_limit_deg,
     )
-
-
-# ---------------------------------------------------------------------------
-# polyphase decomposition
-
-
-def polyphase_decompose(proto_or_taps, num_branches):
-    """Split taps into the N interleaved branch sequences b[n], b[n+N], ..."""
-    if num_branches < 1:
-        raise InvalidSpecError("num_branches must be >= 1")
-    taps = (
-        proto_or_taps.coefficients
-        if isinstance(proto_or_taps, FirPrototype)
-        else np.asarray(proto_or_taps, dtype=float)
-    )
-    return [taps[n::num_branches].copy() for n in range(num_branches)]
 
 
 # ---------------------------------------------------------------------------

@@ -65,9 +65,9 @@ import numpy as np
 from scipy.fft import fft, hfft, ifft, irfft, next_fast_len, rfft
 from scipy.signal import lfilter, sosfilt
 
-from .complexity import fir_candidate_cost, ifft_cost, iir_candidate_cost
+from .complexity import fir_candidate_cost, iir_candidate_cost
 from .errors import FramingError
-from .filter_design import AllPassPrototype, FirPrototype, polyphase_decompose
+from .filter_design import AllPassPrototype, FirPrototype
 
 
 @dataclass
@@ -173,7 +173,7 @@ class _FirFamily:
         self.prototype = prototype
         self.scale = scale
         n = prototype.spec.num_branches
-        self._hist = np.zeros((max(math.ceil(prototype.length / n), 1) - 1, n))
+        self._hist = np.zeros((math.ceil(prototype.length / n) - 1, n))
 
     @property
     def real(self):
@@ -292,7 +292,7 @@ def _fir_taps(prototype):
     """(K, N) tap matrix: column n is polyphase branch n, zero-padded to K."""
     n = prototype.spec.num_branches
     taps = prototype.coefficients
-    k = max(math.ceil(taps.size / n), 1)
+    k = math.ceil(taps.size / n)
     return np.concatenate([taps, np.zeros(k * n - taps.size)]).reshape(k, n)
 
 
@@ -331,18 +331,14 @@ def _synthesis_family(prototype):
 
 
 def _frame_cost(prototype, num_branches):
-    """(real adds, real mults) per frame under the accounting model."""
+    """(real adds, real mults) per frame under the accounting model.
+
+    The FIR model needs L >= N (``fir_candidate_cost``), so a bank built
+    from a shorter FIR raises ``InvalidSpecError``.
+    """
     n = num_branches
     if isinstance(prototype, FirPrototype):
-        length = prototype.length
-        if length >= n:
-            return fir_candidate_cost(n, length)
-        # degenerate short prototype: count actual clamped branch work
-        lengths = [len(b) for b in polyphase_decompose(prototype, n)]
-        a_ifft, p_ifft = ifft_cost(n)
-        adds = sum(2.0 * max(l - 1, 0) for l in lengths) + a_ifft
-        mults = sum(2.0 * l for l in lengths) + p_ifft
-        return adds, mults
+        return fir_candidate_cost(n, prototype.length)
     return iir_candidate_cost(n, prototype.num_branches * prototype.sections_per_branch)
 
 

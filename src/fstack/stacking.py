@@ -33,6 +33,9 @@ class StackingInputs:
     num_channels: int  # N, even
 
     def __post_init__(self):
+        for name in ("f_s", "f_o", "f_c", "bandwidth"):
+            if not math.isfinite(getattr(self, name)):
+                raise PlanningError(f"{name} must be finite, got {getattr(self, name)}")
         if self.f_s <= 0 or self.f_o <= 0:
             raise PlanningError("f_s and f_o must be positive")
         if self.nyquist_zone < 1:

@@ -284,6 +284,19 @@ class TestConfigHandling:
         # a blank SNR still means no noise
         assert load_config(overrides={"sim.snr_db": ""}).snr_db is None
 
+    @pytest.mark.parametrize("occupied, outside", [("0 1 2", "0 2"), ("1, 17", "17")])
+    def test_occupied_subband_out_of_range_rejected(self, tmp_path, capsys, monkeypatch,
+                                                     occupied, outside):
+        # the mini plan has sub-band 1 alone; the index check runs before any design
+        built = []
+        monkeypatch.setattr(pipeline, "build_coarse_prototype", lambda *args: built.append(args))
+        cfg = write_mini(tmp_path, **{"occupied_subbands = all": f"occupied_subbands = {occupied}"})
+        assert main(["run", "--config", cfg]) == 2
+        assert f"sim.occupied_subbands: {outside} out of range [1, 1]" in capsys.readouterr().err
+        assert built == []
+        with pytest.raises(ConfigError, match=r"coarse\.stopband_db.*; sim\.occupied_subbands"):
+            load_config(cfg, {"coarse.stopband_db": "-3"})
+
     def test_readme_config_block_matches_defaults(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
         block = re.search(r"Config file keys and defaults:\s*```ini\n(.*?)```", readme, re.S)

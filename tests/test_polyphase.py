@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.signal import fftconvolve
 
 from fstack import complexity, polyphase
-from fstack.errors import FramingError
+from fstack.errors import FramingError, InvalidSpecError
 from fstack.filter_design import AllPassPrototype, PrototypeSpec, fir_from_taps
 from fstack.polyphase import (
     AnalysisBank,
@@ -300,14 +300,6 @@ class TestOracleEquivalence:
             expected = np.fft.ifft(block)[:3]
             np.testing.assert_allclose(frames[k], expected, atol=1e-12)
 
-    def test_single_tap_prototype_oracle(self, rng):
-        proto = fir_from_taps([1.0], 4)
-        x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        frames = AnalysisBank(proto).process_block(x)
-        for ch in range(4):
-            oracle = direct_channelize_oracle(proto, 4, x, ch)
-            assert rel_err(frames[:, ch], oracle) < 1e-12
-
     def test_baseband_channel_passthrough(self, fir_small, rng):
         # lowpass content inside channel 0 decimates straight through
         proto = fir_small[8]
@@ -539,6 +531,12 @@ class TestCounters:
         bank.process_block(np.zeros(16))
         assert bank.counters.real_adds == pytest.approx(896.0)
         assert bank.counters.real_mults == pytest.approx(736.0)
+
+    @pytest.mark.parametrize("bank", [AnalysisBank, SynthesisBank])
+    def test_fir_shorter_than_n_rejected(self, bank):
+        # the FIR cost model needs L >= N, and every designed FIR has it
+        with pytest.raises(InvalidSpecError, match="need L_FIR >= N"):
+            bank(fir_from_taps([1.0], 4))
 
     def test_recursive_frame_model(self, rng):
         spec = PrototypeSpec(1.0, 0.02, 1.0 / 16 - 0.02, 0.01, 0.01, 16, "iir")

@@ -136,6 +136,15 @@ class TestPlannerProperties:
         with pytest.raises(PlanningError):
             StackingInputs(1280e6, 10e6, 1650e6, 0, 48.5e6, 20)  # zone
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    @pytest.mark.parametrize("field", ["f_s", "f_o", "f_c", "bandwidth"])
+    def test_non_finite_input_rejected(self, field, value):
+        # rejected before the planner's arithmetic, which would overflow or fail
+        fields = dict(f_s=1280e6, f_o=10e6, f_c=1650.75e6, nyquist_zone=2,
+                      bandwidth=48.5e6, num_channels=20)
+        with pytest.raises(PlanningError, match=f"{field} must be finite"):
+            StackingInputs(**{**fields, field: value})
+
 
 class TestGuardband:
     def test_reference_point(self):
