@@ -16,6 +16,7 @@ record length.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,6 +75,9 @@ class ChanneliserConfig:
         n = self.plan.inputs.num_channels
         if self.occupied_subbands is None:
             self.occupied_subbands = self.plan.occupied_subbands
+        non_integer = [s for s in self.occupied_subbands if not isinstance(s, numbers.Integral)]
+        if non_integer:
+            raise ConfigError(f"occupied sub-bands {non_integer} are not integer indices")
         self.occupied_subbands = tuple(sorted(set(self.occupied_subbands)))
         outside = [s for s in self.occupied_subbands if s not in self.plan.occupied_subbands]
         if outside:
@@ -327,13 +331,13 @@ def end_to_end(config, stimulus, adc_bits=None, snr_db=None, seed=1234,
     stimulus.  Impairments are optional; the float path is the
     transparency benchmark.  The coarse analysis keeps channels 0..N/2
     of the real input; each occupied sub-band's fine analysis and
-    synthesis is one block of the bank pool (``run_blocks``), so the
-    sub-bands run on every usable CPU, and the output does not depend on
-    the thread that runs a block.  The cascade of sub-band s writes its
-    output straight into column s of the half-width restack frames that
-    ``coarse_synthesize`` would build from the same streams, so no
-    dict of fine outputs outlives the fine stage, and the coarse frames
-    are freed before the restack.
+    synthesis is one block of ``run_blocks``, so the sub-bands run on
+    every usable CPU, and the output does not depend on the thread that
+    runs a block.  The cascade of sub-band s writes its output straight
+    into column s of the half-width restack frames that
+    ``coarse_synthesize`` would build from the same streams, so no dict
+    of fine outputs outlives the fine stage, and the coarse frames are
+    freed before the restack.
 
     The aligned delay is the cross-correlation peak over lags
     0..2·expected + 1024 (the expected delay is searched for, not

@@ -135,9 +135,12 @@ class AllPassPrototype:
     """Nth-band recursive prototype: per-branch all-pass section coefficients.
 
     alphas[n-1, m] is the m-th first-order-section coefficient of branch
-    n (n = 1..N-1); sections with complex coefficients come in conjugate
-    pairs, which is the first-order factorisation of the real
-    second-order sections used in hardware.  Branch 0 is a pure delay of
+    n (n = 1..N-1); sections with complex coefficients come in exact
+    conjugate pairs, which is the first-order factorisation of the real
+    second-order sections used in hardware.  A lone complex section
+    (a + z^-1)/(1 + a z^-1) is not all-pass, so a row that is not its
+    own conjugate as a set (``np.poly``'s test for a real polynomial)
+    raises ``InvalidSpecError``.  Branch 0 is a pure delay of
     sections_per_branch samples and carries no coefficients.
     """
 
@@ -154,6 +157,8 @@ class AllPassPrototype:
             )
         if self.alphas.size and np.max(np.abs(self.alphas)) >= 1.0:
             raise StabilityError("all-pass coefficient on or outside the unit circle")
+        if not np.array_equal(np.sort(self.alphas), np.sort(self.alphas.conj())):
+            raise InvalidSpecError("a complex all-pass section has no exact conjugate")
 
     @property
     def num_branches(self):
@@ -173,8 +178,7 @@ class AllPassPrototype:
 
     def branch_denominator(self, n):
         """Real-coefficient denominator polynomial of branch n (n >= 1)."""
-        d = np.poly(-self.alphas[n - 1])
-        return np.real_if_close(d, tol=1e6).astype(float)
+        return np.poly(-self.alphas[n - 1])
 
 
 # ---------------------------------------------------------------------------

@@ -31,20 +31,20 @@ output and applies the family's scale in that pass (for synthesis the
 scale holds the cascade gain).  The FIR family is one (K, N) tap matrix
 with K-1 frames of history, and all N branches are filtered at once by
 an overlap-save convolution along the frame axis, in column blocks.
-Both families share their work with the bank pool (``run_blocks``, which
-the channelizer also uses for its sub-band cascades): the calling
-thread and helper threads, one thread per usable CPU, take all-pass
-branches or FIR column blocks from one queue; a block's arithmetic does
-not depend on the thread that runs it, so neither does the output.  The
-spectrum of the tap matrix is computed once per prototype, data kind
-(real or complex) and transform length and cached on the prototype, so
-every analysis and synthesis bank built from it shares it; the
-synthesis family runs its branches in output-slot order, where its taps
-are the analysis taps.  The N-point channel transforms are
-``scipy.fft`` calls with one worker per usable CPU.  Real branch output
-has conjugate-symmetric channels, so its analysis keeps only channels
-0..N/2, computed as conj(rfft)/N, and a Hermitian synthesis bank takes
-those N/2+1 channels and runs ``hfft`` on them.
+Both families share their work out with ``run_blocks`` (which the
+channelizer also uses for its sub-band cascades): the calling thread
+and helper threads started for the run, one thread per usable CPU,
+take all-pass branches or FIR column blocks from one queue; a block's
+arithmetic does not depend on the thread that runs it, so neither does
+the output.  The spectrum of the tap matrix is computed once per
+prototype, data kind (real or complex) and transform length and cached
+on the prototype, so every analysis and synthesis bank built from it
+shares it; the synthesis family runs its branches in output-slot
+order, where its taps are the analysis taps.  The N-point channel
+transforms are ``scipy.fft`` calls with one worker per usable CPU.
+Real branch output has conjugate-symmetric channels, so its analysis
+keeps only channels 0..N/2, computed by ``ihfft``, and a Hermitian
+synthesis bank takes those N/2+1 channels and runs ``hfft`` on them.
 
 Operation counters do not count what the realisation executes; they
 follow the per-frame accounting model: branch work counted as
@@ -58,11 +58,10 @@ import math
 import os
 import queue
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import fft, hfft, ifft, irfft, next_fast_len, rfft
+from scipy.fft import fft, hfft, ifft, ihfft, irfft, next_fast_len, rfft
 from scipy.signal import lfilter, sosfilt
 
 from .complexity import fir_candidate_cost, iir_candidate_cost
@@ -85,70 +84,54 @@ class OperationCounters:
 
 # Column block of the FIR family's frequency-domain convolution: bounds
 # each block's scratch memory at full-scale bank sizes (N = 1280 and up)
-# and is the unit of work of the bank pool.
+# and is the unit of work that ``run_blocks`` shares out.
 _FIR_COLUMN_BLOCK = 128
 
 
 def usable_cpus():
-    """CPUs this process may run on: the size of the bank pool."""
+    """CPUs this process may run on: the thread count of ``run_blocks``."""
     return len(os.sched_getaffinity(0))
 
 
-_POOL_LOCK = threading.Lock()
-_POOL = None  # (pid, cpus, executor): the bank pool, made by the first multi-block run
-
-
-def _bank_pool():
-    """(executor, cpus): this process's helper threads for bank blocks.
-
-    One helper per usable CPU but the caller's, made on first use and
-    kept.  The pool is made again when the CPU count changes, and in a
-    child that a caller forks, whose copy of the parent's pool has no
-    threads: a bank run there never submits to it.  None on one CPU.
-    """
-    global _POOL
-    cpus = usable_cpus()
-    if cpus < 2:
-        return None
-    with _POOL_LOCK:
-        if _POOL is None or _POOL[:2] != (os.getpid(), cpus):
-            helpers = ThreadPoolExecutor(cpus - 1, thread_name_prefix="fstack-bank")
-            _POOL = (os.getpid(), cpus, helpers)
-        return _POOL[2], cpus
-
-
 def run_blocks(block, blocks):
-    """``block`` over ``blocks`` on the calling thread and the bank pool's helpers.
+    """``block`` over ``blocks`` on the calling thread and helper threads of its own.
 
-    The caller takes blocks from the shared queue as well, so it never
-    sleeps waiting for a helper to start: on a host that is slow to
-    schedule the helpers it runs most blocks itself, and a helper that
-    has not started when the queue runs dry is cancelled.  One block
-    runs inline.  A block may call ``run_blocks`` itself: every caller
-    drains its own queue and waits only for helpers that have started,
-    so nested runs cannot deadlock on a pool of any size.
+    One thread per usable CPU, the caller's included, and at most one per
+    block: the helpers are started for this call (``Thread.start``
+    returns once each one runs) and joined before it returns, so none
+    outlives it.  The caller takes blocks from the shared queue as well,
+    so it never waits for a helper to take one: on a host that is slow
+    to schedule the helpers it runs most blocks itself.  One block runs
+    inline.  A block may call
+    ``run_blocks`` itself: every run has its own queue and helpers, so
+    nested runs cannot deadlock.  Once a block raises, no thread takes
+    another, and the first exception is raised again after the join.
     """
-    pool = _bank_pool() if len(blocks) > 1 else None
     todo = queue.SimpleQueue()
     for item in blocks:
         todo.put(item)
+    errors = []
 
     def drain():
-        while True:
+        while not errors:
             try:
                 item = todo.get_nowait()
             except queue.Empty:
                 return
-            block(item)
+            try:
+                block(item)
+            except BaseException as exc:  # raised on the caller after the join
+                errors.append(exc)
 
-    helpers = []
-    if pool is not None:
-        executor, cpus = pool
-        helpers = [executor.submit(drain) for _ in range(min(cpus, len(blocks)) - 1)]
+    helpers = [threading.Thread(target=drain, name="fstack-bank")
+               for _ in range(min(usable_cpus(), len(blocks)) - 1)]
+    for helper in helpers:
+        helper.start()
     drain()
     for helper in helpers:
-        if not helper.cancel():
-            helper.result()  # waits for the helper's last block; re-raises its exception
+        helper.join()
+    if errors:
+        raise errors[0]
 
 
 class _FirFamily:
@@ -174,11 +157,6 @@ class _FirFamily:
         self.scale = scale
         n = prototype.spec.num_branches
         self._hist = np.zeros((math.ceil(prototype.length / n) - 1, n))
-
-    @property
-    def real(self):
-        """Whether real input gives real output (the history is real)."""
-        return not np.iscomplexobj(self._hist)
 
     def run(self, u):
         hist = self._hist
@@ -243,13 +221,8 @@ class _AllPassFamily:
         self.scale = scale
         self._zi = [np.zeros((sos.shape[0], 2)) for sos in sections]
 
-    @property
-    def real(self):
-        """Whether real input gives real output (sections and state are real)."""
-        return not any(map(np.iscomplexobj, self.sections + self._zi))
-
     def run(self, u):
-        y = np.empty(u.shape[::-1], dtype=np.result_type(u, *self.sections, *self._zi))
+        y = np.empty(u.shape[::-1], dtype=np.result_type(u, *self._zi))
 
         def branch(br):
             out, self._zi[br] = sosfilt(self.sections[br], u[:, br], zi=self._zi[br])
@@ -262,22 +235,21 @@ class _AllPassFamily:
 def _allpass_sos(alphas):
     """Sections of a chain of first-order all-pass sections (a + z^-1)/(1 + a z^-1).
 
-    Each exact conjugate pair multiplies out to the real biquad
-    [|a|^2, 2 Re a, 1, 1, 2 Re a, |a|^2]; any other section keeps its
-    first-order row, so the rows are complex only if some complex
-    section has no conjugate.
+    Each conjugate pair (``AllPassPrototype`` pairs every complex
+    section) multiplies out to the real biquad
+    [|a|^2, 2 Re a, 1, 1, 2 Re a, |a|^2]; a real section keeps its
+    first-order row, so every row is real.
     """
     rows, rest = [], list(alphas)
     while rest:
         a = rest.pop()
-        if a.imag and np.conj(a) in rest:
+        if a.imag:
             rest.remove(np.conj(a))
             mag2, re2 = a.real**2 + a.imag**2, 2.0 * a.real
             rows.append([mag2, re2, 1.0, 1.0, re2, mag2])
         else:
-            rows.append([a, 1.0, 0.0, 1.0, a, 0.0])
-    sos = np.array(rows)
-    return sos if sos.imag.any() else sos.real.copy()
+            rows.append([a.real, 1.0, 0.0, 1.0, a.real, 0.0])
+    return np.array(rows)
 
 
 def _delay_sos(delay):
@@ -386,11 +358,11 @@ class AnalysisBank(_Bank):
         Returns a (frames, N) array; row k is the channel vector of
         frame ``counters.frames + k``, counted before the call.  Real
         branch output has conjugate-symmetric channels (channel N-c holds
-        the conjugate of channel c), so a real block into a bank whose
-        delay line, branch filters and branch state are real returns only
-        channels 0..N/2, a (frames, N//2 + 1) array: the half a Hermitian
-        ``SynthesisBank`` takes.  A real prototype keeps such a bank real
-        until it is fed a complex block.
+        the conjugate of channel c), so a real block into a bank that has
+        not been fed a complex block (whose delay line is real, as are its
+        branch filters and their state) returns only channels 0..N/2, a
+        (frames, N//2 + 1) array: the half a Hermitian ``SynthesisBank``
+        takes.
 
         The block's delay line (the kept history followed by the block, a
         copy of the input) is freed once the branches have run, before
@@ -408,18 +380,15 @@ class AnalysisBank(_Bank):
         ext = np.concatenate([self._hist, x])
         # row k of the delay line, reversed, holds x[k*N - n] in column n
         branch_in = ext[: n_frames * n].reshape(n_frames, n)[:, ::-1]
-        real = not np.iscomplexobj(branch_in) and self._branches.real
+        real = not np.iscomplexobj(branch_in)
         if n_frames == 0:
             return np.zeros((0, n // 2 + 1 if real else n), dtype=np.complex128)
         self._hist = ext[ext.size - (n - 1) :].copy()
         branch_out = self._branches.run(branch_in)
         del ext, branch_in  # the delay line is freed before the transform's output exists
-        if real:
-            # the ifft of real data: channel c is conj(rfft)[c] / N
-            frames = rfft(branch_out, axis=1, norm="forward", workers=usable_cpus())
-            np.conjugate(frames, out=frames)
-        else:
-            frames = ifft(branch_out, axis=1, workers=usable_cpus())
+        # channels 0..N/2 of the ifft of real data are its ihfft
+        transform = ihfft if real else ifft
+        frames = transform(branch_out, axis=1, workers=usable_cpus())
         self._count(n_frames)
         return frames
 

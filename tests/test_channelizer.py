@@ -107,6 +107,13 @@ class TestConfig:
             with pytest.raises(ConfigError, match=rf"\[{sub}\] outside the plan's 1\.\.{n // 2 - 1}$"):
                 dataclasses.replace(pipe, occupied_subbands=(1, sub, 2))
 
+    def test_non_integer_subband_rejected(self, pipelines):
+        # 3.0 == 3 would pass the range check and fail later as an index
+        pipe = pipelines["pipes"]["iir"]
+        with pytest.raises(ConfigError, match=r"\[3\.0\] are not integer indices"):
+            dataclasses.replace(pipe, occupied_subbands=(1, 3.0))
+        assert dataclasses.replace(pipe, occupied_subbands=(np.int64(3),)).occupied_subbands == (3,)
+
     def test_channel_count_bookkeeping(self, pipelines):
         pipe = pipelines["pipes"]["iir"]
         n_f = pipe.channel_plan.channels_per_subband
@@ -378,9 +385,11 @@ class TestEndToEnd:
                                             monkeypatch):
         """One, two and four usable CPUs give the same restack and report.
 
-        The sub-band cascades and the banks' blocks run on the bank pool,
+        The sub-band cascades and the banks' blocks run on helper threads,
         switching threads as often as they can; the output must not depend
-        on which thread ran a block, or in which order.
+        on which thread ran a block, or in which order.  Each run of the nine
+        cascades starts one helper per CPU but the caller's, and none of
+        them outlives the pass.
         """
         pipe = pipelines["pipes"][kind]
 
@@ -388,8 +397,11 @@ class TestEndToEnd:
             report = end_to_end(pipe, pipelines["stimulus"], capture_spectra=True)
             return report.extras.pop("spectra")["output"].samples, report
 
-        runs = [on_cpus(monkeypatch, cpus, run) for cpus in (1, 2, 4)]
-        assert polyphase._POOL[1] == 4
+        runs = []
+        for cpus in (1, 2, 4):
+            result, helpers = on_cpus(monkeypatch, cpus, run)
+            assert helpers == cpus - 1
+            runs.append(result)
         for out, report in runs:
             assert out.tobytes() == runs[0][0].tobytes()
             assert report == runs[0][1] == float_reports[kind]
@@ -428,7 +440,7 @@ class TestEndToEnd:
         """
         pipe, stimulus = pipelines["pipes"][kind], pipelines["stimulus"]
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        end_to_end(pipe, stimulus)  # warms the tap spectra and the bank pool
+        end_to_end(pipe, stimulus)  # warms the tap spectra
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]

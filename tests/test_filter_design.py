@@ -586,6 +586,14 @@ class TestCoefficientFiles:
         with pytest.raises(StabilityError):
             AllPassPrototype(np.array([[1.0 + 0j]]), spec)
 
+    @pytest.mark.parametrize("row", [[0.3 + 0.2j, 0.1], [0.3 + 0.2j, 0.3 - 0.2000001j]])
+    def test_unpaired_complex_section_rejected(self, row):
+        # (a + z^-1)/(1 + a z^-1) is all-pass only for real a, or next to conj(a)
+        spec = PrototypeSpec(1.0, 0.1, 0.15, 0.01, 0.01, 2, "iir")
+        with pytest.raises(InvalidSpecError, match="no exact conjugate"):
+            AllPassPrototype(np.array([row]), spec)
+        AllPassPrototype(np.array([[0.3 + 0.2j, 0.3 - 0.2j]]), spec)
+
 
 class TestBookkeepingInvariants:
     def test_recursive_counts(self, iir20, iir_small):

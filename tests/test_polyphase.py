@@ -1,10 +1,14 @@
 """Filter-bank runtime tests: oracle equality, reconstruction, counters."""
 
+import collections
+import math
 import os
 import signal
 import subprocess
 import sys
 import textwrap
+import threading
+import types
 
 import numpy as np
 import pytest
@@ -14,7 +18,7 @@ from scipy.signal import fftconvolve
 
 from fstack import complexity, polyphase
 from fstack.errors import FramingError, InvalidSpecError
-from fstack.filter_design import AllPassPrototype, PrototypeSpec, fir_from_taps
+from fstack.filter_design import AllPassPrototype, FirPrototype, PrototypeSpec, fir_from_taps
 from fstack.polyphase import (
     AnalysisBank,
     SynthesisBank,
@@ -61,19 +65,36 @@ def full_width(frames, n):
     return np.concatenate([frames, np.conj(frames[:, 1 : n - width + 1][:, ::-1])], axis=1)
 
 
+def bank_threads():
+    """The helper threads of ``run_blocks`` that are alive."""
+    return [t for t in threading.enumerate() if t.name.startswith("fstack-bank")]
+
+
 def on_cpus(monkeypatch, cpus, run):
     """``run()`` with ``cpus`` usable CPUs, switching threads as often as it can.
 
     A block lost, or read back before its thread wrote it, would then
-    change the output.
+    change the output.  Returns ``run()``'s result and the most helper
+    threads that one ``run_blocks`` call started; none of them may be
+    alive once ``run()`` has returned.
     """
+    started = collections.Counter()  # helpers per run, keyed by the run's drain
+
+    class Helper(threading.Thread):
+        def __init__(self, target, name):
+            super().__init__(target=target, name=name)
+            started[target] += 1
+
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(polyphase, "threading", types.SimpleNamespace(Thread=Helper))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        return run()
+        result = run()
     finally:
         sys.setswitchinterval(interval)
+    assert not bank_threads()
+    return result, max(started.values(), default=0)
 
 
 def assert_cpu_count_keeps_outputs(proto, x, monkeypatch):
@@ -90,10 +111,13 @@ def assert_cpu_count_keeps_outputs(proto, x, monkeypatch):
         out = SynthesisBank(proto, hermitian=np.isrealobj(x)).process_block(channels)
         return channels, out
 
+    n = proto.spec.num_branches
+    blocks = math.ceil(n / polyphase._FIR_COLUMN_BLOCK) if isinstance(proto, FirPrototype) else n
     default = run()
-    four = on_cpus(monkeypatch, 4, run)
-    assert polyphase._POOL[1] == 4
-    one = on_cpus(monkeypatch, 1, run)
+    four, helpers = on_cpus(monkeypatch, 4, run)
+    assert helpers == min(4, blocks) - 1
+    one, helpers = on_cpus(monkeypatch, 1, run)
+    assert helpers == 0
     assert (default[1].dtype.kind == "f") == np.isrealobj(x)
     for a, b, c in zip(default, four, one):
         np.testing.assert_array_equal(a, b)
@@ -200,17 +224,6 @@ class TestFraming:
         bank = AnalysisBank(proto)
         bank.process_block(x[: n * 8].astype(complex))
         assert bank.process_block(x[n * 8 :]).shape == (56, n)
-
-    def test_real_input_to_complex_sections_gives_all_channels(self, rng):
-        # sections with no conjugate partner make real input's channels
-        # asymmetric, so all N are returned
-        n = 4
-        spec = PrototypeSpec(1.0, 0.4 / n, 0.6 / n, 0.01, 0.01, n, "iir")
-        proto = AllPassPrototype(np.full((n - 1, 2), 0.3 + 0.2j), spec)
-        x = rng.standard_normal(n * 32)
-        frames = AnalysisBank(proto).process_block(x)
-        assert frames.shape == (32, n)
-        np.testing.assert_array_equal(frames, AnalysisBank(proto).process_block(x + 0j))
 
     def test_rate_bookkeeping(self, fir_small, rng):
         bank = AnalysisBank(fir_small[8])
@@ -343,7 +356,6 @@ class TestOracleEquivalence:
         "alphas",
         [
             [0.3 + 0.4j, 0.3 - 0.4j, -0.2 + 0j],  # a conjugate pair and a real section
-            [0.3 + 0.4j, 0.1 - 0.2j, 0.25 + 0j],  # complex sections with no exact conjugate
         ],
     )
     def test_arbitrary_sections_match_oracle(self, alphas, rng):
@@ -611,14 +623,15 @@ def run_isolated(code, timeout=120):
 
 class TestRunBlocks:
     def test_nested_runs_run_every_block_once(self):
-        # each outer block runs a pool run of its own, as a full-scale fine
+        # each outer block calls run_blocks itself, as a full-scale fine
         # bank's column blocks do inside a sub-band block; every inner block
-        # must run exactly once.  A deadlock would also hang the pool's
-        # threads at exit, so the run has an interpreter of its own, which
+        # must run exactly once, and no helper outlives its run.  A deadlock
+        # would hang the interpreter, so the run has one of its own, which
         # the timeout kills
         proc = run_isolated("""
             import os
             import sys
+            import threading
             import time
             from fstack import polyphase
 
@@ -634,50 +647,68 @@ class TestRunBlocks:
                 polyphase.run_blocks(inner, range(5))
 
             polyphase.run_blocks(outer, range(6))
-            assert polyphase._POOL[1] == 4
             assert sorted(done) == [(i, j) for i in range(6) for j in range(5)]
+            assert threading.active_count() == 1
             print("ok")
         """, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["ok"]
+
+    def test_helper_exception_raised_on_caller(self, monkeypatch):
+        # the caller's first block waits until a helper has taken a block,
+        # so the helpers run the failing ones; their exception is raised on
+        # the caller once every helper has stopped
+        caller = threading.current_thread()
+        helper_ran = threading.Event()
+
+        def block(i):
+            if threading.current_thread() is caller:
+                assert helper_ran.wait(timeout=60)
+            else:
+                helper_ran.set()
+                raise ValueError(f"block {i} failed")
+
+        with pytest.raises(ValueError, match=r"block \d failed"):
+            on_cpus(monkeypatch, 4, lambda: polyphase.run_blocks(block, range(8)))
+        assert not bank_threads()
 
 
 class TestBankPoolFork:
     """A child forked by a caller after a threaded bank run."""
 
     def test_fork_after_threaded_bank_run(self):
-        # the child's copy of the bank pool lost its threads in the fork: a
-        # bank run there must make a pool of its own, since blocks submitted
-        # to the copied one would wait forever
+        # no helper thread outlives the parent's bank run, so the fork copies
+        # a process with one thread, and the child's bank runs helpers of its own
         proc = run_isolated("""
             import multiprocessing
             import os
+            import threading
             import numpy as np
             from fstack import polyphase
             from fstack.filter_design import fir_from_taps
 
-            os.sched_getaffinity = lambda pid: {0, 1, 2, 3}  # the bank pool runs anywhere
+            os.sched_getaffinity = lambda pid: {0, 1, 2, 3}  # the banks run helper threads
             rng = np.random.default_rng(5)
             proto = fir_from_taps(rng.standard_normal(6 * 256), 256)
             x = rng.standard_normal(256 * 30) + 1j * rng.standard_normal(256 * 30)
 
             def analyse(conn):
                 frames = polyphase.AnalysisBank(proto).process_block(x)
-                conn.send((frames, polyphase._POOL[0] == os.getpid()))
+                conn.send(frames)
 
             parent = polyphase.AnalysisBank(proto).process_block(x)
-            assert polyphase._POOL[0] == os.getpid()
+            assert not [t for t in threading.enumerate() if t.name.startswith("fstack-bank")]
             ctx = multiprocessing.get_context("fork")
             for _ in range(2):
                 recv, send = ctx.Pipe(duplex=False)
                 child = ctx.Process(target=analyse, args=(send,))
                 child.start()
                 send.close()
-                frames, own_pool = recv.recv()
+                frames = recv.recv()
                 recv.close()
                 child.join()
                 assert child.exitcode == 0
-                assert own_pool and np.array_equal(frames, parent)
+                assert np.array_equal(frames, parent)
             print("ok")
         """, timeout=60)
         assert proc.returncode == 0, proc.stderr
