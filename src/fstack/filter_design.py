@@ -54,7 +54,11 @@ def ripple_pp_db_to_linear(ripple_db_pp):
 
 @dataclass(frozen=True)
 class PrototypeSpec:
-    """Lowpass prototype requirements, ripples as linear peak deviations."""
+    """Lowpass prototype requirements, ripples as linear peak deviations.
+
+    One spec serves both candidate designs: the prototype's class
+    (``FirPrototype`` or ``AllPassPrototype``) is the only record of its kind.
+    """
 
     sample_rate_hz: float
     passband_edge_hz: float
@@ -62,11 +66,8 @@ class PrototypeSpec:
     passband_ripple: float
     stopband_ripple: float
     num_branches: int
-    kind: str  # "fir" | "iir"
 
     def __post_init__(self):
-        if self.kind not in ("fir", "iir"):
-            raise InvalidSpecError(f"kind must be 'fir' or 'iir', got {self.kind!r}")
         if self.sample_rate_hz <= 0:
             raise InvalidSpecError("sample rate must be positive")
         if not 0.0 < self.passband_edge_hz < self.stopband_edge_hz:
@@ -155,7 +156,7 @@ class AllPassPrototype:
                 f"alpha matrix has {self.alphas.shape[0]} rows; "
                 f"N = {self.num_branches} needs N - 1 = {self.num_branches - 1}"
             )
-        if self.alphas.size and np.max(np.abs(self.alphas)) >= 1.0:
+        if not np.all(np.abs(self.alphas) < 1.0):  # NaN fails too
             raise StabilityError("all-pass coefficient on or outside the unit circle")
         if not np.array_equal(np.sort(self.alphas), np.sort(self.alphas.conj())):
             raise InvalidSpecError("a complex all-pass section has no exact conjugate")
@@ -317,15 +318,8 @@ def fir_from_taps(taps, num_branches):
     The attached spec is bookkeeping only: unit sample rate, quarter-band
     edges, loose ripples.
     """
-    spec = PrototypeSpec(
-        sample_rate_hz=1.0,
-        passband_edge_hz=0.2,
-        stopband_edge_hz=0.3,
-        passband_ripple=0.5,
-        stopband_ripple=0.5,
-        num_branches=num_branches,
-        kind="fir",
-    )
+    spec = PrototypeSpec(sample_rate_hz=1.0, passband_edge_hz=0.2, stopband_edge_hz=0.3,
+                         passband_ripple=0.5, stopband_ripple=0.5, num_branches=num_branches)
     return FirPrototype(np.asarray(taps, dtype=float), spec)
 
 
@@ -442,8 +436,6 @@ def design_iir_nthband_alp(spec):
     ``design_fir_equiripple`` grows its length.  After ``_ORDER_ATTEMPTS``
     failing orders it raises with the best verification report attached.
     """
-    if spec.kind != "iir":
-        raise InvalidSpecError("spec.kind must be 'iir' for the recursive design")
     first = estimate_iir_order(spec.stopband_ripple, spec.delta_f, spec.num_branches)
     best = None
     for order in range(first, first + _ORDER_ATTEMPTS):
@@ -613,15 +605,16 @@ def _fmt(x):
 def export_coefficients(proto, path):
     """Write ``proto`` as a UTF-8 coefficient text file.
 
-    The '# key=value' header lines carry kind, N, n_fos, fs_hz, fp_hz,
-    fa_hz, dp and ds.  The body is one FIR tap per line, or one
-    'branch,section,alpha_re,alpha_im' line per all-pass section (branch
-    1..N-1, section 0..n_fos-1) for the recursive kind.  Every number is
-    written with 17 significant digits, so it reads back bit-exactly.
+    The '# key=value' header lines carry kind (fir or iir, from the
+    prototype's class), N, n_fos, fs_hz, fp_hz, fa_hz, dp and ds.  The
+    body is one FIR tap per line, or one 'branch,section,alpha_re,alpha_im'
+    line per all-pass section (branch 1..N-1, section 0..n_fos-1) for the
+    recursive kind.  Every number is written with 17 significant digits,
+    so it reads back bit-exactly.
     """
     spec = proto.spec
-    lines = []
-    lines.append(f"# kind={spec.kind}")
+    fir = isinstance(proto, FirPrototype)
+    lines = [f"# kind={'fir' if fir else 'iir'}"]
     lines.append(f"# N={spec.num_branches}")
     lines.append(f"# n_fos={proto.sections_per_branch}")
     lines.append(f"# fs_hz={_fmt(spec.sample_rate_hz)}")
@@ -629,7 +622,7 @@ def export_coefficients(proto, path):
     lines.append(f"# fa_hz={_fmt(spec.stopband_edge_hz)}")
     lines.append(f"# dp={_fmt(spec.passband_ripple)}")
     lines.append(f"# ds={_fmt(spec.stopband_ripple)}")
-    if isinstance(proto, FirPrototype):
+    if fir:
         lines.extend(_fmt(tap) for tap in proto.coefficients)
     else:
         for n in range(1, proto.num_branches):

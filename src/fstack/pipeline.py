@@ -54,6 +54,7 @@ def build_plan(cfg):
 
 
 def _coarse_spec(cfg, plan, kind):
+    """Coarse prototype spec; ``kind`` "fir" picks the FIR stopband override."""
     stop_db = cfg.stopband_db
     if kind == "fir":
         stop_db = cfg.fir_stopband_db or stop_db
@@ -64,7 +65,6 @@ def _coarse_spec(cfg, plan, kind):
         passband_ripple=ripple_pp_db_to_linear(cfg.passband_ripple_db),
         stopband_ripple=attenuation_to_ripple(stop_db),
         num_branches=plan.inputs.num_channels,
-        kind=kind,
     )
 
 
@@ -102,7 +102,6 @@ def build_fine_prototype(cfg, channel_plan):
         passband_ripple=FINE_PASSBAND_RIPPLE,
         stopband_ripple=attenuation_to_ripple(FINE_STOPBAND_DB),
         num_branches=n_f,
-        kind="fir",
     )
     est = estimate_fir_length(spec.passband_ripple, spec.stopband_ripple, spec.delta_f)
     if est > FINE_REMEZ_LIMIT:

@@ -268,50 +268,40 @@ def _fir_taps(prototype):
     return np.concatenate([taps, np.zeros(k * n - taps.size)]).reshape(k, n)
 
 
-def _branch_family(prototype):
-    """Analysis branch filters 0..N-1 of the prototype, gains included."""
-    if isinstance(prototype, FirPrototype):
-        return _FirFamily(prototype, 1.0)
-    if isinstance(prototype, AllPassPrototype):
-        n = prototype.num_branches
-        sections = [_delay_sos(prototype.sections_per_branch)]
-        sections.extend(_allpass_sos(prototype.alphas[i]) for i in range(n - 1))
-        return _AllPassFamily(sections, 1.0 / n)
-    raise TypeError(f"unsupported prototype {type(prototype).__name__}")
+def _family(prototype, synthesis):
+    """Branch filters in the bank's run order, gains included.
 
-
-def _synthesis_family(prototype):
-    """Synthesis branch filters in output-slot order: column m is branch N-1-m.
-
-    Branch n pairs with analysis branch N-n (see module docstring), so
-    slot m < N-1 carries analysis branch m+1's sections and the last slot
-    the shortened branch-0 delay; for FIR branches (index reversal) slot
-    m carries analysis tap column m, which is the analysis family itself.
-    The family's scale carries the gain N^2 / dc_gain^2 that gives a
-    matched cascade unity passband gain.
+    Synthesis runs in output-slot order: slot m carries branch N-1-m,
+    which pairs with analysis branch m+1 (see module docstring).  All-pass
+    analysis is [delay M] + branches 1..N-1, scale 1/N; all-pass synthesis
+    is branches 1..N-1 + [delay M-1], scale gain/N (M sections per branch).
+    FIR analysis and synthesis are one family, scale 1 or gain: index
+    reversal puts analysis tap column m in slot m.  gain = N^2 / dc_gain^2
+    gives a matched cascade unity passband gain.
     """
     n = prototype.spec.num_branches
     dc = prototype.dc_gain
-    gain = n * n / (dc * dc)
+    scale = n * n / (dc * dc) if synthesis else 1.0
     if isinstance(prototype, FirPrototype):
-        return _FirFamily(prototype, gain)
-    if isinstance(prototype, AllPassPrototype):
-        sections = [_allpass_sos(prototype.alphas[m]) for m in range(n - 1)]
+        return _FirFamily(prototype, scale)
+    sections = [_allpass_sos(row) for row in prototype.alphas]
+    if synthesis:
         sections.append(_delay_sos(prototype.sections_per_branch - 1))
-        return _AllPassFamily(sections, gain / n)
-    raise TypeError(f"unsupported prototype {type(prototype).__name__}")
+    else:
+        sections.insert(0, _delay_sos(prototype.sections_per_branch))
+    return _AllPassFamily(sections, scale / n)
 
 
-def _frame_cost(prototype, num_branches):
+def _frame_cost(prototype):
     """(real adds, real mults) per frame under the accounting model.
 
     The FIR model needs L >= N (``fir_candidate_cost``), so a bank built
     from a shorter FIR raises ``InvalidSpecError``.
     """
-    n = num_branches
+    n = prototype.spec.num_branches
     if isinstance(prototype, FirPrototype):
         return fir_candidate_cost(n, prototype.length)
-    return iir_candidate_cost(n, prototype.num_branches * prototype.sections_per_branch)
+    return iir_candidate_cost(n, prototype.coefficient_count)
 
 
 def _require_finite(x):
@@ -330,7 +320,7 @@ class _Bank:
         self.prototype = prototype
         self.num_branches = prototype.spec.num_branches
         self._branches = branches
-        self._frame_cost = _frame_cost(prototype, self.num_branches)
+        self._frame_cost = _frame_cost(prototype)
         self.counters = OperationCounters()
 
     @property
@@ -349,7 +339,7 @@ class AnalysisBank(_Bank):
     """Streaming N-channel analysis bank (one owner, stateful)."""
 
     def __init__(self, prototype):
-        super().__init__(prototype, _branch_family(prototype))
+        super().__init__(prototype, _family(prototype, synthesis=False))
         self._hist = np.zeros(self.num_branches - 1)
 
     def process_block(self, samples):
@@ -406,7 +396,7 @@ class SynthesisBank(_Bank):
     """
 
     def __init__(self, prototype, hermitian=False):
-        super().__init__(prototype, _synthesis_family(prototype))
+        super().__init__(prototype, _family(prototype, synthesis=True))
         self.hermitian = hermitian
 
     def process_block(self, frames):

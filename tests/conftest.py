@@ -61,7 +61,6 @@ def iir20_spec():
         passband_ripple=ripple_pp_db_to_linear(0.0492),
         stopband_ripple=attenuation_to_ripple(49.09),
         num_branches=REF_N,
-        kind="iir",
     )
 
 
@@ -81,7 +80,6 @@ def fir20():
         passband_ripple=ripple_pp_db_to_linear(0.0492),
         stopband_ripple=attenuation_to_ripple(51.42),
         num_branches=REF_N,
-        kind="fir",
     )
     return design_fir_equiripple(spec)
 
@@ -94,7 +92,6 @@ def _small_iir(num_branches, order, fp_norm, stop_db, phase_limit_deg=1.0):
         passband_ripple=0.01,
         stopband_ripple=attenuation_to_ripple(stop_db),
         num_branches=num_branches,
-        kind="iir",
     )
     return filter_design._design_iir_at_order(spec, order, phase_limit_deg)
 
@@ -122,7 +119,6 @@ def _small_fir(num_branches, fp_norm, stop_db=40.0):
         passband_ripple=0.01,
         stopband_ripple=attenuation_to_ripple(stop_db),
         num_branches=num_branches,
-        kind="fir",
     )
     return design_fir_equiripple(spec)
 

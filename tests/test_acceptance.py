@@ -154,7 +154,7 @@ def test_c06_counters_equal_cost_model():
         ok = ok and bank.counters.real_adds == frames * a1
         ok = ok and bank.counters.real_mults == frames * p1
 
-        spec = PrototypeSpec(1.0, 0.4 / n, 0.6 / n, 0.01, 0.01, n, "iir")
+        spec = PrototypeSpec(1.0, 0.4 / n, 0.6 / n, 0.01, 0.01, n)
         bank = AnalysisBank(AllPassPrototype(np.full((n - 1, 4), 0.02 + 0j), spec))
         bank.process_block(rng.standard_normal(frames * n))
         a2, p2 = complexity.iir_candidate_cost(n, 4 * n)

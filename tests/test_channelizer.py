@@ -526,13 +526,17 @@ class TestEndToEnd:
         with pytest.raises(InvalidSpecError, match="nothing to measure: no sub-band"):
             end_to_end(pipe, pipelines["stimulus"])
 
-    def test_too_short_input_rejected(self, pipelines):
-        pipe = pipelines["pipes"]["iir"]
+    @pytest.mark.parametrize("kind", ["iir", "fir"])
+    def test_too_short_input_rejected(self, pipelines, kind):
+        # the shortest accepted prefix aligns and meets c08; one sample fewer is refused
+        pipe = pipelines["pipes"][kind]
         stim = pipelines["stimulus"]
         needed = pipe.expected_delay_samples() + pipeline_warmup_samples(pipe)
-        short = SignalBuffer(stim.samples[:300_000], stim.rate_hz, "real")
-        assert len(short) < needed
-        with pytest.raises(InvalidSpecError, match=rf"\b300000\b.*\b{needed}\b"):
+        shortest = end_to_end(pipe, SignalBuffer(stim.samples[:needed], stim.rate_hz, "real"))
+        assert shortest.aligned_delay == pipe.expected_delay_samples()
+        assert shortest.mse_over_signal < 1e-5
+        short = SignalBuffer(stim.samples[: needed - 1], stim.rate_hz, "real")
+        with pytest.raises(InvalidSpecError, match=rf"\b{needed - 1}\b.*\b{needed}\b"):
             end_to_end(pipe, short)
 
     def test_adc_path_reports_quantization(self, pipelines):

@@ -2,17 +2,16 @@
 
 On (frames, N) arrays, ``AnalysisBank`` applies ``ifft(x, axis=1)``
 (inverse kernel, 1/N scaling) to complex branch output, and to real
-branch output ``conj(rfft(x, axis=1, norm="forward"))``: channels 0..N/2
-of the same inverse transform.  ``SynthesisBank`` applies
-``fft(x, axis=1)`` (forward kernel, unscaled), and a Hermitian one
-``hfft(x, N, axis=1)`` to channels 0..N/2.  These tests pin that
+branch output ``ihfft(x, axis=1)``: channels 0..N/2 of the same inverse
+transform.  ``SynthesisBank`` applies ``fft(x, axis=1)`` (forward kernel,
+unscaled), and a Hermitian one ``hfft(x, N, axis=1)`` to channels 0..N/2.  These tests pin that
 convention against an independent O(N^2) DFT, at the channelizer sizes
 and at sizes with large prime factors.
 """
 
 import numpy as np
 import pytest
-from scipy.fft import fft, hfft, ifft, rfft
+from scipy.fft import fft, hfft, ifft, ihfft
 
 
 def dft_oracle(x, inverse=False):
@@ -43,9 +42,7 @@ def inverse(x):
 
 def real_inverse(x):
     """The analysis-bank transform of real branch output: channels 0..N/2."""
-    half = rfft(np.asarray(x, dtype=float)[None, :], axis=1, norm="forward")
-    np.conjugate(half, out=half)
-    return half[0]
+    return ihfft(np.asarray(x, dtype=float)[None, :], axis=1)[0]
 
 
 def hermitian_forward(half, n):
@@ -84,7 +81,7 @@ class TestTransform:
         ifft(x, axis=1)
         np.testing.assert_array_equal(x, keep)
         real = x.real.copy()
-        half = rfft(real, axis=1, norm="forward")
+        half = ihfft(real, axis=1)
         hfft(half, 40, axis=1)
         np.testing.assert_array_equal(real, keep.real)
 

@@ -9,6 +9,7 @@ from fstack.errors import DesignFailureError, InvalidSpecError, StabilityError
 from fstack import filter_design
 from fstack.filter_design import (
     AllPassPrototype,
+    FirPrototype,
     PrototypeSpec,
     attenuation_to_ripple,
     composite_response,
@@ -25,7 +26,7 @@ from fstack.filter_design import (
 from fstack.pipeline import build_coarse_prototype, build_plan
 
 TABLE_DF = 6.0 / 1280.0
-QUARTER_BAND = PrototypeSpec(1.0, 0.2, 0.3, 0.01, 0.01, 1, "fir")  # passes on the 5th length
+QUARTER_BAND = PrototypeSpec(1.0, 0.2, 0.3, 0.01, 0.01, 1)  # passes on the 5th length
 
 # alphas of the iir_small fixture designs for N = 4 and N = 8, printed with
 # repr() from the fit that stops once its least peak phase error has
@@ -153,15 +154,15 @@ class TestEstimators:
 class TestSpecValidation:
     def test_rejects_inverted_edges(self):
         with pytest.raises(InvalidSpecError):
-            PrototypeSpec(1.0, 0.3, 0.2, 0.01, 0.01, 4, "fir")
+            PrototypeSpec(1.0, 0.3, 0.2, 0.01, 0.01, 4)
 
     def test_rejects_stopband_beyond_nyquist(self):
         with pytest.raises(InvalidSpecError):
-            PrototypeSpec(1.0, 0.2, 0.6, 0.01, 0.01, 4, "fir")
+            PrototypeSpec(1.0, 0.2, 0.6, 0.01, 0.01, 4)
 
     def test_rejects_silly_ripples(self):
         with pytest.raises(InvalidSpecError):
-            PrototypeSpec(1.0, 0.2, 0.3, 0.0, 0.01, 4, "fir")
+            PrototypeSpec(1.0, 0.2, 0.3, 0.0, 0.01, 4)
 
 
 def _failing_remez(*args, **kwargs):
@@ -170,14 +171,14 @@ def _failing_remez(*args, **kwargs):
 
 class TestFirDesign:
     def test_quarter_band_point(self):
-        spec = PrototypeSpec(1.0, 0.2, 0.3, 0.001, 0.001, 1, "fir")
+        spec = PrototypeSpec(1.0, 0.2, 0.3, 0.001, 0.001, 1)
         proto = design_fir_equiripple(spec)
         assert 31 <= proto.length <= 37
         rep = proto.design_report
         assert rep.ok_passband and rep.ok_stopband
 
     def test_looser_quarter_band_point(self):
-        spec = PrototypeSpec(1.0, 0.2, 0.3, 0.01, 0.01, 1, "fir")
+        spec = PrototypeSpec(1.0, 0.2, 0.3, 0.01, 0.01, 1)
         assert estimate_fir_length(0.01, 0.01, 0.1) == 18
         proto = design_fir_equiripple(spec)
         assert proto.design_report.ok
@@ -191,7 +192,7 @@ class TestFirDesign:
         assert fir20.length % 20 == 0
 
     def test_unconstrained_spec_is_tiny(self):
-        spec = PrototypeSpec(1.0, 0.2, 0.45, 0.5, 0.5, 1, "fir")
+        spec = PrototypeSpec(1.0, 0.2, 0.45, 0.5, 0.5, 1)
         proto = design_fir_equiripple(spec)
         assert proto.length <= 3
         assert proto.design_report.ok
@@ -206,7 +207,7 @@ class TestFirDesign:
 
     def test_impossible_spec_reports_failure(self, monkeypatch):
         monkeypatch.setattr(filter_design, "_LENGTH_ATTEMPTS", 3)
-        spec = PrototypeSpec(1.0, 0.2, 0.201, 1e-4, 1e-6, 1, "fir")
+        spec = PrototypeSpec(1.0, 0.2, 0.201, 1e-4, 1e-6, 1)
         with pytest.raises(DesignFailureError) as err:
             design_fir_equiripple(spec)
         assert err.value.report is not None
@@ -250,7 +251,7 @@ class TestRecursiveDesign:
     def test_halfband_class_filter(self):
         # two sections per branch only reach ~29 dB at this transition
         # width, with a correspondingly relaxed phase-linearity bound
-        spec = PrototypeSpec(1.0, 0.2, 0.3, 0.01, attenuation_to_ripple(28.0), 2, "iir")
+        spec = PrototypeSpec(1.0, 0.2, 0.3, 0.01, attenuation_to_ripple(28.0), 2)
         proto = _design_at_order(spec, 2, 6.0)
         rep = proto.design_report
         # passband flatness lands at the micro-to-milli dB level
@@ -265,7 +266,7 @@ class TestRecursiveDesign:
         assert rep.phase_dev_deg < 1.0
 
     def test_single_branch_degenerates(self):
-        spec = PrototypeSpec(1.0, 0.2, 0.3, 0.01, 0.01, 1, "iir")
+        spec = PrototypeSpec(1.0, 0.2, 0.3, 0.01, 0.01, 1)
         proto = _design_at_order(spec, 3, 1.0)
         assert proto.alphas.shape[0] == 0
         assert proto.coefficient_count == 3
@@ -323,7 +324,7 @@ class TestRecursiveDesign:
             fp_norm = (1.0 / n - delta_f) / 2.0
             spec = PrototypeSpec(
                 1.0, fp_norm, fp_norm + delta_f, 0.01,
-                attenuation_to_ripple(120.0), n, "iir",  # never passes; read report
+                attenuation_to_ripple(120.0), n,  # never passes; read report
             )
             achieved = None
             for order in orders:
@@ -500,7 +501,7 @@ class TestCompositeResponse:
         # the Horner evaluation of random stable denominators; at N = 3 the
         # grid reaches 3*pi at the decimated rate.  The bound is 1e-12
         # relative to each branch's 1/N, summed over the N branches
-        spec = PrototypeSpec(1.0, 0.1, 0.2, 0.01, 0.01, 3, "iir")
+        spec = PrototypeSpec(1.0, 0.1, 0.2, 0.01, 0.01, 3)
         alphas = np.stack([random_stable_alphas(order, rng) for _ in range(2)])
         proto = AllPassPrototype(alphas, spec)
         np.testing.assert_allclose(composite_response(proto, self.FREQS),
@@ -581,15 +582,27 @@ class TestCoefficientFiles:
             alphas[int(branch) - 1, int(section)] = complex(float(re), float(im))
         np.testing.assert_array_equal(alphas, iir20.alphas)
 
-    def test_unstable_prototype_constructor(self):
-        spec = PrototypeSpec(1.0, 0.1, 0.15, 0.01, 0.01, 2, "iir")
+    def test_one_spec_designs_both_kinds(self, tmp_path):
+        # the spec names no kind: the designer picks it, the class records it
+        spec = PrototypeSpec(1.0, 0.1, 0.15, 0.01, 0.01, 4)
+        for design, cls, kind in [(design_fir_equiripple, FirPrototype, "fir"),
+                                  (design_iir_nthband_alp, AllPassPrototype, "iir")]:
+            proto = design(spec)
+            assert type(proto) is cls and proto.spec is spec
+            export_coefficients(proto, tmp_path / f"{kind}.coef")
+            assert read_coefficient_file(tmp_path / f"{kind}.coef")[0]["kind"] == kind
+
+    # a NaN coefficient compares False both ways, so it must fail a "< 1" test
+    @pytest.mark.parametrize("alpha", [1.0 + 0j, np.nan, complex(np.nan, 0.1)])
+    def test_unstable_prototype_constructor(self, alpha):
+        spec = PrototypeSpec(1.0, 0.1, 0.15, 0.01, 0.01, 2)
         with pytest.raises(StabilityError):
-            AllPassPrototype(np.array([[1.0 + 0j]]), spec)
+            AllPassPrototype(np.array([[alpha]]), spec)
 
     @pytest.mark.parametrize("row", [[0.3 + 0.2j, 0.1], [0.3 + 0.2j, 0.3 - 0.2000001j]])
     def test_unpaired_complex_section_rejected(self, row):
         # (a + z^-1)/(1 + a z^-1) is all-pass only for real a, or next to conj(a)
-        spec = PrototypeSpec(1.0, 0.1, 0.15, 0.01, 0.01, 2, "iir")
+        spec = PrototypeSpec(1.0, 0.1, 0.15, 0.01, 0.01, 2)
         with pytest.raises(InvalidSpecError, match="no exact conjugate"):
             AllPassPrototype(np.array([row]), spec)
         AllPassPrototype(np.array([[0.3 + 0.2j, 0.3 - 0.2j]]), spec)
@@ -606,7 +619,7 @@ class TestBookkeepingInvariants:
             assert proto.length == n * (proto.sections_per_branch + 1)
 
     def test_branches_and_order_come_from_inputs(self):
-        spec = PrototypeSpec(1.0, 0.02, 0.105, 0.01, 0.01, 8, "iir")
+        spec = PrototypeSpec(1.0, 0.02, 0.105, 0.01, 0.01, 8)
         proto = AllPassPrototype(np.full((7, 2), 0.1 + 0j), spec)
         assert (proto.num_branches, proto.sections_per_branch) == (8, 2)
         # three rows on an N = 8 spec would leave the bank four branches

@@ -333,7 +333,7 @@ class TestOracleEquivalence:
     def test_matches_bank_both_kinds(self, n, iir_small, fir_small, iir20, fir20, rng):
         if n in (14, 22):
             # prime factors 7 and 11: arbitrary prototypes of both kinds
-            spec = PrototypeSpec(1.0, 0.4 / n, 0.6 / n, 0.01, 0.01, n, "iir")
+            spec = PrototypeSpec(1.0, 0.4 / n, 0.6 / n, 0.01, 0.01, n)
             protos = {
                 "iir": AllPassPrototype(np.full((n - 1, 3), 0.05 + 0j), spec),
                 "fir": fir_from_taps(rng.standard_normal(3 * n), n),
@@ -360,7 +360,7 @@ class TestOracleEquivalence:
     )
     def test_arbitrary_sections_match_oracle(self, alphas, rng):
         n = 4
-        spec = PrototypeSpec(1.0, 0.4 / n, 0.6 / n, 0.01, 0.01, n, "iir")
+        spec = PrototypeSpec(1.0, 0.4 / n, 0.6 / n, 0.01, 0.01, n)
         rows = [np.roll(alphas, br) for br in range(n - 1)]
         proto = AllPassPrototype(np.array(rows), spec)
         x = rng.standard_normal(n * 256) + 1j * rng.standard_normal(n * 256)
@@ -551,7 +551,7 @@ class TestCounters:
             bank(fir_from_taps([1.0], 4))
 
     def test_recursive_frame_model(self, rng):
-        spec = PrototypeSpec(1.0, 0.02, 1.0 / 16 - 0.02, 0.01, 0.01, 16, "iir")
+        spec = PrototypeSpec(1.0, 0.02, 1.0 / 16 - 0.02, 0.01, 0.01, 16)
         proto = AllPassPrototype(np.full((15, 10), 0.1 + 0j), spec)
         bank = AnalysisBank(proto)
         bank.process_block(rng.standard_normal(16))
@@ -569,7 +569,7 @@ class TestCounters:
         assert bank.counters.real_adds == frames * a1
         assert bank.counters.real_mults == frames * p1
 
-        spec = PrototypeSpec(1.0, 0.4 / n, 0.6 / n, 0.01, 0.01, n, "iir")
+        spec = PrototypeSpec(1.0, 0.4 / n, 0.6 / n, 0.01, 0.01, n)
         iir = AllPassPrototype(np.full((n - 1, 3), 0.05 + 0j), spec)
         bank = AnalysisBank(iir)
         bank.process_block(rng.standard_normal(n * frames))
