@@ -26,8 +26,6 @@ from .errors import ConfigError, InvalidSpecError, RateMismatchError
 from .frontend import AdcModel, SignalBuffer, adc_quantize, add_awgn
 from .polyphase import AnalysisBank, SynthesisBank, matched_cascade_delay, run_blocks
 
-GMR1_GRANULARITY_HZ = 31.25e3
-GMR2_GRANULARITY_HZ = 50.0e3
 DELAY_SEARCH_SPAN = 1 << 16  # reference samples correlated by end_to_end
 
 
@@ -56,11 +54,6 @@ class ChannelPlan:
         return int(round(self.subband_rate_hz / self.granularity_hz))
 
 
-def gmr_channel_plan(standard, subband_rate_hz, guardband_fraction=0.1):
-    granularity = {"gmr1": GMR1_GRANULARITY_HZ, "gmr2": GMR2_GRANULARITY_HZ}[standard]
-    return ChannelPlan(granularity, subband_rate_hz, guardband_fraction)
-
-
 @dataclass
 class ChanneliserConfig:
     """Everything the pipeline needs: plan, prototypes and the fine grid."""
@@ -69,12 +62,12 @@ class ChanneliserConfig:
     coarse_prototype: object
     fine_prototype: object
     channel_plan: ChannelPlan
-    occupied_subbands: tuple = None  # None = every plannable sub-band
+    occupied_subbands: tuple
 
     def __post_init__(self):
         n = self.plan.inputs.num_channels
-        if self.occupied_subbands is None:
-            self.occupied_subbands = self.plan.occupied_subbands
+        if not self.occupied_subbands:
+            raise ConfigError("no occupied sub-band: a run of none measures nothing")
         non_integer = [s for s in self.occupied_subbands if not isinstance(s, numbers.Integral)]
         if non_integer:
             raise ConfigError(f"occupied sub-bands {non_integer} are not integer indices")
@@ -312,10 +305,9 @@ def _channel_power_table(frames, n, warmup_frames):
     same power.
     """
     skip = min(frames.shape[0] // 4, 16 * warmup_frames)
-    body = frames[skip:] if frames.shape[0] > skip else frames
-    power = np.mean(np.abs(body) ** 2, axis=0)
+    power = np.mean(np.abs(frames[skip:]) ** 2, axis=0)
     power = np.concatenate([power, power[1 : n - power.size + 1][::-1]])
-    peak = float(np.max(power)) if power.size else 1.0
+    peak = float(np.max(power))
     floor = peak * 1e-30 + 1e-300
     return {
         ch: 10.0 * math.log10(max(float(p), floor) / peak) for ch, p in enumerate(power)
@@ -350,12 +342,10 @@ def end_to_end(config, stimulus, adc_bits=None, snr_db=None, seed=1234,
 
     A stimulus shorter than the expected delay plus ``pipeline_warmup_samples``
     raises ``InvalidSpecError``: its aligned span could not reach steady
-    state.  So does a run with nothing to measure: no occupied sub-band, an
-    empty or silent stimulus, or a stimulus silent over the whole compared
-    span.  So does an SNR of -inf or NaN; +inf adds no noise.
+    state.  So does a run with nothing to measure: an empty or silent
+    stimulus, or a stimulus silent over the whole compared span.  So does
+    an SNR of -inf or NaN; +inf adds no noise.
     """
-    if not config.occupied_subbands:
-        raise InvalidSpecError("nothing to measure: no sub-band is occupied")
     power = stimulus.power
     if power == 0.0:
         raise InvalidSpecError("nothing to measure: the stimulus is empty or silent")

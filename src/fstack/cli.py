@@ -39,8 +39,6 @@ def _write_spectrum_csv(path, buf):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["frequency_hz", "power_db"])
-        if len(buf) == 0:
-            return
         freqs, power_db = frontend.periodogram_db(buf)
         for f, p in zip(freqs, power_db):
             writer.writerow([repr(float(f)), f"{p:.6f}"])
@@ -109,11 +107,7 @@ def cmd_estimate(cfg, out_dir):
 def cmd_stack(cfg, out_dir):
     plan = build_plan(cfg)
     channel_plan = build_channel_plan(cfg)
-    occupied = (
-        plan.occupied_subbands if cfg.occupied_subbands is None
-        else cfg.occupied_subbands
-    )
-    stacked = build_stimulus(cfg, plan, channel_plan, occupied)
+    stacked = build_stimulus(cfg, plan, channel_plan, cfg.occupied_subbands)
     path = os.path.join(out_dir, "stacked.f64")
     frontend.write_signal(stacked, path)
     _write_spectrum_csv(os.path.join(out_dir, "stacked_spectrum.csv"), stacked)

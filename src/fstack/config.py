@@ -10,8 +10,10 @@ Sections and keys:
     [io]     output_dir
 
 Every key is validated before any work starts, and every number must be
-finite; a failure lists all the bad keys at once.  ``fine.granularity_hz``
-applies to the custom standard only (gmr1 and gmr2 keep its default).
+finite; a failure lists all the bad keys at once.  Each key resolves to
+the value the pipeline uses: a blank ``fir_stopband_db`` is ``stopband_db``,
+gmr1 and gmr2 set ``granularity_hz`` (31.25 and 50 kHz; another value is an
+error), ``occupied_subbands = all`` is 1..N_c - 1 and a blank one an error.
 """
 
 import configparser
@@ -36,9 +38,9 @@ DEFAULTS = {
         # (see README); reconstruction error scales like N * ripple^2
         "stopband_db": "66.5",
         "passband_ripple_db": "0.005",
-        # optional FIR-candidate override: the comparison wants the two
-        # candidates at matched end-to-end floors (their error mechanisms
-        # differ, phase vs magnitude, so the dB targets differ slightly)
+        # FIR-candidate stopband (blank: stopband_db): the comparison wants
+        # the two candidates at matched end-to-end floors (their error
+        # mechanisms differ, phase vs magnitude, so the dB targets differ slightly)
         "fir_stopband_db": "67.6",
     },
     "fine": {
@@ -52,12 +54,15 @@ DEFAULTS = {
         "num_samples": "983040",
         "adc_bits": "",
         "snr_db": "",
-        # "all" fills every plannable sub-band; a blank value runs none;
-        # otherwise a whitespace/comma separated index list in 1..N_c - 1
+        # "all" fills every plannable sub-band; otherwise a whitespace/comma
+        # separated index list in 1..N_c - 1
         "occupied_subbands": "all",
     },
     "io": {"output_dir": "out"},
 }
+
+# fine.standard -> granularity_hz of the real GMR grids
+GMR_GRANULARITY_HZ = {"gmr1": 31.25e3, "gmr2": 50.0e3}
 
 
 @dataclass
@@ -71,15 +76,14 @@ class RunConfig:
     coarse_kind: str
     stopband_db: float
     passband_ripple_db: float
-    fir_stopband_db: float | None
-    fine_standard: str
+    fir_stopband_db: float
     granularity_hz: float
     guardband_fraction: float
     seed: int
     num_samples: int
     adc_bits: int | None
     snr_db: float | None
-    occupied_subbands: tuple | None  # None = every plannable sub-band
+    occupied_subbands: tuple  # non-empty, indices in 1..num_coarse_channels - 1
     output_dir: str
 
 
@@ -143,16 +147,17 @@ def load_config(path=None, overrides=None):
         errors.append(f"coarse.prototype: {kind!r} not fir|iir")
     stop_db = _num("coarse", "stopband_db", float, lambda v: v > 0, "(> 0)")
     pass_db = _num("coarse", "passband_ripple_db", float, lambda v: v > 0, "(> 0)")
-    fir_stop_db = _opt("coarse", "fir_stopband_db", float, lambda v: v > 0, "(> 0)")
+    fir_stop_db = _opt("coarse", "fir_stopband_db", float, lambda v: v > 0, "(> 0)") or stop_db
 
     standard = data["fine"]["standard"].strip().lower()
     if standard not in ("gmr1", "gmr2", "custom"):
         errors.append(f"fine.standard: {standard!r} not gmr1|gmr2|custom")
     gran = _num("fine", "granularity_hz", float, lambda v: v > 0, "(> 0)")
-    if standard in ("gmr1", "gmr2") and gran is not None \
+    if standard in GMR_GRANULARITY_HZ and gran is not None \
             and gran != float(DEFAULTS["fine"]["granularity_hz"]):
         errors.append(f"fine.granularity_hz: {data['fine']['granularity_hz'].strip()!r} would "
                       f"be ignored under fine.standard = {standard}, which fixes its own grid")
+    gran = GMR_GRANULARITY_HZ.get(standard, gran)
     guard = _num(
         "fine", "guardband_fraction", float, lambda v: 0 < v <= 0.1, "(0, 0.1]"
     )
@@ -163,15 +168,18 @@ def load_config(path=None, overrides=None):
     snr_db = _opt("sim", "snr_db", float)
 
     raw_occ = data["sim"]["occupied_subbands"].strip()
+    tokens = raw_occ.replace(",", " ").split()
+    occupied = ()
     if raw_occ.lower() == "all":
-        occupied = None
-    elif not raw_occ:
-        occupied = ()
+        if n_c is not None:
+            occupied = tuple(range(1, n_c))
+    elif not tokens:
+        errors.append(f"sim.occupied_subbands: {raw_occ!r} names no sub-band "
+                      f"(\"all\" or indices in 1..num_coarse_channels-1)")
     else:
         try:
-            occupied = tuple(int(tok) for tok in raw_occ.replace(",", " ").split())
+            occupied = tuple(int(tok) for tok in tokens)
         except ValueError:
-            occupied = None
             errors.append(f"sim.occupied_subbands: cannot parse {raw_occ!r}")
         if occupied and n_c is not None:
             outside = sorted({sub for sub in occupied if not 1 <= sub < n_c})
@@ -188,7 +196,7 @@ def load_config(path=None, overrides=None):
         coarse_kind=kind, stopband_db=stop_db,
         passband_ripple_db=pass_db,
         fir_stopband_db=fir_stop_db,
-        fine_standard=standard, granularity_hz=gran, guardband_fraction=guard,
+        granularity_hz=gran, guardband_fraction=guard,
         seed=seed, num_samples=num_samples, adc_bits=adc_bits, snr_db=snr_db,
         occupied_subbands=occupied,
         output_dir=data["io"]["output_dir"].strip() or "out",

@@ -32,6 +32,8 @@ _ALPHA_LIMIT = 1.0 - 1e-6
 _FIT_RTOL = 1e-3
 _FIT_WINDOW = 10
 _FIT_MAX_STEPS = 200
+# peak deviation from linear phase over the passband that verify_allpass accepts
+_PHASE_LIMIT_DEG = 1.0
 # orders (sections per branch) tried by the recursive design's search
 _ORDER_ATTEMPTS = 8
 # lengths tried by the equiripple FIR design
@@ -433,29 +435,36 @@ def design_iir_nthband_alp(spec):
 
     The order (sections per branch) starts at ``estimate_iir_order`` and
     grows by one until the design passes ``verify_allpass``, as
-    ``design_fir_equiripple`` grows its length.  After ``_ORDER_ATTEMPTS``
-    failing orders it raises with the best verification report attached.
+    ``design_fir_equiripple`` grows its length.  It raises with the last
+    verification report attached after ``_ORDER_ATTEMPTS`` failing orders,
+    or as soon as a report is no better (passband deviation plus stopband
+    peak) than the one before: beyond the fit's reach more sections do not
+    help.  An order with no stable fit has no report and does not count.
     """
     first = estimate_iir_order(spec.stopband_ripple, spec.delta_f, spec.num_branches)
-    best = None
+    best = None  # every report so far beat the one before, so the last is the best
     for order in range(first, first + _ORDER_ATTEMPTS):
         try:
             return _design_iir_at_order(spec, order)
         except DesignFailureError as err:
-            best = min(filter(None, (best, err.report)), default=None,
-                       key=lambda c: c.passband_dev + c.stopband_max)
+            report = err.report
+        if report is not None:
+            if best is not None and (report.passband_dev + report.stopband_max
+                                     >= best.passband_dev + best.stopband_max):
+                break
+            best = report
     raise DesignFailureError(
         f"no passing recursive design at {first}-{order} sections per branch", report=best)
 
 
-def _design_iir_at_order(spec, order, phase_limit_deg=1.0):
+def _design_iir_at_order(spec, order):
     """The recursive design at ``order`` sections per branch.
 
     Branch n (n = 1..N-1) is an order-``order`` all-pass approximating a
     delay of order - n/N samples at the decimated rate over the passband
     image [0, 2*pi*N*f_p/f_s]; branch 0 is a pure ``order``-sample delay.
     The design is verified (passband flatness, guarded stopband, phase
-    linearity within ``phase_limit_deg``), and a failed verification
+    linearity within ``_PHASE_LIMIT_DEG``), and a failed verification
     raises with the achieved numbers attached.
     """
     n_br = spec.num_branches
@@ -469,7 +478,7 @@ def _design_iir_at_order(spec, order, phase_limit_deg=1.0):
     fits = [_fit_branch_delay(order, delay, w_max) for delay in delays]
     alphas = np.array([_alphas_from_denominator(d) for d, *_ in fits], dtype=np.complex128)
     proto = AllPassPrototype(alphas.reshape(n_br - 1, order), spec)  # (0, order) at N = 1
-    check = verify_allpass(proto, phase_limit_deg=phase_limit_deg)
+    check = verify_allpass(proto)
     check.branch_phase_err_rad = tuple(peak for _, peak, _ in fits)
     check.branch_fit_steps = tuple(steps for *_, steps in fits)
     proto.design_report = check
@@ -478,7 +487,7 @@ def _design_iir_at_order(spec, order, phase_limit_deg=1.0):
             f"recursive design failed verification: pass_dev={check.passband_dev:.3g} "
             f"(limit {max(spec.passband_ripple, 1e-5):.3g}), "
             f"stop_max={check.stopband_max:.3g} (limit {spec.stopband_ripple:.3g}), "
-            f"phase_dev={check.phase_dev_deg:.3g} deg (limit {phase_limit_deg:.3g})",
+            f"phase_dev={check.phase_dev_deg:.3g} deg (limit {_PHASE_LIMIT_DEG:.3g})",
             report=check,
         )
     return proto
@@ -559,10 +568,10 @@ class AlpCheck:
         return self.ok_passband and self.ok_stopband and self.ok_phase
 
 
-def verify_allpass(proto, grid_points=1 << 17, phase_limit_deg=1.0):
+def verify_allpass(proto):
     """Dense-grid verification of a recursive Nth-band design."""
     spec = proto.spec
-    freqs = np.linspace(0.0, 0.5, grid_points)
+    freqs = np.linspace(0.0, 0.5, 1 << 17)
     h = composite_response(proto, freqs)
     mag = np.abs(h)
 
@@ -590,7 +599,7 @@ def verify_allpass(proto, grid_points=1 << 17, phase_limit_deg=1.0):
         group_delay=float(-slope),
         ok_passband=pass_dev <= max(spec.passband_ripple, 1e-5),
         ok_stopband=stop_max <= spec.stopband_ripple,
-        ok_phase=phase_dev < phase_limit_deg,
+        ok_phase=phase_dev < _PHASE_LIMIT_DEG,
     )
 
 

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from . import frontend
-from .channelizer import ChannelPlan, ChanneliserConfig, gmr_channel_plan
+from .channelizer import ChannelPlan, ChanneliserConfig
 from .errors import DesignFailureError
 from .filter_design import (
     FirPrototype,
@@ -54,10 +54,8 @@ def build_plan(cfg):
 
 
 def _coarse_spec(cfg, plan, kind):
-    """Coarse prototype spec; ``kind`` "fir" picks the FIR stopband override."""
-    stop_db = cfg.stopband_db
-    if kind == "fir":
-        stop_db = cfg.fir_stopband_db or stop_db
+    """Coarse prototype spec; ``kind`` "fir" takes the FIR candidate's stopband."""
+    stop_db = cfg.fir_stopband_db if kind == "fir" else cfg.stopband_db
     return PrototypeSpec(
         sample_rate_hz=cfg.fs_hz,
         passband_edge_hz=plan.f_p,
@@ -76,11 +74,9 @@ def build_coarse_prototype(cfg, plan, kind):
 
 
 def build_channel_plan(cfg):
-    """Fine grid: ``granularity_hz`` for the custom standard, else the real GMR grid."""
+    """Fine grid of ``granularity_hz`` (the config resolves the GMR grids)."""
     subband_rate = cfg.fs_hz / (2 * cfg.num_coarse_channels)
-    if cfg.fine_standard == "custom":
-        return ChannelPlan(cfg.granularity_hz, subband_rate, cfg.guardband_fraction)
-    return gmr_channel_plan(cfg.fine_standard, subband_rate, cfg.guardband_fraction)
+    return ChannelPlan(cfg.granularity_hz, subband_rate, cfg.guardband_fraction)
 
 
 def build_fine_prototype(cfg, channel_plan):

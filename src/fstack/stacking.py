@@ -119,7 +119,6 @@ def zone_fold_parameters(nyquist_zone):
     """
     rho = nyquist_zone // 2
     arg = 2 * rho - nyquist_zone + 0.5
-    assert arg != 0.0
     return rho, (1 if arg > 0 else -1)
 
 

@@ -84,7 +84,7 @@ def fir20():
     return design_fir_equiripple(spec)
 
 
-def _small_iir(num_branches, order, fp_norm, stop_db, phase_limit_deg=1.0):
+def _small_iir(num_branches, order, fp_norm, stop_db):
     spec = PrototypeSpec(
         sample_rate_hz=1.0,
         passband_edge_hz=fp_norm,
@@ -93,7 +93,7 @@ def _small_iir(num_branches, order, fp_norm, stop_db, phase_limit_deg=1.0):
         stopband_ripple=attenuation_to_ripple(stop_db),
         num_branches=num_branches,
     )
-    return filter_design._design_iir_at_order(spec, order, phase_limit_deg)
+    return filter_design._design_iir_at_order(spec, order)
 
 
 @pytest.fixture(scope="session")
@@ -104,8 +104,11 @@ def iir_small():
     The 2-branch case is a deliberately loose half-band-class design, so
     its almost-linear-phase deviation is allowed a few degrees.
     """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(filter_design, "_PHASE_LIMIT_DEG", 6.0)
+        half_band = _small_iir(2, 2, 0.2, 28.0)
     return {
-        2: _small_iir(2, 2, 0.2, 28.0, phase_limit_deg=6.0),
+        2: half_band,
         4: _small_iir(4, 4, 0.1, 45.0),
         8: _small_iir(8, 5, 0.05, 42.0),
     }

@@ -18,7 +18,6 @@ from fstack.channelizer import (
     find_delay,
     fine_analyze,
     fine_synthesize,
-    gmr_channel_plan,
     aligned_mse,
     pipeline_warmup_samples,
 )
@@ -57,8 +56,13 @@ def _fir_pipeline_at(channels, fs_hz, fc_hz):
 
 class TestChannelPlan:
     def test_gmr_grids(self):
-        assert gmr_channel_plan("gmr1", SUBBAND_RATE).channels_per_subband == 2048
-        assert gmr_channel_plan("gmr2", SUBBAND_RATE).channels_per_subband == 1280
+        # the config resolves each standard to its grid; build_channel_plan reads the grid alone
+        for standard, granularity, n_f in (("gmr1", 31.25e3, 2048), ("gmr2", 50e3, 1280)):
+            cfg = load_config(overrides={"fine.standard": standard})
+            assert cfg.granularity_hz == granularity
+            channel_plan = build_channel_plan(cfg)
+            assert channel_plan == ChannelPlan(granularity, SUBBAND_RATE)
+            assert channel_plan.channels_per_subband == n_f
 
     def test_desk_scale_grid(self):
         plan = ChannelPlan(1e6, SUBBAND_RATE)
@@ -113,6 +117,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"\[3\.0\] are not integer indices"):
             dataclasses.replace(pipe, occupied_subbands=(1, 3.0))
         assert dataclasses.replace(pipe, occupied_subbands=(np.int64(3),)).occupied_subbands == (3,)
+
+    def test_config_selection_builds_the_stimulus(self, ref_cfg, pipelines):
+        # the config's own selection is every plannable sub-band, never "none"
+        assert ref_cfg.occupied_subbands == pipelines["plan"].occupied_subbands
+        stimulus = build_stimulus(ref_cfg, pipelines["plan"], pipelines["channel_plan"],
+                                  ref_cfg.occupied_subbands)
+        assert len(stimulus) == 983_040
+        assert np.array_equal(stimulus.samples, pipelines["stimulus"].samples)
 
     def test_channel_count_bookkeeping(self, pipelines):
         pipe = pipelines["pipes"]["iir"]
@@ -253,7 +265,7 @@ class TestFineStage:
 class TestFullScaleSmoke:
     def test_gmr2_fine_grid(self, ref_cfg, pipelines):
         """Full-scale GMR-2 grid: 1280 channels per sub-band, short input."""
-        plan = gmr_channel_plan("gmr2", SUBBAND_RATE)
+        plan = build_channel_plan(load_config(overrides={"fine.standard": "gmr2"}))
         assert plan.channels_per_subband == 1280
         fine = build_fine_prototype(ref_cfg, plan)
         rng = np.random.default_rng(3)
@@ -522,9 +534,9 @@ class TestEndToEnd:
             end_to_end(pipe, SignalBuffer(samples, stim.rate_hz, "real"))
 
     def test_no_occupied_subband_rejected(self, pipelines):
-        pipe = dataclasses.replace(pipelines["pipes"]["iir"], occupied_subbands=())
-        with pytest.raises(InvalidSpecError, match="nothing to measure: no sub-band"):
-            end_to_end(pipe, pipelines["stimulus"])
+        # a pipeline of no sub-band has nothing to measure: the config refuses it
+        with pytest.raises(ConfigError, match="no occupied sub-band"):
+            dataclasses.replace(pipelines["pipes"]["iir"], occupied_subbands=())
 
     @pytest.mark.parametrize("kind", ["iir", "fir"])
     def test_too_short_input_rejected(self, pipelines, kind):

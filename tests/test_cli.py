@@ -53,6 +53,13 @@ def write_mini(tmp_path, **overrides):
     return str(path)
 
 
+def _readme_config_block():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"Config file keys and defaults:\s*```ini\n(.*?)```", readme, re.S)
+    assert block, "README lost its config key block"
+    return block.group(1)
+
+
 class TestPlanCommand:
     def test_reference_plan_artifacts(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -125,13 +132,6 @@ class TestRunCommand:
         assert (out / "input_spectrum.csv").exists()
         assert (out / "subband_1_spectrum.csv").exists()
         assert (out / "output_spectrum.csv").exists()
-
-    @pytest.mark.parametrize("command", ["run", "sweep"])
-    def test_empty_occupied_exits_4(self, tmp_path, capsys, command):
-        cfg = write_mini(tmp_path, **{"occupied_subbands = all": "occupied_subbands ="})
-        assert main([command, "--config", cfg]) == 4
-        assert "nothing to measure: no sub-band is occupied" in capsys.readouterr().err
-        assert not (tmp_path / "out" / "metrics.csv").exists()
 
     def test_too_short_input_exits_4(self, tmp_path, capsys):
         # the mini pipeline needs about 8 400 samples to reach steady state
@@ -234,7 +234,7 @@ class TestFineStandard:
         cfg = write_mini(tmp_path, **{"standard = custom": "standard = gmr2",
                                       "granularity_hz = 40e6": f"granularity_hz = {default}"})
         assert main(["plan", "--config", cfg]) == 0
-        assert load_config(cfg).fine_standard == "gmr2"
+        assert load_config(cfg).granularity_hz == 50e3
 
 
 class TestConfigHandling:
@@ -281,8 +281,9 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         for key in ("plan.fs_hz", "coarse.stopband_db", "sim.snr_db"):
             assert f"{key}: " in err and "is not a finite number" in err
-        # a blank SNR still means no noise
+        # a blank SNR still means no noise, and a blank FIR stopband is stopband_db
         assert load_config(overrides={"sim.snr_db": ""}).snr_db is None
+        assert load_config(overrides={"coarse.fir_stopband_db": ""}).fir_stopband_db == 66.5
 
     @pytest.mark.parametrize("occupied, outside", [("0 1 2", "0 2"), ("1, 17", "17")])
     def test_occupied_subband_out_of_range_rejected(self, tmp_path, capsys, monkeypatch,
@@ -297,14 +298,29 @@ class TestConfigHandling:
         with pytest.raises(ConfigError, match=r"coarse\.stopband_db.*; sim\.occupied_subbands"):
             load_config(cfg, {"coarse.stopband_db": "-3"})
 
+    @pytest.mark.parametrize("command", ["run", "sweep", "stack"])
+    def test_blank_occupied_exits_2(self, tmp_path, capsys, monkeypatch, command):
+        # a selection of no sub-band is a config error, raised before any design
+        built = []
+        for name in ("build_coarse_prototype", "build_fine_prototype"):
+            monkeypatch.setattr(pipeline, name, lambda *args: built.append(args))
+        cfg = write_mini(tmp_path, **{"occupied_subbands = all": "occupied_subbands ="})
+        assert main([command, "--config", cfg]) == 2
+        assert "sim.occupied_subbands: '' names no sub-band" in capsys.readouterr().err
+        assert built == [] and not (tmp_path / "out").exists()
+        with pytest.raises(ConfigError, match="sim.occupied_subbands: ',' names no sub-band"):
+            load_config(overrides={"sim.occupied_subbands": " , "})
+
     def test_readme_config_block_matches_defaults(self):
-        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-        block = re.search(r"Config file keys and defaults:\s*```ini\n(.*?)```", readme, re.S)
-        assert block, "README lost its config key block"
         parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-        parser.read_string(block.group(1))
+        parser.read_string(_readme_config_block())
         documented = {sec: dict(parser.items(sec)) for sec in parser.sections()}
         assert documented == DEFAULTS
+
+    def test_readme_config_block_loads_as_defaults(self, tmp_path):
+        path = tmp_path / "readme.ini"
+        path.write_text(_readme_config_block())
+        assert load_config(str(path)) == load_config(None)
 
     def test_missing_file_rejected(self, tmp_path, capsys):
         assert main(["plan", "--config", str(tmp_path / "nope.ini")]) == 2

@@ -23,7 +23,9 @@ from fstack.filter_design import (
     measure_fir,
     ripple_pp_db_to_linear,
 )
+from fstack.config import load_config
 from fstack.pipeline import build_coarse_prototype, build_plan
+from tests.test_cli import write_mini
 
 TABLE_DF = 6.0 / 1280.0
 QUARTER_BAND = PrototypeSpec(1.0, 0.2, 0.3, 0.01, 0.01, 1)  # passes on the 5th length
@@ -248,11 +250,12 @@ def _fit_failing_below_3_6(order, delay, w_max):
 
 
 class TestRecursiveDesign:
-    def test_halfband_class_filter(self):
+    def test_halfband_class_filter(self, monkeypatch):
         # two sections per branch only reach ~29 dB at this transition
         # width, with a correspondingly relaxed phase-linearity bound
+        monkeypatch.setattr(filter_design, "_PHASE_LIMIT_DEG", 6.0)
         spec = PrototypeSpec(1.0, 0.2, 0.3, 0.01, attenuation_to_ripple(28.0), 2)
-        proto = _design_at_order(spec, 2, 6.0)
+        proto = _design_at_order(spec, 2)
         rep = proto.design_report
         # passband flatness lands at the micro-to-milli dB level
         assert rep.passband_dev_db < 0.02
@@ -267,7 +270,7 @@ class TestRecursiveDesign:
 
     def test_single_branch_degenerates(self):
         spec = PrototypeSpec(1.0, 0.2, 0.3, 0.01, 0.01, 1)
-        proto = _design_at_order(spec, 3, 1.0)
+        proto = _design_at_order(spec, 3)
         assert proto.alphas.shape[0] == 0
         assert proto.coefficient_count == 3
 
@@ -301,7 +304,7 @@ class TestRecursiveDesign:
 
     def test_verification_failure_raises_with_report(self, iir20_spec):
         with pytest.raises(DesignFailureError) as err:
-            _design_at_order(iir20_spec, 2, 1.0)  # far too few sections
+            _design_at_order(iir20_spec, 2)  # far too few sections
         assert err.value.report is not None
         assert err.value.report.stopband_atten_db < 49.0
 
@@ -329,7 +332,7 @@ class TestRecursiveDesign:
             achieved = None
             for order in orders:
                 try:
-                    report = _design_at_order(spec, order, 1.0).design_report
+                    report = _design_at_order(spec, order).design_report
                 except DesignFailureError as err:
                     report = err.report
                 if report.stopband_atten_db >= atten_db:
@@ -350,7 +353,7 @@ class TestRecursiveDesign:
         # N = 4, four sections: delays 3.75, 3.5 and 3.25; the first failure in
         # branch order is reported
         with pytest.raises(DesignFailureError, match=r"order=4, delay=3\.5000$"):
-            _design_at_order(iir_small[4].spec, 4, 1.0)
+            _design_at_order(iir_small[4].spec, 4)
 
     def test_branch_errors_belong_to_returned_denominators(self, ref_cfg, monkeypatch):
         # the fit carries each iterate's phase error along instead of
@@ -452,6 +455,17 @@ class TestOrderSearch:
         report = err.value.report
         assert report is not None and not report.ok
         assert len(report.branch_fit_steps) == 7
+
+    def test_search_stops_when_an_order_does_not_improve(self, tmp_path, monkeypatch):
+        # beyond the fit's reach: at 400 dB the mini spec's guarded stopband
+        # falls from order 45 to 46 (about 197 to 192 dB), so the search ends there
+        cfg = load_config(write_mini(tmp_path, **{"stopband_db = 50": "stopband_db = 400"}))
+        tried = _record_orders(monkeypatch)
+        with pytest.raises(DesignFailureError, match="at 45-46 sections per branch") as err:
+            build_coarse_prototype(cfg, build_plan(cfg), "iir")
+        assert tried == [45, 46]
+        # the better of the two reports, order 45's, is attached
+        assert err.value.report.stopband_atten_db == pytest.approx(197.1, abs=0.05)
 
     def test_no_stable_fit_raises_without_report(self, iir_small, monkeypatch):
         def no_fit(order, delay, w_max):

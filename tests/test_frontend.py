@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from fstack import frontend
-from fstack.channelizer import ChannelPlan, gmr_channel_plan
+from fstack.channelizer import ChannelPlan
+from fstack.config import load_config
 from fstack.errors import InvalidSpecError, StackingError
 from fstack.frontend import (
     AdcModel,
@@ -145,8 +146,8 @@ class TestStimulusMask:
     def test_fdm_stimulus_matches_loop_on_full_grids(self, table2_plan, ref_cfg, standard):
         inp = table2_plan.inputs
         rate = inp.f_s / inp.num_channels
-        grid = (build_channel_plan(ref_cfg) if standard == "reference"
-                else gmr_channel_plan(standard, rate))
+        grid = build_channel_plan(ref_cfg if standard == "reference"
+                                  else load_config(overrides={"fine.standard": standard}))
         n = 16 * grid.channels_per_subband + 1
         for sub in table2_plan.occupied_subbands:
             intervals = fdm_grid_intervals(
@@ -238,10 +239,8 @@ class TestFdmStimulus:
 
     @pytest.mark.parametrize("standard", ["reference", "gmr2"])
     def test_matches_element_stack_on_whole_bin_grids(self, table2_plan, ref_cfg, standard):
-        inp = table2_plan.inputs
-        rate = inp.f_s / inp.num_channels
-        grid = (build_channel_plan(ref_cfg) if standard == "reference"
-                else gmr_channel_plan("gmr2", rate))
+        grid = build_channel_plan(ref_cfg if standard == "reference"
+                                  else load_config(overrides={"fine.standard": standard}))
         # 5 120 samples per element put every F_n on a whole 12.5 kHz bin
         fast = stack_fdm_stimulus(table2_plan, table2_plan.occupied_subbands, 5120, 77,
                                   grid.granularity_hz, grid.guardband_fraction)
