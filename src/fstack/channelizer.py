@@ -23,7 +23,7 @@ import numpy as np
 from scipy.fft import fft, ifft, irfft, next_fast_len, rfft
 
 from .errors import ConfigError, InvalidSpecError, RateMismatchError
-from .frontend import AdcModel, SignalBuffer, adc_quantize, add_awgn
+from .frontend import AdcModel, SignalBuffer, adc_quantize, add_awgn, mean_power
 from .polyphase import AnalysisBank, SynthesisBank, matched_cascade_delay, run_blocks
 
 DELAY_SEARCH_SPAN = 1 << 16  # reference samples correlated by end_to_end
@@ -144,8 +144,9 @@ def _coarse_frames(config, stacked):
     """Coarse analysis of the stacked real input.
 
     Returns the (frames, N//2 + 1) array of channels 0..N/2 (the real
-    input's channel N-s is the conjugate of channel s) and the bank's
-    warm-up in frames.
+    input's channel N-s is the conjugate of channel s), channel-major for
+    the all-pass candidate (see ``AnalysisBank.process_block``), and the
+    bank's warm-up in frames.
     """
     f_s = config.plan.inputs.f_s
     if abs(stacked.rate_hz - f_s) > 1e-6:
@@ -161,7 +162,8 @@ def _coarse_frames(config, stacked):
 def _occupied_streams(config, frames, label):
     """The occupied sub-bands of a coarse (frames, N//2 + 1) array as streams.
 
-    Sub-band s is column s.
+    Sub-band s is column s, a view (one contiguous row of channel-major
+    frames).
     """
     rate = config.subband_rate_hz
     return {
@@ -189,9 +191,10 @@ def _restack(config, frames):
 def coarse_synthesize(config, subbands):
     """Restack sub-band streams into the real wideband signal.
 
-    The stream of sub-band s fills column s of the (frames, N//2 + 1)
-    restack frames (``_restack``); s must be one of the plan's sub-bands
-    1..N/2-1, and channels the streams leave out stay empty.
+    The stream of sub-band s fills column s of the channel-major
+    (frames, N//2 + 1) restack frames (``_restack``), one contiguous row;
+    s must be one of the plan's sub-bands 1..N/2-1, and channels the
+    streams leave out stay empty.
     ``end_to_end`` fills the same frames straight from its fine cascades
     instead of going through this function.
     """
@@ -200,7 +203,7 @@ def coarse_synthesize(config, subbands):
     if len(lengths) > 1:
         raise ConfigError("sub-band streams must share one length")
     n_frames = lengths.pop() if lengths else 0
-    frames = np.zeros((n_frames, n // 2 + 1), dtype=np.complex128)
+    frames = np.zeros((n // 2 + 1, n_frames), dtype=np.complex128).T
     for sub, buf in subbands.items():
         if abs(buf.rate_hz - config.subband_rate_hz) > 1e-6:
             raise RateMismatchError(f"sub-band {sub} rate {buf.rate_hz}")
@@ -256,7 +259,9 @@ def find_delay(reference, output, max_lag=None):
     Searches lags 0..``max_lag`` (at most ``output.size - 1``).  One
     transform of length >= ``reference.size + max_lag`` holds every
     searched lag without wrap-around; it is a complex transform when
-    either input is complex, a real one otherwise.
+    either input is complex, a real one otherwise.  The two forward
+    transforms are two blocks of one ``run_blocks`` run, so they run at
+    once on two usable CPUs.
     """
     ref, out = np.asarray(reference), np.asarray(output)
     real = not (np.iscomplexobj(ref) or np.iscomplexobj(out))
@@ -266,7 +271,15 @@ def find_delay(reference, output, max_lag=None):
     if max_lag < 0:
         raise InvalidSpecError("no lag to search: empty output or negative max_lag")
     nfft = next_fast_len(ref.size + max_lag, real=real)
-    corr = inv(fwd(out, nfft) * np.conj(fwd(ref, nfft)), nfft)[: max_lag + 1]
+    spectra = [out, ref]
+
+    def forward(i):
+        spectra[i] = fwd(spectra[i], nfft)
+
+    run_blocks(forward, range(2))
+    spec_out, spec_ref = spectra
+    spec_out *= np.conj(spec_ref)
+    corr = inv(spec_out, nfft)[: max_lag + 1]
     return int(np.argmax(np.abs(corr)))
 
 
@@ -284,9 +297,8 @@ def aligned_mse(reference, output, delay, trim=0):
     lo, hi = trim, span - trim
     if hi - lo < 16:
         raise InvalidSpecError("not enough overlap to measure MSE")
-    err = out[delay + lo : delay + hi] - ref[lo:hi]
-    mse = float(np.mean(np.abs(err) ** 2))
-    sig = float(np.mean(np.abs(ref[lo:hi]) ** 2))
+    mse = mean_power(out[delay + lo : delay + hi] - ref[lo:hi])
+    sig = mean_power(ref[lo:hi])
     if sig == 0.0:
         raise InvalidSpecError(
             f"nothing to measure: the reference is silent over the compared "
@@ -324,12 +336,16 @@ def end_to_end(config, stimulus, adc_bits=None, snr_db=None, seed=1234,
     transparency benchmark.  The coarse analysis keeps channels 0..N/2
     of the real input; each occupied sub-band's fine analysis and
     synthesis is one block of ``run_blocks``, so the sub-bands run on
-    every usable CPU, and the output does not depend on the thread that
+    every usable CPU, each cascade's own transforms on one worker
+    (``usable_cpus``), and the output does not depend on the thread that
     runs a block.  The cascade of sub-band s writes its output straight
     into column s of the half-width restack frames that
     ``coarse_synthesize`` would build from the same streams, so no dict
     of fine outputs outlives the fine stage, and the coarse frames are
-    freed before the restack.
+    freed before the restack.  The all-pass candidate's coarse frames
+    and the restack frames are channel-major: each sub-band stream is
+    read from, and each cascade writes, one contiguous row, and the
+    all-pass synthesis filters the restack's rows in place.
 
     The aligned delay is the cross-correlation peak over lags
     0..2·expected + 1024 (the expected delay is searched for, not
@@ -374,8 +390,9 @@ def end_to_end(config, stimulus, adc_bits=None, snr_db=None, seed=1234,
     leakage = _channel_power_table(coarse, n, warmup_frames)
     subbands = _occupied_streams(config, coarse, x.label)
     spectra = dict(subbands) if capture_spectra else {}
-    # rows: the fine cascade's output length, whole fine frames of the coarse frames
-    frames = np.zeros(((coarse.shape[0] // n_f) * n_f, n // 2 + 1), dtype=np.complex128)
+    # channel-major, so each cascade writes one contiguous row; its length
+    # is the fine cascade's output, whole fine frames of the coarse frames
+    frames = np.zeros((n // 2 + 1, (coarse.shape[0] // n_f) * n_f), dtype=np.complex128).T
 
     def cascade(sub):
         frames[:, sub] = fine_synthesize(config, fine_analyze(config, subbands[sub])).samples
@@ -388,7 +405,7 @@ def end_to_end(config, stimulus, adc_bits=None, snr_db=None, seed=1234,
     lo = min(theory, len(ref) - DELAY_SEARCH_SPAN)
     if lo >= 0:
         segment = ref[lo : lo + DELAY_SEARCH_SPAN]
-        if np.mean(np.abs(segment) ** 2) >= power / 4.0:
+        if mean_power(segment) >= power / 4.0:
             ref, out = segment, out[lo:]
     delay = find_delay(ref, out, max_lag=min(len(restacked) - 1, 2 * theory + 1024))
     span = min(len(stimulus), len(restacked) - delay)

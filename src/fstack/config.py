@@ -13,7 +13,9 @@ Every key is validated before any work starts, and every number must be
 finite; a failure lists all the bad keys at once.  Each key resolves to
 the value the pipeline uses: a blank ``fir_stopband_db`` is ``stopband_db``,
 gmr1 and gmr2 set ``granularity_hz`` (31.25 and 50 kHz; another value is an
-error), ``occupied_subbands = all`` is 1..N_c - 1 and a blank one an error.
+error), ``occupied_subbands = all`` is 1..N_c - 1, and a blank one or a
+repeated index is an error.  ``num_samples`` must hold at least one coarse
+frame (2 * N_c samples).
 """
 
 import configparser
@@ -50,12 +52,12 @@ DEFAULTS = {
     },
     "sim": {
         "seed": "1234",
-        # multiple of N * N_f so both stages see whole frames
+        # multiple of N * N_f so both stages see whole frames; at least N
         "num_samples": "983040",
         "adc_bits": "",
         "snr_db": "",
         # "all" fills every plannable sub-band; otherwise a whitespace/comma
-        # separated index list in 1..N_c - 1
+        # separated list of distinct indices in 1..N_c - 1
         "occupied_subbands": "all",
     },
     "io": {"output_dir": "out"},
@@ -163,7 +165,9 @@ def load_config(path=None, overrides=None):
     )
 
     seed = _num("sim", "seed", int, lambda v: v >= 0, "(>= 0)")
-    num_samples = _num("sim", "num_samples", int, lambda v: v >= 0, "(>= 0)")
+    frame = 2 * n_c if n_c is not None else 0  # one coarse frame: N = 2 * N_c samples
+    num_samples = _num("sim", "num_samples", int, lambda v: v >= frame,
+                       f"(>= {frame}, one coarse frame of 2 * num_coarse_channels samples)")
     adc_bits = _opt("sim", "adc_bits", int, lambda v: 4 <= v <= 24, "[4, 24]")
     snr_db = _opt("sim", "snr_db", float)
 
@@ -186,6 +190,9 @@ def load_config(path=None, overrides=None):
             if outside:
                 errors.append(f"sim.occupied_subbands: {' '.join(map(str, outside))} "
                               f"out of range [1, {n_c - 1}]")
+        repeated = sorted({sub for sub in occupied if occupied.count(sub) > 1})
+        if repeated:
+            errors.append(f"sim.occupied_subbands: {' '.join(map(str, repeated))} repeated")
 
     if errors:
         raise ConfigError("config validation failed: " + "; ".join(errors))

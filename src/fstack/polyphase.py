@@ -36,7 +36,9 @@ channelizer also uses for its sub-band cascades): the calling thread
 and helper threads started for the run, one thread per usable CPU,
 take all-pass branches or FIR column blocks from one queue; a block's
 arithmetic does not depend on the thread that runs it, so neither does
-the output.  The spectrum of the tap matrix is computed once per
+the output.  While a thread runs a block, ``usable_cpus()`` is 1 on
+it: a nested run starts no helper, and a block's channel transforms
+take one worker.  The spectrum of the tap matrix is computed once per
 prototype, data kind (real or complex) and transform length and cached
 on the prototype, so every analysis and synthesis bank built from it
 shares it; the synthesis family runs its branches in output-slot
@@ -45,6 +47,15 @@ transforms are ``scipy.fft`` calls with one worker per usable CPU.
 Real branch output has conjugate-symmetric channels, so its analysis
 keeps only channels 0..N/2, computed by ``ihfft``, and a Hermitian
 synthesis bank takes those N/2+1 channels and runs ``hfft`` on them.
+
+Memory order: a (frames, width) frame array is either frame-major
+(C-ordered, one frame per row of memory) or channel-major (the
+transpose of a C-ordered (width, frames) array, so each channel is one
+contiguous row).  The channel transforms keep the order they are given.
+The all-pass analysis returns channel-major frames, built from the
+branch rows; the FIR analysis returns frame-major frames.  A synthesis
+bank takes either; from channel-major input the all-pass synthesis
+gets one contiguous row per branch and filters it in place.
 
 Operation counters do not count what the realisation executes; they
 follow the per-frame accounting model: branch work counted as
@@ -88,8 +99,19 @@ class OperationCounters:
 _FIR_COLUMN_BLOCK = 128
 
 
+# ``active`` is set on a thread while it runs ``run_blocks`` blocks
+_in_block = threading.local()
+
+
 def usable_cpus():
-    """CPUs this process may run on: the thread count of ``run_blocks``."""
+    """CPUs this process may run on: the thread count of ``run_blocks``.
+
+    1 on a thread while it runs a ``run_blocks`` block: the run's threads
+    already hold the CPUs, so a nested run starts no helper and a block's
+    channel transforms take one worker.
+    """
+    if getattr(_in_block, "active", False):
+        return 1
     return len(os.sched_getaffinity(0))
 
 
@@ -102,10 +124,11 @@ def run_blocks(block, blocks):
     outlives it.  The caller takes blocks from the shared queue as well,
     so it never waits for a helper to take one: on a host that is slow
     to schedule the helpers it runs most blocks itself.  One block runs
-    inline.  A block may call
-    ``run_blocks`` itself: every run has its own queue and helpers, so
-    nested runs cannot deadlock.  Once a block raises, no thread takes
-    another, and the first exception is raised again after the join.
+    inline.  While a thread runs blocks, ``usable_cpus()`` is 1 on it, so
+    a block that calls ``run_blocks`` itself runs the nested blocks on its
+    own thread; the caller's count comes back when its blocks are done.
+    Once a block raises, no thread takes another, and the first exception
+    is raised again after the join.
     """
     todo = queue.SimpleQueue()
     for item in blocks:
@@ -113,15 +136,19 @@ def run_blocks(block, blocks):
     errors = []
 
     def drain():
-        while not errors:
-            try:
-                item = todo.get_nowait()
-            except queue.Empty:
-                return
-            try:
-                block(item)
-            except BaseException as exc:  # raised on the caller after the join
-                errors.append(exc)
+        outer, _in_block.active = getattr(_in_block, "active", False), True
+        try:
+            while not errors:
+                try:
+                    item = todo.get_nowait()
+                except queue.Empty:
+                    return
+                try:
+                    block(item)
+                except BaseException as exc:  # raised on the caller after the join
+                    errors.append(exc)
+        finally:
+            _in_block.active = outer
 
     helpers = [threading.Thread(target=drain, name="fstack-bank")
                for _ in range(min(usable_cpus(), len(blocks)) - 1)]
@@ -210,26 +237,31 @@ class _AllPassFamily:
     """N branches, each one chain of second-order sections with its state.
 
     ``run`` filters column n of its (frames, N) input through branch n
-    into row n of an (N, frames) array, scaled in the same pass, and
-    returns the transpose.  Each branch reads its own column and writes
-    its own row and state, so the branches run on several threads
-    (``run_blocks``), one branch per block.
+    into column n of its (frames, N) output, scaled in the same pass.
+    The output is channel-major, the transpose of an (N, frames) array,
+    so each branch writes one contiguous row; an ``in_place`` family (the
+    synthesis one, whose input is its bank's own transform output) writes
+    over its input instead.  Each branch reads its own column before it
+    writes it, and keeps its own state, so the branches run on several
+    threads (``run_blocks``), one branch per block.
     """
 
-    def __init__(self, sections, scale):
+    def __init__(self, sections, scale, in_place):
         self.sections = sections
         self.scale = scale
+        self.in_place = in_place
         self._zi = [np.zeros((sos.shape[0], 2)) for sos in sections]
 
     def run(self, u):
-        y = np.empty(u.shape[::-1], dtype=np.result_type(u, *self._zi))
+        dtype = np.result_type(u, *self._zi)
+        y = u if self.in_place else np.empty(u.shape[::-1], dtype=dtype).T
 
         def branch(br):
             out, self._zi[br] = sosfilt(self.sections[br], u[:, br], zi=self._zi[br])
-            np.multiply(out, self.scale, out=y[br])
+            np.multiply(out, self.scale, out=y[:, br])
 
         run_blocks(branch, range(len(self.sections)))
-        return y.T
+        return y
 
 
 def _allpass_sos(alphas):
@@ -289,7 +321,7 @@ def _family(prototype, synthesis):
         sections.append(_delay_sos(prototype.sections_per_branch - 1))
     else:
         sections.insert(0, _delay_sos(prototype.sections_per_branch))
-    return _AllPassFamily(sections, scale / n)
+    return _AllPassFamily(sections, scale / n, in_place=synthesis)
 
 
 def _frame_cost(prototype):
@@ -354,9 +386,12 @@ class AnalysisBank(_Bank):
         (frames, N//2 + 1) array: the half a Hermitian ``SynthesisBank``
         takes.
 
-        The block's delay line (the kept history followed by the block, a
-        copy of the input) is freed once the branches have run, before
-        the channel transform allocates the frames.
+        The frames keep the branch output's memory order: channel-major
+        (the transpose of a C-ordered (width, frames) array, so channel c
+        is one contiguous row) from the all-pass family, frame-major from
+        the FIR family.  The block's delay line (the kept history followed
+        by the block, a copy of the input) is freed once the branches have
+        run, before the channel transform allocates the frames.
         """
         x = np.asarray(samples)
         n = self.num_branches
@@ -377,8 +412,7 @@ class AnalysisBank(_Bank):
         branch_out = self._branches.run(branch_in)
         del ext, branch_in  # the delay line is freed before the transform's output exists
         # channels 0..N/2 of the ifft of real data are its ihfft
-        transform = ihfft if real else ifft
-        frames = transform(branch_out, axis=1, workers=usable_cpus())
+        frames = _channel_transform(ihfft if real else ifft, branch_out)
         self._count(n_frames)
         return frames
 
@@ -402,10 +436,11 @@ class SynthesisBank(_Bank):
     def process_block(self, frames):
         """Synthesise a (frames, N) channel array back to F*N samples.
 
-        A ``hermitian`` bank takes (frames, N//2 + 1) arrays.  Branch
-        output not yet in sample order (the all-pass family's rows) is
-        interleaved into the transformed frames, which the branches have
-        read, so the returned samples reuse that buffer.
+        A ``hermitian`` bank takes (frames, N//2 + 1) arrays.  The
+        transform keeps the input's memory order, so channel-major input
+        gives one contiguous row per branch, which the all-pass family
+        filters in place; branch output not yet in sample order is
+        interleaved into the returned samples.
         """
         frames = np.asarray(frames, dtype=np.complex128)
         n = self.num_branches
@@ -416,15 +451,23 @@ class SynthesisBank(_Bank):
         n_frames = frames.shape[0]
         if n_frames == 0:
             return np.zeros(0, dtype=np.complex128)
-        transform = hfft if self.hermitian else fft
-        slots = transform(frames, n, axis=1, workers=usable_cpus())
+        slots = _channel_transform(hfft if self.hermitian else fft, frames, n)
         # branch n feeds output slot k*N + N-1-n; the family runs in slot order
         out = self._branches.run(slots[:, ::-1])
-        if not out.flags.c_contiguous and out.dtype == slots.dtype:
-            slots[...] = out
-            out = slots
         self._count(n_frames)
         return out.reshape(-1)
+
+
+def _channel_transform(transform, frames, n=None):
+    """``transform`` over the channels of (frames, width) ``frames``, in its memory order.
+
+    Channel-major input (the transpose of a C-ordered (width, frames)
+    array) is transformed along axis 0 of that array and comes back
+    channel-major; frame-major input comes back frame-major.
+    """
+    if frames.flags.f_contiguous and not frames.flags.c_contiguous:
+        return transform(frames.T, n, axis=0, workers=usable_cpus()).T
+    return transform(frames, n, axis=1, workers=usable_cpus())
 
 
 def matched_cascade_delay(prototype):

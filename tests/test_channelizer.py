@@ -1,5 +1,6 @@
 """Two-stage pipeline tests: stage behavior, transparency, impairments."""
 
+import collections
 import dataclasses
 import math
 import os
@@ -325,6 +326,22 @@ class TestEndToEnd:
         values = [rep.mse_over_signal for rep in float_reports.values()]
         assert max(values) <= 2.0 * min(values)
 
+    def test_default_study_pinned(self, pipelines, float_reports):
+        """The default run's designs, delays and relative MSEs, to the last bit.
+
+        A change to the banks' realisation or memory order that keeps these
+        keeps the study's output files.
+        """
+        pipes = pipelines["pipes"]
+        assert pipes["fir"].coarse_prototype.length == 860
+        assert pipes["iir"].coarse_prototype.sections_per_branch == 14
+        assert pipes["iir"].fine_prototype.length == 5312
+        assert pipes["fir"].fine_prototype is pipes["iir"].fine_prototype
+        pinned = {kind: (report.aligned_delay, report.mse_over_signal)
+                  for kind, report in float_reports.items()}
+        assert pinned == {"iir": (106_779, 2.8201076618927033e-06),
+                          "fir": (107_079, 2.6739037033274734e-06)}
+
     def test_delay_matches_theory(self, pipelines, float_reports):
         for kind, report in float_reports.items():
             expected = pipelines["pipes"][kind].expected_delay_samples()
@@ -397,11 +414,12 @@ class TestEndToEnd:
                                             monkeypatch):
         """One, two and four usable CPUs give the same restack and report.
 
+        The report's delay, MSE, relative MSE and power table are equal.
         The sub-band cascades and the banks' blocks run on helper threads,
         switching threads as often as they can; the output must not depend
         on which thread ran a block, or in which order.  Each run of the nine
-        cascades starts one helper per CPU but the caller's, and none of
-        them outlives the pass.
+        cascades starts one helper per CPU but the caller's, a run nested in
+        a block starts none, and none of them outlives the pass.
         """
         pipe = pipelines["pipes"][kind]
 
@@ -645,6 +663,22 @@ class TestDelayEstimator:
         x = rng.standard_normal(4096)
         y = np.concatenate([np.zeros(137), x])
         assert find_delay(x, y) == 137
+
+    @pytest.mark.parametrize("data", ["real", "complex"])
+    def test_lag_kept_across_cpu_counts(self, data, rng, monkeypatch):
+        # the two forward transforms are two blocks of one run; the lag is
+        # the one a single thread finds
+        x = rng.standard_normal(5000)
+        if data == "complex":
+            x = x + 1j * rng.standard_normal(x.size)
+        y = np.concatenate([np.zeros(137), x + 0.5 * rng.standard_normal(x.size)])
+        lags = []
+        for cpus in (1, 2, 4):
+            started = collections.Counter()
+            lag, _ = on_cpus(monkeypatch, cpus, lambda: find_delay(x[:3000], y, 600), started)
+            assert list(started.values()) == ([1] if cpus > 1 else [])
+            lags.append(lag)
+        assert lags == [137] * 3
 
     @pytest.mark.parametrize(
         "ref_size, out_size, max_lag",

@@ -311,6 +311,39 @@ class TestConfigHandling:
         with pytest.raises(ConfigError, match="sim.occupied_subbands: ',' names no sub-band"):
             load_config(overrides={"sim.occupied_subbands": " , "})
 
+    @pytest.mark.parametrize("command", ["run", "sweep", "stack"])
+    def test_repeated_occupied_exits_2(self, tmp_path, capsys, monkeypatch, command):
+        # a repeated index is a config error on every command, raised before any design
+        built = []
+        for name in ("build_coarse_prototype", "build_fine_prototype"):
+            monkeypatch.setattr(pipeline, name, lambda *args: built.append(args))
+        cfg = write_mini(tmp_path, **{"occupied_subbands = all": "occupied_subbands = 1 1"})
+        assert main([command, "--config", cfg]) == 2
+        assert "sim.occupied_subbands: 1 repeated" in capsys.readouterr().err
+        assert built == [] and not (tmp_path / "out").exists()
+        with pytest.raises(ConfigError, match=r"sim\.occupied_subbands: 3 5 repeated"):
+            load_config(overrides={"sim.occupied_subbands": "5 3, 5 1 3"})
+        assert load_config(overrides={"sim.occupied_subbands": "5 3 1"}).occupied_subbands \
+            == (5, 3, 1)
+
+    @pytest.mark.parametrize("command", ["run", "stack"])
+    @pytest.mark.parametrize("num_samples", ["0", "3"])
+    def test_num_samples_below_one_frame_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                 command, num_samples):
+        # the mini plan's coarse frame is 2 * 2 = 4 samples
+        built = []
+        for name in ("build_coarse_prototype", "build_fine_prototype"):
+            monkeypatch.setattr(pipeline, name, lambda *args: built.append(args))
+        cfg = write_mini(tmp_path, **{"num_samples = 64000": f"num_samples = {num_samples}"})
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"sim.num_samples: '{num_samples}' out of range (>= 4, one coarse frame" in err
+        assert built == [] and not (tmp_path / "out").exists()
+        assert load_config(cfg, {"sim.num_samples": "4"}).num_samples == 4
+        # listed with the other bad keys
+        with pytest.raises(ConfigError, match=r"coarse\.stopband_db.*; sim\.num_samples"):
+            load_config(overrides={"coarse.stopband_db": "-3", "sim.num_samples": "19"})
+
     def test_readme_config_block_matches_defaults(self):
         parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
         parser.read_string(_readme_config_block())

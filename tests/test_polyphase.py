@@ -70,15 +70,17 @@ def bank_threads():
     return [t for t in threading.enumerate() if t.name.startswith("fstack-bank")]
 
 
-def on_cpus(monkeypatch, cpus, run):
+def on_cpus(monkeypatch, cpus, run, started=None):
     """``run()`` with ``cpus`` usable CPUs, switching threads as often as it can.
 
     A block lost, or read back before its thread wrote it, would then
     change the output.  Returns ``run()``'s result and the most helper
     threads that one ``run_blocks`` call started; none of them may be
-    alive once ``run()`` has returned.
+    alive once ``run()`` has returned.  ``started``, a Counter, receives
+    the helpers each run started, keyed by the run.
     """
-    started = collections.Counter()  # helpers per run, keyed by the run's drain
+    if started is None:
+        started = collections.Counter()  # helpers per run, keyed by the run's drain
 
     class Helper(threading.Thread):
         def __init__(self, target, name):
@@ -671,6 +673,60 @@ class TestRunBlocks:
         with pytest.raises(ValueError, match=r"block \d failed"):
             on_cpus(monkeypatch, 4, lambda: polyphase.run_blocks(block, range(8)))
         assert not bank_threads()
+
+
+    def test_one_cpu_inside_a_block(self, monkeypatch):
+        """``usable_cpus()`` is 1 on a thread while it runs blocks.
+
+        That holds on the caller and on a helper, so a nested run starts
+        no helper and runs its blocks on the block's own thread.  The
+        caller's count comes back after the run.  The check runs under
+        ``on_cpus``, which replaces ``polyphase.threading`` as the banks'
+        tests do.
+        """
+        caller = threading.current_thread()
+        ran = {True: threading.Event(), False: threading.Event()}  # keyed by on the caller
+        seen = []  # (on the caller, CPUs after the nested run, nested blocks' threads)
+
+        def block(i):
+            # each block waits until the caller and a helper have both taken
+            # one; six blocks on three helpers leave the caller one at least
+            me = threading.current_thread()
+            ran[me is caller].set()
+            assert ran[me is not caller].wait(timeout=60)
+            assert polyphase.usable_cpus() == 1
+            inner = []
+            polyphase.run_blocks(lambda j: inner.append(threading.current_thread()), range(8))
+            seen.append((me is caller, polyphase.usable_cpus(), set(inner) == {me}))
+
+        def run():
+            assert polyphase.usable_cpus() == 4
+            polyphase.run_blocks(block, range(6))
+            return polyphase.usable_cpus()
+
+        started = collections.Counter()
+        cpus, helpers = on_cpus(monkeypatch, 4, run, started)
+        assert cpus == 4 and helpers == 3
+        assert list(started.values()) == [3]  # the outer run's; no nested run started one
+        assert len(seen) == 6
+        assert {on_caller for on_caller, _, _ in seen} == {True, False}
+        assert all(count == 1 and own for _, count, own in seen)
+
+    def test_cpu_count_comes_back_after_a_raise(self, monkeypatch):
+        def block(i):
+            assert polyphase.usable_cpus() == 1
+            if i == 1:
+                raise ValueError("block 1 failed")
+
+        def run():
+            with pytest.raises(ValueError, match="block 1 failed"):
+                polyphase.run_blocks(block, range(3))
+            # a run of one block runs inline, on the caller alone
+            with pytest.raises(ValueError, match="block 1 failed"):
+                polyphase.run_blocks(block, [1])
+            return polyphase.usable_cpus()
+
+        assert on_cpus(monkeypatch, 4, run)[0] == 4
 
 
 class TestBankPoolFork:
