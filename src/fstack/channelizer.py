@@ -162,8 +162,8 @@ def _coarse_frames(config, stacked):
 def _occupied_streams(config, frames, label):
     """The occupied sub-bands of a coarse (frames, N//2 + 1) array as streams.
 
-    Sub-band s is column s, a view (one contiguous row of channel-major
-    frames).
+    Sub-band s is column s, a view: one contiguous row when the frames
+    are channel-major.
     """
     rate = config.subband_rate_hz
     return {

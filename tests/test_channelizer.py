@@ -418,8 +418,8 @@ class TestEndToEnd:
         The sub-band cascades and the banks' blocks run on helper threads,
         switching threads as often as they can; the output must not depend
         on which thread ran a block, or in which order.  Each run of the nine
-        cascades starts one helper per CPU but the caller's, a run nested in
-        a block starts none, and none of them outlives the pass.
+        cascades starts one helper per CPU but the caller's, and none of
+        them outlives the pass.
         """
         pipe = pipelines["pipes"][kind]
 
