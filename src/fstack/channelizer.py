@@ -5,14 +5,10 @@ input (N channels, channel 0 and N/2 reserved empty); the fine stage
 splits each recovered sub-band into user channels on the configured
 granularity grid.  Synthesis reverses both stages.  With channel
 processing disabled the whole pipeline approximates a pure delay, which
-is what the metrics measure: the output is aligned to the input by the
-integer cross-correlation peak and compared in the mean-squared sense,
-normalized by signal power.  The alignment correlates one
-``DELAY_SEARCH_SPAN``-sample segment of the input, placed at the
-expected delay, against the output over lags 0..2·expected + 1024 (a
-short input, or one quiet at that segment, is correlated whole); the
-peak margin is set by the stimulus's own autocorrelation, not by the
-record length.
+is what the metrics measure.  ``end_to_end`` composes three stages:
+``impair`` (AWGN and the ADC), ``channelize`` (the coarse and fine
+banks and the restack) and ``measure`` (the alignment and the MSE,
+normalized by signal power); ``measure`` states the alignment rule.
 """
 
 import math
@@ -26,7 +22,7 @@ from .errors import ConfigError, InvalidSpecError, RateMismatchError
 from .frontend import AdcModel, SignalBuffer, adc_quantize, add_awgn, mean_power
 from .polyphase import AnalysisBank, SynthesisBank, matched_cascade_delay, run_blocks
 
-DELAY_SEARCH_SPAN = 1 << 16  # reference samples correlated by end_to_end
+DELAY_SEARCH_SPAN = 1 << 16  # reference samples correlated by measure
 
 
 @dataclass(frozen=True)
@@ -178,6 +174,11 @@ def coarse_analyze(config, stacked):
     return _occupied_streams(config, frames, stacked.label)
 
 
+def _restack_frames(config, n_frames):
+    """Zeroed (frames, N//2 + 1) restack frames, channel-major: each column one contiguous row."""
+    return np.zeros((config.num_coarse_channels // 2 + 1, n_frames), dtype=np.complex128).T
+
+
 def _restack(config, frames):
     """The real wideband signal of (frames, N//2 + 1) restack frames.
 
@@ -195,7 +196,7 @@ def coarse_synthesize(config, subbands):
     (frames, N//2 + 1) restack frames (``_restack``), one contiguous row;
     s must be one of the plan's sub-bands 1..N/2-1, and channels the
     streams leave out stay empty.
-    ``end_to_end`` fills the same frames straight from its fine cascades
+    ``channelize`` fills the same frames straight from its fine cascades
     instead of going through this function.
     """
     n = config.num_coarse_channels
@@ -203,7 +204,7 @@ def coarse_synthesize(config, subbands):
     if len(lengths) > 1:
         raise ConfigError("sub-band streams must share one length")
     n_frames = lengths.pop() if lengths else 0
-    frames = np.zeros((n // 2 + 1, n_frames), dtype=np.complex128).T
+    frames = _restack_frames(config, n_frames)
     for sub, buf in subbands.items():
         if abs(buf.rate_hz - config.subband_rate_hz) > 1e-6:
             raise RateMismatchError(f"sub-band {sub} rate {buf.rate_hz}")
@@ -314,85 +315,62 @@ def _channel_power_table(frames, n, warmup_frames):
     DC/Nyquist channels and the conjugate images are visible in reports.
     It reads every column of the coarse (frames, N//2 + 1) array of
     channels 0..N/2; channel N-c, the conjugate of channel c, has the
-    same power.
+    same power.  Power in no channel (an input whose squares underflow,
+    say) raises ``InvalidSpecError``.
     """
     skip = min(frames.shape[0] // 4, 16 * warmup_frames)
     power = np.mean(np.abs(frames[skip:]) ** 2, axis=0)
     power = np.concatenate([power, power[1 : n - power.size + 1][::-1]])
     peak = float(np.max(power))
+    if peak == 0.0:
+        raise InvalidSpecError("nothing to measure: no coarse channel carries power")
     floor = peak * 1e-30 + 1e-300
     return {
         ch: 10.0 * math.log10(max(float(p), floor) / peak) for ch, p in enumerate(power)
     }
 
 
-def end_to_end(config, stimulus, adc_bits=None, snr_db=None, seed=1234,
-               capture_spectra=False):
-    """Full pipeline run with channel processing disabled.
+def impair(stimulus, adc_bits, snr_db, seed):
+    """The signal the ADC delivers from ``stimulus``, and its extras.
 
-    stimulus -> [AWGN] -> [ADC] -> coarse analysis -> fine analysis ->
-    fine synthesis -> coarse synthesis -> metrics against the clean
-    stimulus.  Impairments are optional; the float path is the
-    transparency benchmark.  The coarse analysis keeps channels 0..N/2
-    of the real input; each occupied sub-band's fine analysis and
-    synthesis is one block of ``run_blocks``, so the sub-bands run on
-    every usable CPU, each cascade's own transforms on one worker
-    (``usable_cpus``), and the output does not depend on the thread that
-    runs a block.  The cascade of sub-band s writes its output straight
-    into column s of the half-width restack frames that
-    ``coarse_synthesize`` would build from the same streams, so no dict
-    of fine outputs outlives the fine stage, and the coarse frames are
-    freed before the restack.  The all-pass candidate's coarse frames
-    and the restack frames are channel-major: each sub-band stream is
-    read from, and each cascade writes, one contiguous row, and the
-    all-pass synthesis filters the restack's rows in place.
-
-    The aligned delay is the cross-correlation peak over lags
-    0..2·expected + 1024 (the expected delay is searched for, not
-    assumed).  Only ``DELAY_SEARCH_SPAN`` samples of the clean stimulus
-    are correlated, starting at ``min(expected, len - span)``, so the
-    matching output begins about twice the expected delay in, clear of
-    the banks' start-up.  A stimulus shorter than the span, or a
-    segment with under a quarter of the stimulus's mean power (a record
-    that starts or ends quiet), is correlated whole instead.
-
-    A stimulus shorter than the expected delay plus ``pipeline_warmup_samples``
-    raises ``InvalidSpecError``: its aligned span could not reach steady
-    state.  So does a run with nothing to measure: an empty or silent
-    stimulus, or a stimulus silent over the whole compared span.  So does
-    an SNR of -inf or NaN; +inf adds no noise.
+    AWGN at ``snr_db`` (None or +inf adds none; -inf and NaN raise
+    ``InvalidSpecError``), then, with ``adc_bits``, a quantizer at a full
+    scale of 4x the noisy RMS.  The extras hold ``snr_db``, ``adc_bits``
+    and ``adc_saturations`` for the impairments applied.
     """
-    power = stimulus.power
-    if power == 0.0:
-        raise InvalidSpecError("nothing to measure: the stimulus is empty or silent")
-    x = stimulus
-    extras = {}
+    x, extras = stimulus, {}
     if snr_db is not None and snr_db != math.inf:
         x = add_awgn(x, snr_db, seed)
         extras["snr_db"] = snr_db
     if adc_bits is not None:
         scale = 4.0 * math.sqrt(max(x.power, 1e-300))
-        model = AdcModel(bits=adc_bits, full_scale=scale)
-        x = adc_quantize(x, model)
+        x = adc_quantize(x, AdcModel(bits=adc_bits, full_scale=scale))
         extras["adc_bits"] = adc_bits
         extras["adc_saturations"] = x.meta["saturation_count"]
+    return x, extras
 
-    theory = config.expected_delay_samples()
-    needed = theory + pipeline_warmup_samples(config)
-    if len(x) < needed:
-        raise InvalidSpecError(
-            f"stimulus of {len(x)} samples is too short to measure: the pipeline "
-            f"needs at least {needed} (expected delay {theory} plus warm-up)"
-        )
 
-    n, n_f = config.num_coarse_channels, config.channel_plan.channels_per_subband
+def channelize(config, x):
+    """Coarse analysis, fine cascades and restack of the real wideband ``x``.
+
+    Returns the restacked real signal and the coarse power table.  Each
+    occupied sub-band's fine analysis and synthesis is one block of
+    ``run_blocks``: the sub-bands run on every usable CPU, each cascade's
+    transforms on one worker (``usable_cpus``), and the output does not
+    depend on the thread that runs a block.  Cascade s writes straight
+    into column s of the restack frames that ``coarse_synthesize`` would
+    build from the same streams.  The coarse frames are freed before the
+    restack, the restack frames when this function returns.  The
+    all-pass candidate's coarse frames and the restack frames are
+    channel-major: each cascade reads and writes one contiguous row, and
+    the all-pass synthesis filters the restack's rows in place.
+    """
+    n_f = config.channel_plan.channels_per_subband
     coarse, warmup_frames = _coarse_frames(config, x)
-    leakage = _channel_power_table(coarse, n, warmup_frames)
+    leakage = _channel_power_table(coarse, config.num_coarse_channels, warmup_frames)
     subbands = _occupied_streams(config, coarse, x.label)
-    spectra = dict(subbands) if capture_spectra else {}
-    # channel-major, so each cascade writes one contiguous row; its length
-    # is the fine cascade's output, whole fine frames of the coarse frames
-    frames = np.zeros((n // 2 + 1, (coarse.shape[0] // n_f) * n_f), dtype=np.complex128).T
+    # the fine cascade's output length: whole fine frames of the coarse frames
+    frames = _restack_frames(config, (coarse.shape[0] // n_f) * n_f)
 
     def cascade(sub):
         frames[:, sub] = fine_synthesize(config, fine_analyze(config, subbands[sub])).samples
@@ -400,32 +378,74 @@ def end_to_end(config, stimulus, adc_bits=None, snr_db=None, seed=1234,
     run_blocks(cascade, config.occupied_subbands)
     # the coarse frames' last references: they are freed before the restack
     del coarse, subbands
-    restacked = _restack(config, frames)
-    ref, out = stimulus.samples, restacked.samples
-    lo = min(theory, len(ref) - DELAY_SEARCH_SPAN)
-    if lo >= 0:
-        segment = ref[lo : lo + DELAY_SEARCH_SPAN]
-        if mean_power(segment) >= power / 4.0:
-            ref, out = segment, out[lo:]
-    delay = find_delay(ref, out, max_lag=min(len(restacked) - 1, 2 * theory + 1024))
-    span = min(len(stimulus), len(restacked) - delay)
-    trim = min(pipeline_warmup_samples(config), max(0, (span - 4096) // 3))
-    mse, rel = aligned_mse(stimulus.samples, restacked.samples, delay, trim=trim)
+    return _restack(config, frames), leakage
 
+
+def measure(reference, output, expected_delay, warmup):
+    """Aligned delay, MSE and relative MSE of ``output`` against ``reference``.
+
+    The delay is the cross-correlation peak over lags
+    0..2·``expected_delay`` + 1024 (searched for, not assumed) of the
+    ``DELAY_SEARCH_SPAN`` reference samples from ``min(expected_delay,
+    len - span)`` on, so the matching output begins about twice the
+    expected delay in, clear of the banks' start-up; the peak margin is
+    set by the reference's own autocorrelation, not by the record
+    length.  A reference shorter than the span, or a segment with under
+    a quarter of the reference's mean power (a record that starts or
+    ends quiet), is correlated whole instead.  The MSE (``aligned_mse``)
+    trims ``warmup`` samples, at most a third of the overlap beyond
+    4 096, from both ends of the overlap; a reference silent over what
+    is left raises ``InvalidSpecError``.
+    """
+    ref, out = np.asarray(reference), np.asarray(output)
+    lo = min(expected_delay, ref.size - DELAY_SEARCH_SPAN)
+    segment = ref[lo : lo + DELAY_SEARCH_SPAN]
+    if lo < 0 or mean_power(segment) < mean_power(ref) / 4.0:
+        segment, lo = ref, 0  # correlated whole
+    delay = find_delay(segment, out[lo:], max_lag=min(out.size - 1, 2 * expected_delay + 1024))
+    span = min(ref.size, out.size - delay)
+    trim = min(warmup, max(0, (span - 4096) // 3))
+    mse, rel = aligned_mse(ref, out, delay, trim=trim)
+    return delay, mse, rel
+
+
+def end_to_end(config, stimulus, adc_bits=None, snr_db=None, seed=1234,
+               capture_spectra=False):
+    """Full pipeline run with channel processing disabled.
+
+    stimulus -> ``impair`` ([AWGN] -> [ADC]) -> ``channelize`` (coarse
+    analysis -> fine analysis -> fine synthesis -> coarse synthesis) ->
+    ``measure`` against the clean stimulus.  Impairments are optional;
+    the float path is the transparency benchmark.  With
+    ``capture_spectra`` the extras' ``"spectra"`` hold the occupied
+    sub-band streams, from a second coarse analysis of the ADC's signal,
+    and the restacked ``"output"``.
+
+    A stimulus shorter than the expected delay plus ``pipeline_warmup_samples``
+    raises ``InvalidSpecError``: its aligned span could not reach steady
+    state.  So does a run with nothing to measure: an empty or silent
+    stimulus, one whose squares underflow, or one silent over the whole
+    compared span.  So does an SNR of -inf or NaN; +inf adds no noise.
+    """
+    # not ``stimulus.power``: the one full-length power pass is measure's
+    if not stimulus.samples.any():
+        raise InvalidSpecError("nothing to measure: the stimulus is empty or silent")
+    x, extras = impair(stimulus, adc_bits, snr_db, seed)
+    theory, warmup = config.expected_delay_samples(), pipeline_warmup_samples(config)
+    if len(x) < theory + warmup:
+        raise InvalidSpecError(
+            f"stimulus of {len(x)} samples is too short to measure: the pipeline "
+            f"needs at least {theory + warmup} (expected delay {theory} plus warm-up)"
+        )
+    restacked, leakage = channelize(config, x)
+    delay, mse, rel = measure(stimulus.samples, restacked.samples, theory, warmup)
     extras["expected_delay"] = theory
     extras["occupied_subbands"] = len(config.occupied_subbands)
     extras["fine_channels_occupied"] = config.total_fine_channels_occupied
     extras["fine_channels_nominal"] = config.total_fine_channels_nominal
-    report = MetricsReport(
-        aligned_delay=delay,
-        mse=mse,
-        mse_over_signal=rel,
-        per_channel_leakage_db=leakage,
-        extras=extras,
-    )
     if capture_spectra:
-        report.extras["spectra"] = {**spectra, "output": restacked}
-    return report
+        extras["spectra"] = {**coarse_analyze(config, x), "output": restacked}
+    return MetricsReport(delay, mse, rel, per_channel_leakage_db=leakage, extras=extras)
 
 
 def awgn_sweep(configs, stimulus, snr_list, seed=1234):

@@ -2,10 +2,12 @@
 
 import collections
 import dataclasses
+import hashlib
 import math
 import os
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -20,12 +22,19 @@ from fstack.channelizer import (
     fine_analyze,
     fine_synthesize,
     aligned_mse,
+    impair,
+    measure,
     pipeline_warmup_samples,
 )
 from fstack.config import load_config
 from fstack.errors import ConfigError, InvalidSpecError, RateMismatchError
 from fstack import channelizer, pipeline, polyphase
-from fstack.filter_design import FirPrototype, design_fir_equiripple, measure_fir
+from fstack.filter_design import (
+    FirPrototype,
+    design_fir_equiripple,
+    export_coefficients,
+    measure_fir,
+)
 from fstack.frontend import SignalBuffer, add_awgn
 from fstack.pipeline import (
     build_channel_plan,
@@ -342,6 +351,34 @@ class TestEndToEnd:
         assert pinned == {"iir": (106_779, 2.8201076618927033e-06),
                           "fir": (107_079, 2.6739037033274734e-06)}
 
+    def test_default_coefficients_pinned(self, pipelines, tmp_path):
+        """The sha256 of both exported coarse designs and of the fine taps' bytes.
+
+        ``fstack design`` writes the two files from the same designs.
+        """
+        pipes = pipelines["pipes"]
+        digests = {}
+        for kind in ("fir", "iir"):
+            path = tmp_path / f"coarse_{kind}.coef"
+            export_coefficients(pipes[kind].coarse_prototype, path)
+            digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+        fine_taps = pipes["iir"].fine_prototype.coefficients
+        digests["fine"] = hashlib.sha256(fine_taps.tobytes()).hexdigest()
+        assert digests == {
+            "coarse_fir.coef": "8bd9d2e2822dde9e444bf4abdbbcac369c18fe1a26b22605cf43991238fb3d3c",
+            "coarse_iir.coef": "7f633c1fe7df449c810ccf9668cd102c330c304a2b8d6c0788903ca738393dfa",
+            "fine": "2d46aab36434158ea806859d6eb6c4608829e1c271b5e7a4f5da216d3088b67b",
+        }
+
+    @pytest.mark.slow
+    def test_gmr_fine_windows_pinned(self):
+        """The full-scale GMR-1 and GMR-2 fine windows: 186 368 and 115 200 taps."""
+        lengths = {}
+        for standard in ("gmr1", "gmr2"):
+            cfg = load_config(overrides={"fine.standard": standard})
+            lengths[standard] = build_fine_prototype(cfg, build_channel_plan(cfg)).length
+        assert lengths == {"gmr1": 186_368, "gmr2": 115_200}
+
     def test_delay_matches_theory(self, pipelines, float_reports):
         for kind, report in float_reports.items():
             expected = pipelines["pipes"][kind].expected_delay_samples()
@@ -436,6 +473,38 @@ class TestEndToEnd:
             assert out.tobytes() == runs[0][0].tobytes()
             assert report == runs[0][1] == float_reports[kind]
 
+    @pytest.mark.parametrize("kind", ["iir", "fir"])
+    def test_captured_run_matches_plain_run(self, kind, pipelines, float_reports):
+        """Capturing the spectra leaves the delay, the MSEs and the power table as they are.
+
+        The sub-band streams come from a coarse analysis after the pass.
+        """
+        report = end_to_end(pipelines["pipes"][kind], pipelines["stimulus"], capture_spectra=True)
+        assert set(report.extras["spectra"]) == {*range(1, 10), "output"}
+        plain = float_reports[kind]
+        assert report.aligned_delay == plain.aligned_delay
+        assert report.mse == plain.mse
+        assert report.mse_over_signal == plain.mse_over_signal
+        assert report.per_channel_leakage_db == plain.per_channel_leakage_db
+
+    def test_restack_frames_freed_before_delay_search(self, pipelines, monkeypatch):
+        """The restack frames die with ``channelize``, before ``find_delay`` runs."""
+        frames_refs, alive = [], []
+        restack, search = channelizer._restack, channelizer.find_delay
+
+        def keeping(config, frames):
+            frames_refs.append(weakref.ref(frames))
+            return restack(config, frames)
+
+        def checking(reference, output, max_lag=None):
+            alive.append(frames_refs[-1]() is not None)
+            return search(reference, output, max_lag=max_lag)
+
+        monkeypatch.setattr(channelizer, "_restack", keeping)
+        monkeypatch.setattr(channelizer, "find_delay", checking)
+        end_to_end(pipelines["pipes"]["iir"], pipelines["stimulus"])
+        assert alive == [False]
+
     @pytest.mark.parametrize("kind", ["iir", "fir", "fir_n14"])
     def test_in_place_restack_equals_coarse_synthesize(self, kind, pipelines):
         """The restack that end_to_end fills from its fine cascades is the
@@ -462,9 +531,11 @@ class TestEndToEnd:
         """A warm float pass allocates at most ``budget`` times the stimulus's bytes.
 
         Every full-length array of the pass lives only as long as its
-        stage (3.21x for the IIR candidate and 5.14x for the FIR one when
-        the restack frames were first filled in place; 5.01x and 7.05x
-        when the fine outputs and the delay lines were kept).  Each fine
+        stage (3.11x for the IIR candidate and 5.14x for the FIR one since
+        the restack frames die before the delay search; 3.18x and 5.14x
+        while they lived through it, 3.21x and 5.14x when they were first
+        filled in place; 5.01x and 7.05x when the fine outputs and the
+        delay lines were kept).  Each fine
         cascade running at once adds its own buffers, so the pass runs on
         two usable CPUs whatever the host has.
         """
@@ -534,6 +605,15 @@ class TestEndToEnd:
         zero = SignalBuffer(np.zeros(samples), pipe.plan.inputs.f_s, "real")
         with pytest.raises(InvalidSpecError, match="nothing to measure: the stimulus"):
             end_to_end(pipe, zero, snr_db=40.0, adc_bits=12)
+
+    @pytest.mark.parametrize("scale", [1e-162, 1e-170])
+    def test_underflowing_stimulus_rejected(self, pipelines, scale):
+        # nonzero samples whose squares underflow: at 1e-162 the stimulus
+        # power is positive yet every coarse channel's power is 0
+        stim = pipelines["stimulus"]
+        tiny = SignalBuffer(stim.samples * scale, stim.rate_hz, "real")
+        with pytest.raises(InvalidSpecError, match="nothing to measure"):
+            end_to_end(pipelines["pipes"]["iir"], tiny)
 
     @pytest.mark.parametrize("snr_db", [float("-inf"), float("nan")])
     def test_non_finite_snr_rejected(self, pipelines, snr_db):
@@ -656,6 +736,57 @@ class TestDelaySearch:
         report = end_to_end(pipe, SignalBuffer(samples, stim.rate_hz, "real"))
         assert report.aligned_delay == pipe.expected_delay_samples()
         assert sizes == [len(samples)]
+
+
+class TestMeasure:
+    """``measure`` on a reference and a delayed copy with a known added error."""
+
+    @pytest.mark.parametrize("data", ["real", "complex"])
+    @pytest.mark.parametrize("size", [200_000, 20_000], ids=["segment", "whole"])
+    def test_known_delay_and_error(self, data, size, rng, monkeypatch):
+        # unit-magnitude samples and a 1e-3 error on each: any compared
+        # span has power 1 and MSE 1e-6, whatever the trim
+        lag = 1_234
+        if data == "real":
+            ref = rng.choice([-1.0, 1.0], size)
+            error = 1e-3 * rng.choice([-1.0, 1.0], size)
+        else:
+            ref = np.exp(2j * np.pi * rng.random(size))
+            error = 1e-3 * np.exp(2j * np.pi * rng.random(size))
+        out = np.concatenate([np.zeros(lag, ref.dtype), ref + error, np.zeros(500, ref.dtype)])
+        sizes = TestDelaySearch._reference_sizes(monkeypatch)
+        delay, mse, rel = measure(ref, out, expected_delay=1_200, warmup=3_000)
+        assert delay == lag
+        assert sizes == [min(size, DELAY_SEARCH_SPAN)]  # the segment, or the whole short record
+        assert mse == pytest.approx(1e-6, rel=1e-12, abs=0)
+        assert rel == pytest.approx(1e-6, rel=1e-12, abs=0)
+
+
+class TestImpair:
+    @pytest.mark.parametrize("snr_db, adc_bits, keys", [
+        (None, None, set()),
+        (math.inf, None, set()),
+        (30.0, None, {"snr_db"}),
+        (None, 12, {"adc_bits", "adc_saturations"}),
+        (30.0, 12, {"snr_db", "adc_bits", "adc_saturations"}),
+    ], ids=["none", "plus_inf", "awgn", "adc", "awgn_adc"])
+    def test_extras_name_the_impairments(self, snr_db, adc_bits, keys, rng):
+        stimulus = SignalBuffer(rng.standard_normal(4096), 1e9, "real")
+        x, extras = impair(stimulus, adc_bits, snr_db, seed=7)
+        assert set(extras) == keys
+        assert (x is stimulus) == (not keys)
+        assert len(x) == len(stimulus)
+        if "snr_db" in keys:
+            assert extras["snr_db"] == snr_db
+        if adc_bits is not None:
+            assert extras["adc_bits"] == adc_bits
+            assert extras["adc_saturations"] == x.meta["saturation_count"]
+
+    @pytest.mark.parametrize("snr_db", [float("-inf"), float("nan")])
+    def test_non_finite_snr_rejected(self, snr_db, rng):
+        stimulus = SignalBuffer(rng.standard_normal(4096), 1e9, "real")
+        with pytest.raises(InvalidSpecError, match="SNR must be finite or \\+inf"):
+            impair(stimulus, None, snr_db, seed=7)
 
 
 class TestDelayEstimator:
