@@ -290,7 +290,9 @@ def aligned_mse(reference, output, delay, trim=0):
     ``trim`` drops extra samples at both ends of the overlap (bank
     transients die inside the structural delay for zero-state starts,
     so a modest trim is only a guard).  A reference silent over the
-    compared span has no relative MSE and raises ``InvalidSpecError``.
+    compared span has no relative MSE and raises ``InvalidSpecError``;
+    so does one whose mean power there is subnormal, since a ratio to it
+    has lost its digits (or reads 0).
     """
     ref = np.asarray(reference)
     out = np.asarray(output)
@@ -300,10 +302,10 @@ def aligned_mse(reference, output, delay, trim=0):
         raise InvalidSpecError("not enough overlap to measure MSE")
     mse = mean_power(out[delay + lo : delay + hi] - ref[lo:hi])
     sig = mean_power(ref[lo:hi])
-    if sig == 0.0:
+    if sig < np.finfo(float).tiny:
         raise InvalidSpecError(
             f"nothing to measure: the reference is silent over the compared "
-            f"span {lo}..{hi}"
+            f"span {lo}..{hi} (mean power {sig:.3g})"
         )
     return mse, mse / sig
 

@@ -137,21 +137,16 @@ def default_guardband_schedule(n_values):
     return [pct_hi - (pct_hi - pct_lo) * (l - lo) / span for l in logs]
 
 
-def sweep(n_values=None, guardband_pcts=None, passband_ripple=None, stopband_ripple=None):
-    """Generate cost reports across bank sizes for both candidates."""
-    if n_values is None:
-        n_values = [2 ** k for k in range(1, 8)]
-    if guardband_pcts is None:
-        guardband_pcts = default_guardband_schedule(n_values)
-    if passband_ripple is None:
-        passband_ripple = 10.0 ** (0.1 / 40.0) - 1.0  # 0.1 dB peak-to-peak
-    if stopband_ripple is None:
-        stopband_ripple = 10.0 ** (-50.0 / 20.0)
-    if len(guardband_pcts) != len(n_values):
-        raise InvalidSpecError("guardband schedule must match the N list")
+# the swept bank sizes and their guardband percentages
+SWEEP_N = tuple(2 ** k for k in range(1, 8))
+SWEEP_GUARD_PCT = tuple(default_guardband_schedule(SWEEP_N))
+
+
+def sweep(passband_ripple, stopband_ripple):
+    """Cost reports for both candidates at each ``SWEEP_N`` and its guardband."""
     return [
         point_report(n, pct, passband_ripple, stopband_ripple)
-        for n, pct in zip(n_values, guardband_pcts)
+        for n, pct in zip(SWEEP_N, SWEEP_GUARD_PCT)
     ]
 
 

@@ -23,7 +23,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import firwin, freqz, kaiser_beta, remez
+# scipy.signal (about 1 s to import) is imported inside the functions that
+# call it, so the commands that design nothing never load it
 
 from .errors import DesignFailureError, InvalidSpecError, StabilityError
 
@@ -247,6 +248,8 @@ def measure_fir(taps, spec, grid_mult=16):
     taps = np.asarray(taps, dtype=float)
     pts = max(2048, grid_mult * taps.size)
     if taps.size <= 4096:
+        from scipy.signal import freqz
+
         w_pass = 2.0 * np.pi * np.linspace(0.0, spec.fp_norm, pts // 2)
         w_stop = 2.0 * np.pi * np.linspace(spec.fa_norm, 0.5, pts // 2)
         _, h_pass = freqz(taps, worN=w_pass)
@@ -264,6 +267,8 @@ def measure_fir(taps, spec, grid_mult=16):
 
 def kaiser_taps(length, spec):
     """Kaiser-window lowpass of ``length`` taps, cut midway through the transition."""
+    from scipy.signal import firwin, kaiser_beta
+
     cutoff = 0.5 * (spec.fp_norm + spec.fa_norm)
     atten = -20.0 * math.log10(min(spec.stopband_ripple, spec.passband_ripple))
     taps = firwin(length, cutoff, window=("kaiser", kaiser_beta(atten)), fs=1.0)
@@ -289,6 +294,8 @@ def design_fir_equiripple(spec):
     ``_LENGTH_ATTEMPTS`` failing lengths it raises with the best check
     attached.
     """
+    from scipy.signal import remez
+
     n = spec.num_branches
     est = estimate_fir_length(spec.passband_ripple, spec.stopband_ripple, spec.delta_f)
     step = n if n > 1 else max(1, est // 256)
@@ -519,6 +526,8 @@ def composite_response(proto, freqs):
     """
     freqs = np.asarray(freqs, dtype=float)
     if isinstance(proto, FirPrototype):
+        from scipy.signal import freqz
+
         _, h = freqz(proto.coefficients, worN=2.0 * np.pi * freqs)
         return h
     w_full = 2.0 * np.pi * freqs

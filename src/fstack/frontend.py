@@ -27,9 +27,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FstackError, InvalidSpecError, StackingError
+from .errors import InvalidSpecError, StackingError
 
 _SIDECAR_SUFFIX = ".meta"
+PERIODOGRAM_NFFT = 8192
 
 
 @dataclass
@@ -70,7 +71,6 @@ class ElementSignal:
 
     subband_index: int
     baseband: SignalBuffer
-    power: float
 
 
 @dataclass(frozen=True)
@@ -172,7 +172,7 @@ def generate_subband_signal(
         raise InvalidSpecError(f"unknown stimulus profile {profile!r}")
     x = _masked_noise(int(duration_samples), rate, intervals, rng)
     buf = SignalBuffer(x, rate, "complex", label=f"subband{subband_index}:{profile}")
-    return ElementSignal(subband_index=subband_index, baseband=buf, power=buf.power)
+    return ElementSignal(subband_index=subband_index, baseband=buf)
 
 
 # ---------------------------------------------------------------------------
@@ -366,10 +366,11 @@ def add_awgn(buf, snr_db, seed):
 # measurements
 
 
-def periodogram_db(buf, nfft=8192):
-    """Averaged Hann periodogram; returns (freq_hz, power_db) for f >= 0."""
+def periodogram_db(buf):
+    """Averaged Hann periodogram of ``PERIODOGRAM_NFFT``-point segments (one
+    segment if the signal is shorter); returns (freq_hz, power_db) for f >= 0."""
     x = buf.samples
-    nfft = min(nfft, x.size)
+    nfft = min(PERIODOGRAM_NFFT, x.size)
     window = np.hanning(nfft)
     scale = np.sum(window**2)
     n_seg = max(1, x.size // nfft)
@@ -382,33 +383,6 @@ def periodogram_db(buf, nfft=8192):
     keep = freqs >= 0 if buf.domain == "real" else slice(None)
     order = np.argsort(freqs[keep])
     return freqs[keep][order], 10.0 * np.log10(np.maximum(psd[keep][order], 1e-300))
-
-
-def occupied_bandwidth(buf, fraction=0.99):
-    """Width of the smallest centred band holding ``fraction`` of the power."""
-    x = buf.samples
-    spectrum = np.abs(np.fft.fft(x)) ** 2
-    freqs = np.fft.fftfreq(x.size, d=1.0 / buf.rate_hz)
-    order = np.argsort(spectrum)[::-1]
-    total = spectrum.sum()
-    acc = 0.0
-    chosen = []
-    for idx in order:
-        acc += spectrum[idx]
-        chosen.append(freqs[idx])
-        if acc >= fraction * total:
-            break
-    return float(np.max(chosen) - np.min(chosen))
-
-
-def band_power_centroid(buf, lo_hz, hi_hz, nfft=8192):
-    """Power-weighted centre frequency of the band [lo, hi]."""
-    freqs, p_db = periodogram_db(buf, nfft)
-    power = 10.0 ** (p_db / 10.0)
-    mask = (freqs >= lo_hz) & (freqs <= hi_hz)
-    if not np.any(mask):
-        raise FstackError("empty measurement band")
-    return float(np.sum(freqs[mask] * power[mask]) / np.sum(power[mask]))
 
 
 # ---------------------------------------------------------------------------
@@ -429,20 +403,3 @@ def write_signal(buf, path):
         fh.write(f"domain={buf.domain}\n")
         fh.write(f"length={len(buf)}\n")
         fh.write(f"label={buf.label}\n")
-
-
-def read_signal(path):
-    path = str(path)
-    meta = {}
-    with open(path + _SIDECAR_SUFFIX, "r", encoding="utf-8") as fh:
-        for line in fh:
-            key, _, val = line.rstrip("\n").partition("=")
-            meta[key] = val
-    domain = meta.get("domain", "real")
-    raw = np.fromfile(path, dtype="<c16" if domain == "complex" else "<f8")
-    expected = int(meta.get("length", raw.size))
-    if raw.size != expected:
-        raise FstackError(
-            f"{path}: payload holds {raw.size} samples, sidecar says {expected}"
-        )
-    return SignalBuffer(raw, float(meta["rate_hz"]), domain, label=meta.get("label", ""))

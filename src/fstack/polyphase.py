@@ -73,7 +73,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import fft, hfft, ifft, ihfft, irfft, next_fast_len, rfft
-from scipy.signal import lfilter, sosfilt
+# scipy.signal is imported where it is called, as in filter_design
 
 from .complexity import fir_candidate_cost, iir_candidate_cost
 from .errors import FramingError
@@ -253,6 +253,8 @@ class _AllPassFamily:
         self._zi = [np.zeros((sos.shape[0], 2)) for sos in sections]
 
     def run(self, u):
+        from scipy.signal import sosfilt
+
         dtype = np.result_type(u, *self._zi)
         y = u if self.in_place else np.empty(u.shape[::-1], dtype=dtype).T
 
@@ -491,6 +493,8 @@ def prototype_impulse_response(prototype, min_length=None):
     The branches run as complex first-order ``lfilter`` sections, a
     realisation independent of the banks' second-order sections.
     """
+    from scipy.signal import lfilter
+
     if isinstance(prototype, FirPrototype):
         return prototype.coefficients.copy()
     n = prototype.num_branches

@@ -162,7 +162,7 @@ def test_c06_counters_equal_cost_model():
         ok = ok and bank.counters.real_mults == frames * p2
     gate.note("exact equality for N in {4,16,64}, both kinds")
 
-    rows = complexity.sweep()
+    rows = complexity.sweep(ripple_pp_db_to_linear(0.1), attenuation_to_ripple(50.0))
     ok = ok and all(r.a2 < r.a1 and r.p2 < r.p1 for r in rows)
     gate.note("sweep rows all favour the recursive candidate")
     gate.finish(ok)
@@ -170,7 +170,7 @@ def test_c06_counters_equal_cost_model():
 
 def test_c07_fold_algebra_cross_check():
     gate = Gate(7, "RF-chain and baseband stacking agree with the plan", 120.0)
-    from tests.test_frontend import symmetric_multitone
+    from tests.test_frontend import band_power_centroid, symmetric_multitone
 
     ok = True
     worst_bins = 0.0
@@ -179,11 +179,10 @@ def test_c07_fold_algebra_cross_check():
         plan = plan_stacking(inputs)
         rate = inputs.f_s / inputs.num_channels
         elements = [
-            frontend.ElementSignal(n, symmetric_multitone(rate, 1 << 12), 1.0)
+            frontend.ElementSignal(n, symmetric_multitone(rate, 1 << 12))
             for n in plan.occupied_subbands
         ]
-        nfft = 8192
-        bin_hz = inputs.f_s / nfft
+        bin_hz = inputs.f_s / frontend.PERIODOGRAM_NFFT
         half_b = inputs.bandwidth / 2.0
         for path, buf in (
             ("rf", frontend.simulate_rf_chain(elements, plan, oversample_factor=4)),
@@ -191,9 +190,7 @@ def test_c07_fold_algebra_cross_check():
         ):
             for element in elements:
                 centre = plan.centre(element.subband_index)
-                got = frontend.band_power_centroid(
-                    buf, centre - half_b, centre + half_b, nfft
-                )
+                got = band_power_centroid(buf, centre - half_b, centre + half_b)
                 worst_bins = max(worst_bins, abs(got - centre) / bin_hz)
                 ok = ok and abs(got - centre) <= bin_hz
     gate.note(f"zones 1 and 2, both paths; worst offset {worst_bins:.3f} bins")

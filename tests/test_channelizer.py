@@ -606,14 +606,26 @@ class TestEndToEnd:
         with pytest.raises(InvalidSpecError, match="nothing to measure: the stimulus"):
             end_to_end(pipe, zero, snr_db=40.0, adc_bits=12)
 
-    @pytest.mark.parametrize("scale", [1e-162, 1e-170])
+    @pytest.mark.parametrize("scale", [1e-155, 1e-158, 1e-160, 1e-162, 1e-170])
     def test_underflowing_stimulus_rejected(self, pipelines, scale):
         # nonzero samples whose squares underflow: at 1e-162 the stimulus
-        # power is positive yet every coarse channel's power is 0
+        # power is positive yet every coarse channel's power is 0; from
+        # 1e-155 to 1e-160 the reference power over the compared span is
+        # subnormal (4.5e-310 at 1e-155), and a relative MSE taken against
+        # it keeps few digits (2.8152e-06 at 1e-158) or none (0 at 1e-160)
         stim = pipelines["stimulus"]
         tiny = SignalBuffer(stim.samples * scale, stim.rate_hz, "real")
         with pytest.raises(InvalidSpecError, match="nothing to measure"):
             end_to_end(pipelines["pipes"]["iir"], tiny)
+
+    def test_small_normal_stimulus_measured(self, pipelines):
+        # at 1e-150 the reference power (4.5e-300) is a normal float: the
+        # run still reports the default study's delay and relative MSE
+        stim = pipelines["stimulus"]
+        small = SignalBuffer(stim.samples * 1e-150, stim.rate_hz, "real")
+        report = end_to_end(pipelines["pipes"]["iir"], small)
+        assert report.aligned_delay == 106_779
+        assert report.mse_over_signal == pytest.approx(2.8201076618927033e-06, rel=1e-12)
 
     @pytest.mark.parametrize("snr_db", [float("-inf"), float("nan")])
     def test_non_finite_snr_rejected(self, pipelines, snr_db):

@@ -1,7 +1,12 @@
 """Command-line front end tests: artifacts, determinism, exit codes."""
 
 import configparser
+import hashlib
+import os
 import re
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -103,6 +108,13 @@ class TestEstimateCommand:
         assert (out1 / "complexity.csv").read_bytes() == (
             out2 / "complexity.csv"
         ).read_bytes()
+
+    def test_default_csv_pinned(self, tmp_path):
+        """The sha256 of the default config's ``complexity.csv``: the swept N
+        grid, its guardband schedule and every cost, to the last digit."""
+        assert main(["estimate", "--out", str(tmp_path)]) == 0
+        digest = hashlib.sha256((tmp_path / "complexity.csv").read_bytes()).hexdigest()
+        assert digest == "fbfa4bc1103c4bc417da60fdb808c8e88b1bc89b01e89c3e0c96d6f8e88edf4c"
 
 
 class TestStackCommand:
@@ -367,3 +379,21 @@ class TestConfigHandling:
         first = (out1 / "stacked.f64").read_bytes()
         assert first == (out2 / "stacked.f64").read_bytes()
         assert first != (out3 / "stacked.f64").read_bytes()
+
+
+def test_commands_that_design_nothing_leave_scipy_signal_unloaded(tmp_path):
+    # plan, estimate and stack need numpy and scipy.fft only; scipy.signal
+    # alone takes about 1 s to import
+    code = f"""
+        import sys
+        from fstack.cli import main
+        for command in ("plan", "estimate", "stack"):
+            assert main([command, "--out", {str(tmp_path)!r}]) == 0
+        print("scipy.signal" in sys.modules)
+    """
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "False"

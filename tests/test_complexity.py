@@ -6,6 +6,10 @@ import pytest
 
 from fstack import complexity
 from fstack.errors import InvalidSpecError
+from fstack.filter_design import attenuation_to_ripple, ripple_pp_db_to_linear
+
+# 0.1 dB peak-to-peak passband ripple and 50 dB stopband, as linear peak deviations
+RIPPLES = (ripple_pp_db_to_linear(0.1), attenuation_to_ripple(50.0))
 
 
 class TestTransformCost:
@@ -60,7 +64,7 @@ class TestCandidateCosts:
 
 class TestSweep:
     def test_report_identities(self):
-        for rep in complexity.sweep():
+        for rep in complexity.sweep(*RIPPLES):
             assert rep.a1 == pytest.approx(rep.a_fir + rep.a_ifft)
             assert rep.p1 == pytest.approx(rep.p_fir + rep.p_ifft)
             assert rep.a2 == pytest.approx(rep.a_iir + rep.a_ifft)
@@ -68,11 +72,11 @@ class TestSweep:
 
     def test_recursive_adds_double_the_mults(self):
         # each first-order section: one coefficient multiply, two adds
-        for rep in complexity.sweep():
+        for rep in complexity.sweep(*RIPPLES):
             assert rep.a_iir == pytest.approx(2.0 * rep.p_iir)
 
     def test_recursive_candidate_cheaper_everywhere(self):
-        for rep in complexity.sweep():
+        for rep in complexity.sweep(*RIPPLES):
             assert rep.a2 < rep.a1 and rep.p2 < rep.p1
 
     def test_equal_length_algebra(self):
@@ -85,17 +89,12 @@ class TestSweep:
             assert (a2 < a1) == (lhs < rhs)
 
     def test_envelope_warning_flag(self):
-        reps = complexity.sweep(n_values=[4, 256], guardband_pcts=[20.0, 2.0])
-        assert not reps[0].warning
-        assert reps[1].warning
-
-    def test_schedule_length_mismatch(self):
-        with pytest.raises(InvalidSpecError):
-            complexity.sweep(n_values=[2, 4], guardband_pcts=[10.0])
+        assert not complexity.point_report(4, 20.0, *RIPPLES).warning
+        assert complexity.point_report(256, 2.0, *RIPPLES).warning
 
     def test_csv_output(self, tmp_path):
         path = tmp_path / "complexity.csv"
-        complexity.write_csv(complexity.sweep(), path)
+        complexity.write_csv(complexity.sweep(*RIPPLES), path)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == complexity.CSV_HEADER

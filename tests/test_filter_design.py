@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.signal
 
 from fstack.errors import DesignFailureError, InvalidSpecError, StabilityError
 from fstack import filter_design
@@ -228,7 +229,8 @@ class TestFirDesign:
         assert err.value.report.length == 19  # the best of 18, 19 and 20 taps
 
     def test_kaiser_fallback_when_remez_raises(self, monkeypatch):
-        monkeypatch.setattr(filter_design, "remez", _failing_remez)
+        # design_fir_equiripple imports remez from scipy.signal when it runs
+        monkeypatch.setattr(scipy.signal, "remez", _failing_remez)
         proto = design_fir_equiripple(QUARTER_BAND)
         rep = proto.design_report
         assert rep.ok and rep.method == "kaiser"

@@ -15,12 +15,9 @@ from fstack.frontend import (
     SignalBuffer,
     adc_quantize,
     add_awgn,
-    band_power_centroid,
     fdm_grid_intervals,
     generate_subband_signal,
-    occupied_bandwidth,
     periodogram_db,
-    read_signal,
     simulate_rf_chain,
     stack_baseband_equivalent,
     stack_fdm_stimulus,
@@ -62,12 +59,16 @@ class TestStimulus:
 
     def test_unit_power(self, table2_plan):
         el = generate_subband_signal(5, table2_plan, DUR, seed=3)
-        assert el.power == pytest.approx(1.0, rel=1e-9)
+        assert el.baseband.power == pytest.approx(1.0, rel=1e-9)
 
     def test_occupied_bandwidth_bound(self, table2_plan):
+        # the element's spectrum is zero, to rounding, outside +-B/2
         el = generate_subband_signal(5, table2_plan, DUR, seed=3)
-        bw = occupied_bandwidth(el.baseband, fraction=0.99)
-        assert bw <= table2_plan.inputs.bandwidth
+        freqs = np.fft.fftfreq(DUR, d=1.0 / el.baseband.rate_hz)
+        spectrum = np.abs(np.fft.fft(el.baseband.samples))
+        outside = np.abs(freqs) > table2_plan.inputs.bandwidth / 2.0
+        assert np.any(outside)
+        assert np.max(spectrum[outside]) < 1e-12 * np.max(spectrum)
 
     def test_fdm_profile_respects_grid(self, table2_plan):
         el = generate_subband_signal(
@@ -171,7 +172,7 @@ class TestStackingPaths:
     def test_single_tone_lands_at_centre(self, table2_plan):
         rate = table2_plan.inputs.f_s / table2_plan.inputs.num_channels
         tone = SignalBuffer(np.ones(DUR, dtype=complex), rate, "complex")
-        element = frontend.ElementSignal(4, tone, 1.0)
+        element = frontend.ElementSignal(4, tone)
         stacked = stack_baseband_equivalent([element], table2_plan)
         # F_4 sits exactly on a bin of the full-length transform, so a
         # rectangular FFT is leakage-free
@@ -200,7 +201,7 @@ class TestStackingPaths:
             for n in table2_plan.occupied_subbands
         ]
         stacked = stack_baseband_equivalent(elements, table2_plan)
-        expected = sum(e.power for e in elements) / 2.0
+        expected = sum(e.baseband.power for e in elements) / 2.0
         assert stacked.power == pytest.approx(expected, rel=0.01)
 
     def test_fold_keeps_bands_in_place(self, table2_plan):
@@ -210,7 +211,7 @@ class TestStackingPaths:
         ]
         stacked = stack_baseband_equivalent(elements, table2_plan)
         half_b = table2_plan.inputs.bandwidth / 2.0
-        freqs, p_db = periodogram_db(stacked, nfft=8192)
+        freqs, p_db = periodogram_db(stacked)
         # reference floor from regions the plan leaves empty (below the
         # first stacked band and above the last one)
         empty = (freqs < table2_plan.centre(1) - half_b - 2e6) | (
@@ -294,6 +295,15 @@ def symmetric_multitone(rate, n_samples):
     return SignalBuffer(x / np.sqrt(np.mean(np.abs(x) ** 2)), rate, "complex")
 
 
+def band_power_centroid(buf, lo_hz, hi_hz):
+    """Power-weighted centre frequency of the band [lo, hi] of ``buf``'s periodogram."""
+    freqs, p_db = periodogram_db(buf)
+    power = 10.0 ** (p_db / 10.0)
+    mask = (freqs >= lo_hz) & (freqs <= hi_hz)
+    assert np.any(mask), "empty measurement band"
+    return float(np.sum(freqs[mask] * power[mask]) / np.sum(power[mask]))
+
+
 class TestRfChain:
     @pytest.mark.parametrize("zone", [1, 2])
     def test_centres_match_planner(self, zone):
@@ -303,18 +313,17 @@ class TestRfChain:
         plan = plan_stacking(inputs)
         rate = inputs.f_s / inputs.num_channels
         elements = [
-            frontend.ElementSignal(n, symmetric_multitone(rate, 1 << 12), 1.0)
+            frontend.ElementSignal(n, symmetric_multitone(rate, 1 << 12))
             for n in (1, 5, 9)
         ]
         via_rf = simulate_rf_chain(elements, plan, oversample_factor=4)
         via_bb = stack_baseband_equivalent(elements, plan)
-        nfft = 8192
-        bin_hz = plan.inputs.f_s / nfft
+        bin_hz = plan.inputs.f_s / frontend.PERIODOGRAM_NFFT
         half_b = plan.inputs.bandwidth / 2.0
         for element in elements:
             centre = plan.centre(element.subband_index)
-            got_rf = band_power_centroid(via_rf, centre - half_b, centre + half_b, nfft)
-            got_bb = band_power_centroid(via_bb, centre - half_b, centre + half_b, nfft)
+            got_rf = band_power_centroid(via_rf, centre - half_b, centre + half_b)
+            got_bb = band_power_centroid(via_bb, centre - half_b, centre + half_b)
             assert abs(got_rf - centre) <= bin_hz
             assert abs(got_bb - centre) <= bin_hz
             assert abs(got_rf - got_bb) <= bin_hz
@@ -326,7 +335,7 @@ class TestRfChain:
         t = np.arange(1 << 14) / (ovs * f_s)
         tone = np.cos(2 * np.pi * (f_s - 100e6) * t)
         sampled = SignalBuffer(tone[::ovs], f_s, "real")
-        freqs, p_db = periodogram_db(sampled, nfft=4096)
+        freqs, p_db = periodogram_db(sampled)  # one 4 096-point segment
         assert abs(freqs[np.argmax(p_db)] - 100e6) < f_s / 4096
 
     def test_oversample_validation(self, table2_plan):
@@ -407,15 +416,20 @@ class TestAwgn:
         assert abs(snr - 30.0) <= 0.2
 
 
+def read_sidecar(path):
+    """The ``key=value`` lines of the ``.meta`` sidecar ``write_signal`` writes."""
+    lines = (path.parent / (path.name + ".meta")).read_text(encoding="utf-8").splitlines()
+    return dict(line.partition("=")[::2] for line in lines)
+
+
 class TestSignalFiles:
     def test_real_round_trip(self, tmp_path, rng):
         buf = SignalBuffer(rng.standard_normal(999), 1280e6, "real", label="stack test")
         path = tmp_path / "sig.f64"
         write_signal(buf, path)
-        back = read_signal(path)
-        np.testing.assert_array_equal(back.samples, buf.samples)
-        assert back.rate_hz == buf.rate_hz
-        assert back.label == buf.label
+        np.testing.assert_array_equal(np.fromfile(path, dtype="<f8"), buf.samples)
+        assert read_sidecar(path) == {"rate_hz": "1280000000", "domain": "real",
+                                      "length": "999", "label": "stack test"}
 
     def test_complex_round_trip_interleaved(self, tmp_path, rng):
         buf = SignalBuffer(
@@ -427,5 +441,6 @@ class TestSignalFiles:
         raw = np.fromfile(path, dtype="<f8")
         np.testing.assert_array_equal(raw[0::2], np.real(buf.samples))
         np.testing.assert_array_equal(raw[1::2], np.imag(buf.samples))
-        back = read_signal(path)
-        np.testing.assert_array_equal(back.samples, buf.samples)
+        np.testing.assert_array_equal(np.fromfile(path, dtype="<c16"), buf.samples)
+        assert read_sidecar(path) == {"rate_hz": "64000000", "domain": "complex",
+                                      "length": "256", "label": "iq"}
