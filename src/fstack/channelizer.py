@@ -34,6 +34,10 @@ class ChannelPlan:
     guardband_fraction: float = 0.1
 
     def __post_init__(self):
+        for name in ("granularity_hz", "subband_rate_hz"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise InvalidSpecError(f"{name} must be finite and positive, got {value}")
         if not 0.0 < self.guardband_fraction <= 0.1:
             raise InvalidSpecError(
                 "per-channel guardband must be in (0, 0.1] of the channel bandwidth"
@@ -155,7 +159,7 @@ def _coarse_frames(config, stacked):
     return bank.process_block(stacked.samples[:usable]), bank.warmup_frames
 
 
-def _occupied_streams(config, frames, label):
+def _occupied_streams(config, frames):
     """The occupied sub-bands of a coarse (frames, N//2 + 1) array as streams.
 
     Sub-band s is column s, a view: one contiguous row when the frames
@@ -163,15 +167,14 @@ def _occupied_streams(config, frames, label):
     """
     rate = config.subband_rate_hz
     return {
-        sub: SignalBuffer(frames[:, sub], rate, "complex", label=f"{label}|coarse{sub}")
-        for sub in config.occupied_subbands
+        sub: SignalBuffer(frames[:, sub], rate) for sub in config.occupied_subbands
     }
 
 
 def coarse_analyze(config, stacked):
     """Split the stacked real input into the occupied sub-band streams."""
     frames, _ = _coarse_frames(config, stacked)
-    return _occupied_streams(config, frames, stacked.label)
+    return _occupied_streams(config, frames)
 
 
 def _restack_frames(config, n_frames):
@@ -186,7 +189,7 @@ def _restack(config, frames):
     """
     bank = SynthesisBank(config.coarse_prototype, hermitian=True)
     y = bank.process_block(frames)
-    return SignalBuffer(np.real(y), config.plan.inputs.f_s, "real", label="restacked")
+    return SignalBuffer(np.real(y), config.plan.inputs.f_s)
 
 
 def coarse_synthesize(config, subbands):
@@ -217,7 +220,8 @@ def coarse_synthesize(config, subbands):
 def fine_analyze(config, subband):
     """Split one sub-band into its N_f user-channel streams.
 
-    Returns a (frames, N_f) array; column k is user channel k.
+    Returns a (frames, N_f) array; column k is user channel k.  A real
+    stream is analysed as complex, so it too gets all N_f channels.
     """
     if abs(subband.rate_hz - config.subband_rate_hz) > 1e-6:
         raise RateMismatchError(
@@ -226,14 +230,14 @@ def fine_analyze(config, subband):
     n_f = config.channel_plan.channels_per_subband
     bank = AnalysisBank(config.fine_prototype)
     usable = (len(subband) // n_f) * n_f
-    return bank.process_block(subband.samples[:usable])
+    return bank.process_block(subband.samples[:usable].astype(np.complex128, copy=False))
 
 
 def fine_synthesize(config, channels):
     """Rebuild one sub-band stream from its (frames, N_f) channel array."""
     bank = SynthesisBank(config.fine_prototype)
     y = bank.process_block(np.asarray(channels, dtype=np.complex128))
-    return SignalBuffer(y, config.subband_rate_hz, "complex", label="fine-restacked")
+    return SignalBuffer(y, config.subband_rate_hz)
 
 
 # ---------------------------------------------------------------------------
@@ -346,9 +350,9 @@ def impair(stimulus, adc_bits, snr_db, seed):
         extras["snr_db"] = snr_db
     if adc_bits is not None:
         scale = 4.0 * math.sqrt(max(x.power, 1e-300))
-        x = adc_quantize(x, AdcModel(bits=adc_bits, full_scale=scale))
+        x, saturations = adc_quantize(x, AdcModel(bits=adc_bits, full_scale=scale))
         extras["adc_bits"] = adc_bits
-        extras["adc_saturations"] = x.meta["saturation_count"]
+        extras["adc_saturations"] = saturations
     return x, extras
 
 
@@ -370,7 +374,7 @@ def channelize(config, x):
     n_f = config.channel_plan.channels_per_subband
     coarse, warmup_frames = _coarse_frames(config, x)
     leakage = _channel_power_table(coarse, config.num_coarse_channels, warmup_frames)
-    subbands = _occupied_streams(config, coarse, x.label)
+    subbands = _occupied_streams(config, coarse)
     # the fine cascade's output length: whole fine frames of the coarse frames
     frames = _restack_frames(config, (coarse.shape[0] // n_f) * n_f)
 

@@ -20,6 +20,7 @@ excludes those spike intervals.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,8 +72,9 @@ class PrototypeSpec:
     num_branches: int
 
     def __post_init__(self):
-        if self.sample_rate_hz <= 0:
-            raise InvalidSpecError("sample rate must be positive")
+        if not (math.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
+            raise InvalidSpecError(
+                f"sample rate must be finite and positive, got {self.sample_rate_hz}")
         if not 0.0 < self.passband_edge_hz < self.stopband_edge_hz:
             raise InvalidSpecError("need 0 < f_p < f_a")
         if self.stopband_edge_hz > self.sample_rate_hz / 2.0:
@@ -80,8 +82,8 @@ class PrototypeSpec:
         for rip in (self.passband_ripple, self.stopband_ripple):
             if not 0.0 < rip < 1.0:
                 raise InvalidSpecError(f"ripples must lie in (0, 1), got {rip}")
-        if self.num_branches < 1:
-            raise InvalidSpecError("num_branches must be >= 1")
+        if not isinstance(self.num_branches, numbers.Integral) or self.num_branches < 1:
+            raise InvalidSpecError(f"num_branches must be an integer >= 1, got {self.num_branches}")
 
     @property
     def fp_norm(self):

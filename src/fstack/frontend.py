@@ -23,7 +23,8 @@ how mobile sub-bands are actually occupied.
 """
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,21 +36,21 @@ PERIODOGRAM_NFFT = 8192
 
 @dataclass
 class SignalBuffer:
-    """Sampled signal with rate and provenance metadata."""
+    """Sampled signal and its rate; ``samples`` is float64 or complex128, and
+    that dtype is the ``domain``."""
 
     samples: np.ndarray
     rate_hz: float
-    domain: str  # "real" | "complex"
-    label: str = ""
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.rate_hz <= 0:
-            raise InvalidSpecError("sample rate must be positive")
-        if self.domain not in ("real", "complex"):
-            raise InvalidSpecError(f"domain must be real|complex, got {self.domain!r}")
-        dtype = np.complex128 if self.domain == "complex" else np.float64
-        self.samples = np.asarray(self.samples, dtype=dtype)
+        if not (math.isfinite(self.rate_hz) and self.rate_hz > 0):
+            raise InvalidSpecError(f"sample rate must be finite and positive, got {self.rate_hz}")
+        x = np.asarray(self.samples)
+        self.samples = x.astype(np.complex128 if np.iscomplexobj(x) else np.float64, copy=False)
+
+    @property
+    def domain(self):
+        return "complex" if np.iscomplexobj(self.samples) else "real"
 
     def __len__(self):
         return self.samples.size
@@ -79,10 +80,10 @@ class AdcModel:
     full_scale: float = 1.0
 
     def __post_init__(self):
-        if not 4 <= self.bits <= 24:
-            raise InvalidSpecError(f"ADC bits must be in [4, 24], got {self.bits}")
-        if self.full_scale <= 0:
-            raise InvalidSpecError("full_scale must be positive")
+        if not (isinstance(self.bits, numbers.Integral) and 4 <= self.bits <= 24):
+            raise InvalidSpecError(f"ADC bits must be an integer in [4, 24], got {self.bits}")
+        if not (math.isfinite(self.full_scale) and self.full_scale > 0):
+            raise InvalidSpecError(f"full_scale must be finite and positive, got {self.full_scale}")
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +172,7 @@ def generate_subband_signal(
     else:
         raise InvalidSpecError(f"unknown stimulus profile {profile!r}")
     x = _masked_noise(int(duration_samples), rate, intervals, rng)
-    buf = SignalBuffer(x, rate, "complex", label=f"subband{subband_index}:{profile}")
-    return ElementSignal(subband_index=subband_index, baseband=buf)
+    return ElementSignal(subband_index=subband_index, baseband=SignalBuffer(x, rate))
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +212,7 @@ def stack_baseband_equivalent(elements, plan):
     inp = plan.inputs
     n = inp.num_channels
     if not elements:
-        return SignalBuffer(np.zeros(0), inp.f_s, "real", label="stacked:empty")
+        return SignalBuffer(np.zeros(0), inp.f_s)
     sizes = {len(e.baseband) for e in elements}
     if len(sizes) != 1:
         raise StackingError("all elements must have the same length")
@@ -224,7 +224,7 @@ def stack_baseband_equivalent(elements, plan):
         up = _fft_upsample(element.baseband.samples, n)
         f_n = plan.centre(element.subband_index)
         acc += np.real(up * np.exp(2j * np.pi * f_n * t))
-    return SignalBuffer(acc, inp.f_s, "real", label="stacked:baseband-equivalent")
+    return SignalBuffer(acc, inp.f_s)
 
 
 def stack_fdm_stimulus(plan, subbands, element_samples, seed, granularity_hz,
@@ -244,10 +244,12 @@ def stack_fdm_stimulus(plan, subbands, element_samples, seed, granularity_hz,
     """
     inp = plan.inputs
     if not subbands:
-        return SignalBuffer(np.zeros(0), inp.f_s, "real", label="stacked:empty")
+        return SignalBuffer(np.zeros(0), inp.f_s)
     for sub in subbands:
         if sub not in plan.occupied_subbands:
             raise InvalidSpecError(f"sub-band {sub} is not occupied in this plan")
+    if not (isinstance(element_samples, numbers.Integral) and element_samples >= 1):
+        raise InvalidSpecError(f"element_samples must be an integer >= 1, got {element_samples}")
     _check_stackable(plan, list(subbands))
     total = element_samples * inp.num_channels
     df = inp.f_s / total
@@ -268,7 +270,7 @@ def stack_fdm_stimulus(plan, subbands, element_samples, seed, granularity_hz,
         pos, neg = k <= total // 2, (total - k) % total <= total // 2
         np.add.at(spectrum, k[pos], values[pos])
         np.add.at(spectrum, (total - k[neg]) % total, np.conj(values[neg]))
-    return SignalBuffer(np.fft.irfft(spectrum, total), inp.f_s, "real", label="stacked:fdm")
+    return SignalBuffer(np.fft.irfft(spectrum, total), inp.f_s)
 
 
 def simulate_rf_chain(elements, plan, oversample_factor=8):
@@ -282,7 +284,7 @@ def simulate_rf_chain(elements, plan, oversample_factor=8):
     inp = plan.inputs
     n = inp.num_channels
     if not elements:
-        return SignalBuffer(np.zeros(0), inp.f_s, "real", label="stacked:rf")
+        return SignalBuffer(np.zeros(0), inp.f_s)
     sizes = {len(e.baseband) for e in elements}
     if len(sizes) != 1:
         raise StackingError("all elements must have the same length")
@@ -312,7 +314,7 @@ def simulate_rf_chain(elements, plan, oversample_factor=8):
         folded.append(min(fold, inp.f_s - fold))
     _check_disjoint([(c - half_b, c + half_b) for c in folded])
     sampled = acc[::oversample_factor]
-    return SignalBuffer(sampled, inp.f_s, "real", label="stacked:rf")
+    return SignalBuffer(sampled, inp.f_s)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +324,8 @@ def simulate_rf_chain(elements, plan, oversample_factor=8):
 def adc_quantize(buf, model):
     """Uniform mid-rise quantization, saturating at the full-scale edges.
 
-    The saturation count is reported in the output metadata.
+    Returns the quantized signal and the number of samples that fell
+    outside the full scale (and were clipped to its edge levels).
     """
     if buf.domain != "real":
         raise InvalidSpecError("ADC input must be real")
@@ -332,18 +335,13 @@ def adc_quantize(buf, model):
     bottom = -(1 << (model.bits - 1))
     saturated = int(np.count_nonzero((levels > top) | (levels < bottom)))
     q = (np.clip(levels, bottom, top) + 0.5) * step
-    out = SignalBuffer(q, buf.rate_hz, "real", label=f"{buf.label}|adc{model.bits}")
-    out.meta["saturation_count"] = saturated
-    out.meta["lsb"] = step
-    return out
+    return SignalBuffer(q, buf.rate_hz), saturated
 
 
 def add_awgn(buf, snr_db, seed):
     """Additive white Gaussian noise at the requested SNR (+inf passes, -inf and NaN raise)."""
     if snr_db is None or snr_db == math.inf:
-        out = SignalBuffer(buf.samples.copy(), buf.rate_hz, buf.domain, buf.label)
-        out.meta.update(buf.meta)
-        return out
+        return SignalBuffer(buf.samples.copy(), buf.rate_hz)
     if not math.isfinite(snr_db):
         raise InvalidSpecError(f"SNR must be finite or +inf, got {snr_db} dB")
     rng = np.random.default_rng(seed)
@@ -355,11 +353,7 @@ def add_awgn(buf, snr_db, seed):
         )
     else:
         noise = math.sqrt(noise_power) * rng.standard_normal(len(buf))
-    out = SignalBuffer(
-        buf.samples + noise, buf.rate_hz, buf.domain, label=f"{buf.label}|awgn{snr_db}"
-    )
-    out.meta["noise_power"] = noise_power
-    return out
+    return SignalBuffer(buf.samples + noise, buf.rate_hz)
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +383,9 @@ def periodogram_db(buf):
 # signal files
 
 
-def write_signal(buf, path):
-    """Raw little-endian float64 payload plus a UTF-8 sidecar (.meta)."""
+def write_signal(buf, path, label):
+    """Raw little-endian float64 payload plus a UTF-8 sidecar (.meta) of the
+    rate, domain, length and the caller's ``label`` for where the signal came from."""
     path = str(path)
     if buf.domain == "complex":
         payload = buf.samples.astype("<c16").tobytes()  # interleaved I,Q
@@ -402,4 +397,4 @@ def write_signal(buf, path):
         fh.write(f"rate_hz={format(buf.rate_hz, '.17g')}\n")
         fh.write(f"domain={buf.domain}\n")
         fh.write(f"length={len(buf)}\n")
-        fh.write(f"label={buf.label}\n")
+        fh.write(f"label={label}\n")

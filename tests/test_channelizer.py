@@ -35,7 +35,7 @@ from fstack.filter_design import (
     export_coefficients,
     measure_fir,
 )
-from fstack.frontend import SignalBuffer, add_awgn
+from fstack.frontend import AdcModel, SignalBuffer, adc_quantize, add_awgn
 from fstack.pipeline import (
     build_channel_plan,
     build_fine_prototype,
@@ -146,7 +146,7 @@ class TestConfig:
 class TestCoarseStage:
     def test_zero_input_gives_zero_streams(self, pipelines):
         pipe = pipelines["pipes"]["iir"]
-        stacked = SignalBuffer(np.zeros(20 * 64), pipe.plan.inputs.f_s, "real")
+        stacked = SignalBuffer(np.zeros(20 * 64), pipe.plan.inputs.f_s)
         subs = coarse_analyze(pipe, stacked)
         for buf in subs.values():
             np.testing.assert_array_equal(buf.samples, 0.0)
@@ -154,20 +154,20 @@ class TestCoarseStage:
     def test_rate_mismatch_rejected(self, pipelines):
         pipe = pipelines["pipes"]["iir"]
         with pytest.raises(RateMismatchError):
-            coarse_analyze(pipe, SignalBuffer(np.zeros(400), 1e6, "real"))
+            coarse_analyze(pipe, SignalBuffer(np.zeros(400), 1e6))
 
     def test_unequal_stream_lengths_rejected(self, pipelines):
         pipe = pipelines["pipes"]["iir"]
         rate = pipe.subband_rate_hz
-        subs = {1: SignalBuffer(np.zeros(64, dtype=complex), rate, "complex"),
-                2: SignalBuffer(np.zeros(63, dtype=complex), rate, "complex")}
+        subs = {1: SignalBuffer(np.zeros(64, dtype=complex), rate),
+                2: SignalBuffer(np.zeros(63, dtype=complex), rate)}
         with pytest.raises(ConfigError, match="one length"):
             coarse_synthesize(pipe, subs)
 
     def test_upper_channel_stream_rejected(self, pipelines, rng):
         pipe = pipelines["pipes"]["iir"]
         n, rate = pipe.num_coarse_channels, pipe.subband_rate_hz
-        z = SignalBuffer(rng.standard_normal(256) + 1j * rng.standard_normal(256), rate, "complex")
+        z = SignalBuffer(rng.standard_normal(256) + 1j * rng.standard_normal(256), rate)
         for sub in (n - 3, n):
             with pytest.raises(ConfigError, match=f"sub-band {sub} outside the plan's"):
                 coarse_synthesize(pipe, {3: z, sub: z})
@@ -183,7 +183,7 @@ class TestCoarseStage:
         pipe = pipelines["pipes"][kind]
         n = pipe.num_coarse_channels
         stacked = pipelines["stimulus"]
-        subs = coarse_analyze(pipe, SignalBuffer(stacked.samples[: n * 4096], stacked.rate_hz, "real"))
+        subs = coarse_analyze(pipe, SignalBuffer(stacked.samples[: n * 4096], stacked.rate_hz))
         frames = np.zeros((4096, n), dtype=complex)
         for sub, buf in subs.items():
             frames[:, sub] = buf.samples
@@ -236,7 +236,7 @@ class TestCoarseStage:
         f_s = pipe.plan.inputs.f_s
         f0 = pipe.plan.centre(3) + 5e6
         t = np.arange(20 * 4096)
-        x = SignalBuffer(np.cos(2 * np.pi * f0 / f_s * t), f_s, "real")
+        x = SignalBuffer(np.cos(2 * np.pi * f0 / f_s * t), f_s)
         back = coarse_synthesize(pipe, coarse_analyze(pipe, x))
         spectrum = np.abs(np.fft.rfft(back.samples * np.hanning(len(back))))
         freqs = np.fft.rfftfreq(len(back), d=1.0 / f_s)
@@ -250,7 +250,7 @@ class TestFineStage:
         k = 7
         t = np.arange(n_f * 800)
         tone = np.exp(2j * np.pi * (k / n_f) * t)
-        sub = SignalBuffer(tone, SUBBAND_RATE, "complex")
+        sub = SignalBuffer(tone, SUBBAND_RATE)
         channels = fine_analyze(pipe, sub)
         power = np.mean(np.abs(channels[200:]) ** 2, axis=0)
         rel_db = 10 * np.log10(power / power[k] + 1e-300)
@@ -268,7 +268,16 @@ class TestFineStage:
     def test_rate_mismatch_rejected(self, pipelines):
         pipe = pipelines["pipes"]["iir"]
         with pytest.raises(RateMismatchError):
-            fine_analyze(pipe, SignalBuffer(np.zeros(128, complex), 1e6, "complex"))
+            fine_analyze(pipe, SignalBuffer(np.zeros(128, complex), 1e6))
+
+    def test_real_stream_gets_every_channel(self, pipelines, rng):
+        # a real array is a real-domain buffer now; the fine bank's real
+        # path would return channels 0..N_f/2 only
+        pipe = pipelines["pipes"]["iir"]
+        x = rng.standard_normal(pipe.channel_plan.channels_per_subband * 64)
+        channels = fine_analyze(pipe, SignalBuffer(x, SUBBAND_RATE))
+        np.testing.assert_array_equal(
+            channels, fine_analyze(pipe, SignalBuffer(x.astype(complex), SUBBAND_RATE)))
 
 
 @pytest.mark.slow
@@ -281,8 +290,7 @@ class TestFullScaleSmoke:
         rng = np.random.default_rng(3)
         n_f = 1280
         x = SignalBuffer(
-            rng.standard_normal(8 * n_f) + 1j * rng.standard_normal(8 * n_f),
-            SUBBAND_RATE, "complex",
+            rng.standard_normal(8 * n_f) + 1j * rng.standard_normal(8 * n_f), SUBBAND_RATE
         )
         pipe = pipelines["pipes"]["iir"]
         cfg_full = type(pipe)(
@@ -581,9 +589,7 @@ class TestEndToEnd:
         report = end_to_end(pipe, stimulus, snr_db=35.0, seed=seed)
 
         noisy = add_awgn(stimulus, 35.0, seed=seed)
-        noise = SignalBuffer(
-            noisy.samples - stimulus.samples, stimulus.rate_hz, "real"
-        )
+        noise = SignalBuffer(noisy.samples - stimulus.samples, stimulus.rate_hz)
         subs = coarse_analyze(pipe, noise)
         processed = {
             sub: fine_synthesize(pipe, fine_analyze(pipe, buf))
@@ -591,7 +597,7 @@ class TestEndToEnd:
         }
         shortest = min(len(b) for b in processed.values())
         for sub, buf in processed.items():
-            processed[sub] = SignalBuffer(buf.samples[:shortest], buf.rate_hz, "complex")
+            processed[sub] = SignalBuffer(buf.samples[:shortest], buf.rate_hz)
         passed = coarse_synthesize(pipe, processed)
         warm = pipeline_warmup_samples(pipe)
         passed_power = float(np.mean(passed.samples[warm:] ** 2))
@@ -602,7 +608,7 @@ class TestEndToEnd:
     @pytest.mark.parametrize("samples", [0, 1 << 20], ids=["empty", "silent"])
     def test_nothing_to_measure_rejected(self, pipelines, samples):
         pipe = pipelines["pipes"]["iir"]
-        zero = SignalBuffer(np.zeros(samples), pipe.plan.inputs.f_s, "real")
+        zero = SignalBuffer(np.zeros(samples), pipe.plan.inputs.f_s)
         with pytest.raises(InvalidSpecError, match="nothing to measure: the stimulus"):
             end_to_end(pipe, zero, snr_db=40.0, adc_bits=12)
 
@@ -614,7 +620,7 @@ class TestEndToEnd:
         # subnormal (4.5e-310 at 1e-155), and a relative MSE taken against
         # it keeps few digits (2.8152e-06 at 1e-158) or none (0 at 1e-160)
         stim = pipelines["stimulus"]
-        tiny = SignalBuffer(stim.samples * scale, stim.rate_hz, "real")
+        tiny = SignalBuffer(stim.samples * scale, stim.rate_hz)
         with pytest.raises(InvalidSpecError, match="nothing to measure"):
             end_to_end(pipelines["pipes"]["iir"], tiny)
 
@@ -622,7 +628,7 @@ class TestEndToEnd:
         # at 1e-150 the reference power (4.5e-300) is a normal float: the
         # run still reports the default study's delay and relative MSE
         stim = pipelines["stimulus"]
-        small = SignalBuffer(stim.samples * 1e-150, stim.rate_hz, "real")
+        small = SignalBuffer(stim.samples * 1e-150, stim.rate_hz)
         report = end_to_end(pipelines["pipes"]["iir"], small)
         assert report.aligned_delay == 106_779
         assert report.mse_over_signal == pytest.approx(2.8201076618927033e-06, rel=1e-12)
@@ -641,7 +647,7 @@ class TestEndToEnd:
         samples = stim.samples.copy()
         samples[4000:] = 0.0
         with pytest.raises(InvalidSpecError, match="silent over the compared span"):
-            end_to_end(pipe, SignalBuffer(samples, stim.rate_hz, "real"))
+            end_to_end(pipe, SignalBuffer(samples, stim.rate_hz))
 
     def test_no_occupied_subband_rejected(self, pipelines):
         # a pipeline of no sub-band has nothing to measure: the config refuses it
@@ -654,17 +660,17 @@ class TestEndToEnd:
         pipe = pipelines["pipes"][kind]
         stim = pipelines["stimulus"]
         needed = pipe.expected_delay_samples() + pipeline_warmup_samples(pipe)
-        shortest = end_to_end(pipe, SignalBuffer(stim.samples[:needed], stim.rate_hz, "real"))
+        shortest = end_to_end(pipe, SignalBuffer(stim.samples[:needed], stim.rate_hz))
         assert shortest.aligned_delay == pipe.expected_delay_samples()
         assert shortest.mse_over_signal < 1e-5
-        short = SignalBuffer(stim.samples[: needed - 1], stim.rate_hz, "real")
+        short = SignalBuffer(stim.samples[: needed - 1], stim.rate_hz)
         with pytest.raises(InvalidSpecError, match=rf"\b{needed - 1}\b.*\b{needed}\b"):
             end_to_end(pipe, short)
 
     def test_adc_path_reports_quantization(self, pipelines):
         pipe = pipelines["pipes"]["iir"]
         stim = pipelines["stimulus"]
-        short = SignalBuffer(stim.samples[: 640 * 1280], stim.rate_hz, "real")
+        short = SignalBuffer(stim.samples[: 640 * 1280], stim.rate_hz)
         report = end_to_end(pipe, short, adc_bits=12)
         assert report.extras["adc_bits"] == 12
         assert report.mse_over_signal < 1e-4  # 12-bit floor, still small
@@ -695,7 +701,7 @@ class TestDelaySearch:
         def shifted(config, frames):
             y = inner(config, frames).samples
             y = np.concatenate([np.zeros(shift), y]) if shift > 0 else y[-shift:]
-            return SignalBuffer(y, pipe.plan.inputs.f_s, "real")
+            return SignalBuffer(y, pipe.plan.inputs.f_s)
 
         monkeypatch.setattr(channelizer, "_restack", shifted)
         sizes = self._reference_sizes(monkeypatch)
@@ -745,7 +751,7 @@ class TestDelaySearch:
         samples = stim.samples.copy()
         samples[:400_000] *= gain
         sizes = self._reference_sizes(monkeypatch)
-        report = end_to_end(pipe, SignalBuffer(samples, stim.rate_hz, "real"))
+        report = end_to_end(pipe, SignalBuffer(samples, stim.rate_hz))
         assert report.aligned_delay == pipe.expected_delay_samples()
         assert sizes == [len(samples)]
 
@@ -783,7 +789,7 @@ class TestImpair:
         (30.0, 12, {"snr_db", "adc_bits", "adc_saturations"}),
     ], ids=["none", "plus_inf", "awgn", "adc", "awgn_adc"])
     def test_extras_name_the_impairments(self, snr_db, adc_bits, keys, rng):
-        stimulus = SignalBuffer(rng.standard_normal(4096), 1e9, "real")
+        stimulus = SignalBuffer(rng.standard_normal(4096), 1e9)
         x, extras = impair(stimulus, adc_bits, snr_db, seed=7)
         assert set(extras) == keys
         assert (x is stimulus) == (not keys)
@@ -792,11 +798,22 @@ class TestImpair:
             assert extras["snr_db"] == snr_db
         if adc_bits is not None:
             assert extras["adc_bits"] == adc_bits
-            assert extras["adc_saturations"] == x.meta["saturation_count"]
+
+    def test_adc_saturations_are_the_quantizers_count(self):
+        # 8 spikes of 30 over a +-1 square wave: the full scale, 4x the RMS
+        # (6.6), clips exactly the spikes
+        samples = np.tile([1.0, -1.0], 2048)
+        samples[::512] = 30.0
+        stimulus = SignalBuffer(samples, 1e9)
+        x, extras = impair(stimulus, 12, None, seed=7)
+        scale = 4.0 * math.sqrt(stimulus.power)
+        q, saturations = adc_quantize(stimulus, AdcModel(bits=12, full_scale=scale))
+        assert extras["adc_saturations"] == saturations == 8
+        np.testing.assert_array_equal(x.samples, q.samples)
 
     @pytest.mark.parametrize("snr_db", [float("-inf"), float("nan")])
     def test_non_finite_snr_rejected(self, snr_db, rng):
-        stimulus = SignalBuffer(rng.standard_normal(4096), 1e9, "real")
+        stimulus = SignalBuffer(rng.standard_normal(4096), 1e9)
         with pytest.raises(InvalidSpecError, match="SNR must be finite or \\+inf"):
             impair(stimulus, None, snr_db, seed=7)
 

@@ -128,6 +128,16 @@ class TestStackCommand:
         assert spectrum[0] == "frequency_hz,power_db"
         assert len(spectrum) > 1000
 
+    def test_default_signal_pinned(self, tmp_path):
+        """The default config's ``stacked.f64`` to the last bit, and its
+        sidecar line for line (the label is the command's)."""
+        assert main(["stack", "--out", str(tmp_path)]) == 0
+        digest = hashlib.sha256((tmp_path / "stacked.f64").read_bytes()).hexdigest()
+        assert digest == "ca3f77f6f00bde706cf3a56ef7327f2013f5ca766d284b3fa9903238a73da350"
+        assert (tmp_path / "stacked.f64.meta").read_text(encoding="utf-8").splitlines() == [
+            "rate_hz=1280000000", "domain=real", "length=983040", "label=stacked:fdm",
+        ]
+
 
 class TestRunCommand:
     def test_mini_pipeline_metrics(self, tmp_path):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.signal
 
+from fstack.channelizer import ChannelPlan
 from fstack.errors import DesignFailureError, InvalidSpecError, StabilityError
 from fstack import filter_design
 from fstack.filter_design import (
@@ -166,6 +167,19 @@ class TestSpecValidation:
     def test_rejects_silly_ripples(self):
         with pytest.raises(InvalidSpecError):
             PrototypeSpec(1.0, 0.2, 0.3, 0.0, 0.01, 4)
+
+    @pytest.mark.parametrize("build", [
+        lambda: PrototypeSpec(math.nan, 0.2, 0.3, 0.01, 0.01, 4),
+        lambda: PrototypeSpec(math.inf, 0.2, 0.3, 0.01, 0.01, 4),
+        lambda: PrototypeSpec(1.0, 0.2, 0.3, 0.01, 0.01, 2.5),
+        lambda: ChannelPlan(math.nan, 64e6, 0.1),
+        lambda: ChannelPlan(1e6, math.inf, 0.1),
+    ], ids=["nan_rate", "inf_rate", "fractional_branches", "nan_granularity", "inf_subband_rate"])
+    def test_rejects_non_finite_and_non_integer_values(self, build):
+        # a NaN or inf rate passes every edge comparison of the spec, and
+        # the fine grid's round() would raise ValueError or OverflowError
+        with pytest.raises(InvalidSpecError):
+            build()
 
 
 def _failing_remez(*args, **kwargs):

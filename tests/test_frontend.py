@@ -45,6 +45,25 @@ def loop_masked_noise(n_samples, rate_hz, intervals, rng):
     return x
 
 
+class TestSignalBuffer:
+    def test_complex_samples_keep_their_imaginary_part(self, rng):
+        x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        buf = SignalBuffer(x.astype(np.complex64), 1e6)
+        assert buf.domain == "complex" and buf.samples.dtype == np.complex128
+        np.testing.assert_array_equal(buf.samples.imag, x.astype(np.complex64).imag)
+        with pytest.raises(AttributeError):
+            buf.domain = "real"
+
+    def test_real_samples_are_float64(self):
+        buf = SignalBuffer([1, -2, 3], 1e6)
+        assert buf.domain == "real" and buf.samples.dtype == np.float64
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, 0.0])
+    def test_rate_must_be_finite_and_positive(self, rate):
+        with pytest.raises(InvalidSpecError, match="sample rate"):
+            SignalBuffer(np.zeros(4), rate)
+
+
 class TestStimulus:
     def test_seed_determinism(self, table2_plan):
         a = generate_subband_signal(3, table2_plan, DUR, seed=7)
@@ -171,7 +190,7 @@ class TestStackingPaths:
 
     def test_single_tone_lands_at_centre(self, table2_plan):
         rate = table2_plan.inputs.f_s / table2_plan.inputs.num_channels
-        tone = SignalBuffer(np.ones(DUR, dtype=complex), rate, "complex")
+        tone = SignalBuffer(np.ones(DUR, dtype=complex), rate)
         element = frontend.ElementSignal(4, tone)
         stacked = stack_baseband_equivalent([element], table2_plan)
         # F_4 sits exactly on a bin of the full-length transform, so a
@@ -279,6 +298,11 @@ class TestFdmStimulus:
         buf = stack_fdm_stimulus(table2_plan, (), DUR, 1, 1e6)
         assert len(buf) == 0 and buf.domain == "real"
 
+    def test_no_element_samples_rejected(self, table2_plan):
+        # no element samples leave no bin spacing (f_s / 0)
+        with pytest.raises(InvalidSpecError, match="element_samples"):
+            stack_fdm_stimulus(table2_plan, (1, 2), 0, seed=1, granularity_hz=1e6)
+
     def test_duplicate_and_unoccupied_subbands_rejected(self, table2_plan):
         with pytest.raises(StackingError):
             stack_fdm_stimulus(table2_plan, (2, 2), DUR, 1, 1e6)
@@ -292,7 +316,7 @@ def symmetric_multitone(rate, n_samples):
     x = np.zeros(n_samples, dtype=complex)
     for f in (2e6, 7e6, 11e6, 19e6):
         x += np.exp(2j * np.pi * f * t) + np.exp(-2j * np.pi * f * t)
-    return SignalBuffer(x / np.sqrt(np.mean(np.abs(x) ** 2)), rate, "complex")
+    return SignalBuffer(x / np.sqrt(np.mean(np.abs(x) ** 2)), rate)
 
 
 def band_power_centroid(buf, lo_hz, hi_hz):
@@ -334,7 +358,7 @@ class TestRfChain:
         ovs = 4
         t = np.arange(1 << 14) / (ovs * f_s)
         tone = np.cos(2 * np.pi * (f_s - 100e6) * t)
-        sampled = SignalBuffer(tone[::ovs], f_s, "real")
+        sampled = SignalBuffer(tone[::ovs], f_s)
         freqs, p_db = periodogram_db(sampled)  # one 4 096-point segment
         assert abs(freqs[np.argmax(p_db)] - 100e6) < f_s / 4096
 
@@ -345,9 +369,9 @@ class TestRfChain:
 
 class TestAdc:
     def test_fine_quantization_is_transparent(self, rng):
-        x = SignalBuffer(0.5 * rng.standard_normal(1 << 15), 1.0, "real")
+        x = SignalBuffer(0.5 * rng.standard_normal(1 << 15), 1.0)
         model = AdcModel(bits=24, full_scale=4.0)
-        q = adc_quantize(x, model)
+        q, _ = adc_quantize(x, model)
         err = q.samples - x.samples
         snr = 10 * np.log10(np.var(x.samples) / np.var(err))
         assert snr >= 120.0
@@ -357,59 +381,66 @@ class TestAdc:
         n = 1 << 16
         t = np.arange(n)
         amp = 1.0 - 2.0 ** -13
-        x = SignalBuffer(amp * np.sin(2 * np.pi * 0.01237 * t), 1.0, "real")
-        q = adc_quantize(x, AdcModel(bits=12, full_scale=1.0))
+        x = SignalBuffer(amp * np.sin(2 * np.pi * 0.01237 * t), 1.0)
+        q, _ = adc_quantize(x, AdcModel(bits=12, full_scale=1.0))
         err = q.samples - x.samples
         sinad = 10 * np.log10(np.mean(x.samples ** 2) / np.mean(err ** 2))
         assert abs(sinad - (6.02 * 12 + 1.76)) <= 1.0
 
     def test_saturation_counted(self, rng):
-        x = SignalBuffer(3.0 * rng.standard_normal(4096), 1.0, "real")
-        q = adc_quantize(x, AdcModel(bits=8, full_scale=1.0))
-        assert q.meta["saturation_count"] > 0
+        x = SignalBuffer(3.0 * rng.standard_normal(4096), 1.0)
+        q, saturations = adc_quantize(x, AdcModel(bits=8, full_scale=1.0))
+        assert saturations == np.count_nonzero((x.samples >= 1.0) | (x.samples < -1.0)) > 0
         assert np.max(np.abs(q.samples)) <= 1.0
 
     def test_monotone_map(self, rng):
         x = np.sort(rng.uniform(-2, 2, size=4096))
-        q = adc_quantize(SignalBuffer(x, 1.0, "real"), AdcModel(bits=6, full_scale=1.0))
+        q, _ = adc_quantize(SignalBuffer(x, 1.0), AdcModel(bits=6, full_scale=1.0))
         assert np.all(np.diff(q.samples) >= 0.0)
 
     def test_bits_range_enforced(self):
         with pytest.raises(InvalidSpecError):
             AdcModel(bits=2, full_scale=1.0)
 
+    def test_fractional_bits_rejected(self):
+        # a fractional width would only fail later, in adc_quantize's shift
+        with pytest.raises(InvalidSpecError, match="integer"):
+            AdcModel(bits=12.5)
+
+    def test_nan_full_scale_rejected(self):
+        # a NaN full scale would quantize every sample to NaN and count no saturation
+        with pytest.raises(InvalidSpecError, match="full_scale"):
+            AdcModel(full_scale=math.nan)
+
 
 class TestAwgn:
     def test_infinite_snr_passthrough(self, rng):
-        x = SignalBuffer(rng.standard_normal(1024), 1.0, "real")
+        x = SignalBuffer(rng.standard_normal(1024), 1.0)
         y = add_awgn(x, float("inf"), seed=1)
         np.testing.assert_array_equal(y.samples, x.samples)
 
     @pytest.mark.parametrize("snr_db", [float("-inf"), float("nan")])
     def test_non_finite_snr_rejected(self, rng, snr_db):
         # only +inf passes the signal through; -inf used to run noiseless
-        x = SignalBuffer(rng.standard_normal(1024), 1.0, "real")
+        x = SignalBuffer(rng.standard_normal(1024), 1.0)
         with pytest.raises(InvalidSpecError, match="SNR must be finite or \\+inf"):
             add_awgn(x, snr_db, seed=1)
 
     def test_achieved_snr(self, rng):
-        x = SignalBuffer(rng.standard_normal(1 << 20), 1.0, "real")
+        x = SignalBuffer(rng.standard_normal(1 << 20), 1.0)
         y = add_awgn(x, 35.0, seed=9)
         noise = y.samples - x.samples
         snr = 10 * np.log10(np.mean(x.samples ** 2) / np.mean(noise ** 2))
         assert abs(snr - 35.0) <= 0.2
 
     def test_seed_repeatability(self, rng):
-        x = SignalBuffer(rng.standard_normal(4096), 1.0, "real")
+        x = SignalBuffer(rng.standard_normal(4096), 1.0)
         y1 = add_awgn(x, 20.0, seed=5)
         y2 = add_awgn(x, 20.0, seed=5)
         np.testing.assert_array_equal(y1.samples, y2.samples)
 
     def test_complex_noise_split(self, rng):
-        x = SignalBuffer(
-            rng.standard_normal(1 << 18) + 1j * rng.standard_normal(1 << 18),
-            1.0, "complex",
-        )
+        x = SignalBuffer(rng.standard_normal(1 << 18) + 1j * rng.standard_normal(1 << 18), 1.0)
         y = add_awgn(x, 30.0, seed=2)
         noise = y.samples - x.samples
         snr = 10 * np.log10(np.mean(np.abs(x.samples) ** 2) / np.mean(np.abs(noise) ** 2))
@@ -424,20 +455,17 @@ def read_sidecar(path):
 
 class TestSignalFiles:
     def test_real_round_trip(self, tmp_path, rng):
-        buf = SignalBuffer(rng.standard_normal(999), 1280e6, "real", label="stack test")
+        buf = SignalBuffer(rng.standard_normal(999), 1280e6)
         path = tmp_path / "sig.f64"
-        write_signal(buf, path)
+        write_signal(buf, path, "stack test")
         np.testing.assert_array_equal(np.fromfile(path, dtype="<f8"), buf.samples)
         assert read_sidecar(path) == {"rate_hz": "1280000000", "domain": "real",
                                       "length": "999", "label": "stack test"}
 
     def test_complex_round_trip_interleaved(self, tmp_path, rng):
-        buf = SignalBuffer(
-            rng.standard_normal(256) + 1j * rng.standard_normal(256),
-            64e6, "complex", label="iq",
-        )
+        buf = SignalBuffer(rng.standard_normal(256) + 1j * rng.standard_normal(256), 64e6)
         path = tmp_path / "sig.c128"
-        write_signal(buf, path)
+        write_signal(buf, path, "iq")
         raw = np.fromfile(path, dtype="<f8")
         np.testing.assert_array_equal(raw[0::2], np.real(buf.samples))
         np.testing.assert_array_equal(raw[1::2], np.imag(buf.samples))
