@@ -109,7 +109,7 @@ def cmd_stack(cfg, out_dir):
     channel_plan = build_channel_plan(cfg)
     stacked = build_stimulus(cfg, plan, channel_plan, cfg.occupied_subbands)
     path = os.path.join(out_dir, "stacked.f64")
-    frontend.write_signal(stacked, path, "stacked:fdm")
+    frontend.write_signal(stacked, path)
     _write_spectrum_csv(os.path.join(out_dir, "stacked_spectrum.csv"), stacked)
     print(f"wrote {path} ({len(stacked)} samples at {stacked.rate_hz:.6g} Hz)")
     return 0

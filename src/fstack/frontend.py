@@ -31,6 +31,7 @@ import numpy as np
 from .errors import InvalidSpecError, StackingError
 
 _SIDECAR_SUFFIX = ".meta"
+_SIDECAR_LABEL = "stacked:fdm"
 PERIODOGRAM_NFFT = 8192
 
 
@@ -383,9 +384,9 @@ def periodogram_db(buf):
 # signal files
 
 
-def write_signal(buf, path, label):
+def write_signal(buf, path):
     """Raw little-endian float64 payload plus a UTF-8 sidecar (.meta) of the
-    rate, domain, length and the caller's ``label`` for where the signal came from."""
+    rate, domain, length and the ``stack`` command's label."""
     path = str(path)
     if buf.domain == "complex":
         payload = buf.samples.astype("<c16").tobytes()  # interleaved I,Q
@@ -397,4 +398,4 @@ def write_signal(buf, path, label):
         fh.write(f"rate_hz={format(buf.rate_hz, '.17g')}\n")
         fh.write(f"domain={buf.domain}\n")
         fh.write(f"length={len(buf)}\n")
-        fh.write(f"label={label}\n")
+        fh.write(f"label={_SIDECAR_LABEL}\n")

@@ -130,7 +130,7 @@ class TestStackCommand:
 
     def test_default_signal_pinned(self, tmp_path):
         """The default config's ``stacked.f64`` to the last bit, and its
-        sidecar line for line (the label is the command's)."""
+        sidecar line for line."""
         assert main(["stack", "--out", str(tmp_path)]) == 0
         digest = hashlib.sha256((tmp_path / "stacked.f64").read_bytes()).hexdigest()
         assert digest == "ca3f77f6f00bde706cf3a56ef7327f2013f5ca766d284b3fa9903238a73da350"

@@ -457,18 +457,18 @@ class TestSignalFiles:
     def test_real_round_trip(self, tmp_path, rng):
         buf = SignalBuffer(rng.standard_normal(999), 1280e6)
         path = tmp_path / "sig.f64"
-        write_signal(buf, path, "stack test")
+        write_signal(buf, path)
         np.testing.assert_array_equal(np.fromfile(path, dtype="<f8"), buf.samples)
         assert read_sidecar(path) == {"rate_hz": "1280000000", "domain": "real",
-                                      "length": "999", "label": "stack test"}
+                                      "length": "999", "label": "stacked:fdm"}
 
     def test_complex_round_trip_interleaved(self, tmp_path, rng):
         buf = SignalBuffer(rng.standard_normal(256) + 1j * rng.standard_normal(256), 64e6)
         path = tmp_path / "sig.c128"
-        write_signal(buf, path, "iq")
+        write_signal(buf, path)
         raw = np.fromfile(path, dtype="<f8")
         np.testing.assert_array_equal(raw[0::2], np.real(buf.samples))
         np.testing.assert_array_equal(raw[1::2], np.imag(buf.samples))
         np.testing.assert_array_equal(np.fromfile(path, dtype="<c16"), buf.samples)
         assert read_sidecar(path) == {"rate_hz": "64000000", "domain": "complex",
-                                      "length": "256", "label": "iq"}
+                                      "length": "256", "label": "stacked:fdm"}
