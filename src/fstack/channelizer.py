@@ -140,13 +140,14 @@ class MetricsReport:
 # stages
 
 
-def _coarse_frames(config, stacked):
+def coarse_analyze(config, stacked):
     """Coarse analysis of the stacked real input.
 
-    Returns the (frames, N//2 + 1) array of channels 0..N/2 (the real
-    input's channel N-s is the conjugate of channel s), channel-major for
-    the all-pass candidate (see ``AnalysisBank.process_block``), and the
-    bank's warm-up in frames.
+    Returns the coarse bank's (frames, N//2 + 1) array of channels
+    0..N/2: sub-band s is column s, and the real input's channel N-s,
+    the conjugate of channel s, is left out.  The all-pass candidate's
+    frames are channel-major, so each column is one contiguous row (see
+    ``AnalysisBank.process_block``).
     """
     f_s = config.plan.inputs.f_s
     if abs(stacked.rate_hz - f_s) > 1e-6:
@@ -154,67 +155,21 @@ def _coarse_frames(config, stacked):
     if stacked.domain != "real":
         raise RateMismatchError("coarse stage expects the real ADC-domain signal")
     n = config.num_coarse_channels
-    bank = AnalysisBank(config.coarse_prototype)
     usable = (len(stacked) // n) * n
-    return bank.process_block(stacked.samples[:usable]), bank.warmup_frames
+    return AnalysisBank(config.coarse_prototype).process_block(stacked.samples[:usable])
 
 
-def _occupied_streams(config, frames):
-    """The occupied sub-bands of a coarse (frames, N//2 + 1) array as streams.
+def coarse_synthesize(config, frames):
+    """The real wideband signal of (frames, N//2 + 1) coarse channel frames.
 
-    Sub-band s is column s, a view: one contiguous row when the frames
-    are channel-major.
+    Column s is sub-band s, as ``coarse_analyze`` returns it; a channel
+    left at zero stays empty.  The synthesis bank reads the width as
+    channels 0..N/2 of conjugate-symmetric frames, so the output is real.
+    Channel-major frames give the all-pass synthesis one contiguous row
+    per branch, which it filters in place.
     """
-    rate = config.subband_rate_hz
-    return {
-        sub: SignalBuffer(frames[:, sub], rate) for sub in config.occupied_subbands
-    }
-
-
-def coarse_analyze(config, stacked):
-    """Split the stacked real input into the occupied sub-band streams."""
-    frames, _ = _coarse_frames(config, stacked)
-    return _occupied_streams(config, frames)
-
-
-def _restack_frames(config, n_frames):
-    """Zeroed (frames, N//2 + 1) restack frames, channel-major: each column one contiguous row."""
-    return np.zeros((config.num_coarse_channels // 2 + 1, n_frames), dtype=np.complex128).T
-
-
-def _restack(config, frames):
-    """The real wideband signal of (frames, N//2 + 1) restack frames.
-
-    The one home of the coarse synthesis bank call (a Hermitian bank).
-    """
-    bank = SynthesisBank(config.coarse_prototype, hermitian=True)
-    y = bank.process_block(frames)
+    y = SynthesisBank(config.coarse_prototype).process_block(frames)
     return SignalBuffer(np.real(y), config.plan.inputs.f_s)
-
-
-def coarse_synthesize(config, subbands):
-    """Restack sub-band streams into the real wideband signal.
-
-    The stream of sub-band s fills column s of the channel-major
-    (frames, N//2 + 1) restack frames (``_restack``), one contiguous row;
-    s must be one of the plan's sub-bands 1..N/2-1, and channels the
-    streams leave out stay empty.
-    ``channelize`` fills the same frames straight from its fine cascades
-    instead of going through this function.
-    """
-    n = config.num_coarse_channels
-    lengths = {len(buf) for buf in subbands.values()}
-    if len(lengths) > 1:
-        raise ConfigError("sub-band streams must share one length")
-    n_frames = lengths.pop() if lengths else 0
-    frames = _restack_frames(config, n_frames)
-    for sub, buf in subbands.items():
-        if abs(buf.rate_hz - config.subband_rate_hz) > 1e-6:
-            raise RateMismatchError(f"sub-band {sub} rate {buf.rate_hz}")
-        if sub not in config.plan.occupied_subbands:
-            raise ConfigError(f"sub-band {sub} outside the plan's 1..{n // 2 - 1}")
-        frames[:, sub] = buf.samples
-    return _restack(config, frames)
 
 
 def fine_analyze(config, subband):
@@ -314,16 +269,19 @@ def aligned_mse(reference, output, delay, trim=0):
     return mse, mse / sig
 
 
-def _channel_power_table(frames, n, warmup_frames):
+def _channel_power_table(config, frames):
     """Per-coarse-channel power, dB relative to the strongest channel.
 
     Reports all N channels (not just the occupied set) so the reserved
     DC/Nyquist channels and the conjugate images are visible in reports.
     It reads every column of the coarse (frames, N//2 + 1) array of
     channels 0..N/2; channel N-c, the conjugate of channel c, has the
-    same power.  Power in no channel (an input whose squares underflow,
-    say) raises ``InvalidSpecError``.
+    same power.  It skips 16 times the coarse cascade delay in whole
+    frames, at most a quarter of the frames.  Power in no channel (an
+    input whose squares underflow, say) raises ``InvalidSpecError``.
     """
+    n = config.num_coarse_channels
+    warmup_frames = (matched_cascade_delay(config.coarse_prototype) + 1) // n
     skip = min(frames.shape[0] // 4, 16 * warmup_frames)
     power = np.mean(np.abs(frames[skip:]) ** 2, axis=0)
     power = np.concatenate([power, power[1 : n - power.size + 1][::-1]])
@@ -357,34 +315,33 @@ def impair(stimulus, adc_bits, snr_db, seed):
 
 
 def channelize(config, x):
-    """Coarse analysis, fine cascades and restack of the real wideband ``x``.
+    """Coarse analysis, fine cascades and coarse synthesis of the real wideband ``x``.
 
-    Returns the restacked real signal and the coarse power table.  Each
-    occupied sub-band's fine analysis and synthesis is one block of
-    ``run_blocks``: the sub-bands run on every usable CPU, each cascade's
-    transforms on one worker (``usable_cpus``), and the output does not
-    depend on the thread that runs a block.  Cascade s writes straight
-    into column s of the restack frames that ``coarse_synthesize`` would
-    build from the same streams.  The coarse frames are freed before the
-    restack, the restack frames when this function returns.  The
-    all-pass candidate's coarse frames and the restack frames are
-    channel-major: each cascade reads and writes one contiguous row, and
-    the all-pass synthesis filters the restack's rows in place.
+    Returns the restacked real signal and the coarse power table, which
+    reads the ``coarse_analyze`` frames.  Each occupied sub-band's fine
+    analysis and synthesis is one block of ``run_blocks``: the sub-bands
+    run on every usable CPU, each cascade's transforms on one worker
+    (``usable_cpus``), and the output does not depend on the thread that
+    runs a block.  Cascade s reads column s of the coarse frames and
+    writes column s of zeroed channel-major restack frames, one
+    contiguous row each, as long as a cascade's output (whole fine
+    frames of the coarse frames).  The coarse frames are freed before
+    ``coarse_synthesize`` runs, the restack frames when this function
+    returns.
     """
     n_f = config.channel_plan.channels_per_subband
-    coarse, warmup_frames = _coarse_frames(config, x)
-    leakage = _channel_power_table(coarse, config.num_coarse_channels, warmup_frames)
-    subbands = _occupied_streams(config, coarse)
-    # the fine cascade's output length: whole fine frames of the coarse frames
-    frames = _restack_frames(config, (coarse.shape[0] // n_f) * n_f)
+    rate = config.subband_rate_hz
+    coarse = coarse_analyze(config, x)
+    leakage = _channel_power_table(config, coarse)
+    frames = np.zeros((coarse.shape[1], (coarse.shape[0] // n_f) * n_f), dtype=np.complex128).T
 
     def cascade(sub):
-        frames[:, sub] = fine_synthesize(config, fine_analyze(config, subbands[sub])).samples
+        subband = SignalBuffer(coarse[:, sub], rate)
+        frames[:, sub] = fine_synthesize(config, fine_analyze(config, subband)).samples
 
     run_blocks(cascade, config.occupied_subbands)
-    # the coarse frames' last references: they are freed before the restack
-    del coarse, subbands
-    return _restack(config, frames), leakage
+    del coarse  # its last reference: freed before the synthesis allocates
+    return coarse_synthesize(config, frames), leakage
 
 
 def measure(reference, output, expected_delay, warmup):
@@ -424,8 +381,8 @@ def end_to_end(config, stimulus, adc_bits=None, snr_db=None, seed=1234,
     ``measure`` against the clean stimulus.  Impairments are optional;
     the float path is the transparency benchmark.  With
     ``capture_spectra`` the extras' ``"spectra"`` hold the occupied
-    sub-band streams, from a second coarse analysis of the ADC's signal,
-    and the restacked ``"output"``.
+    sub-band streams, column views of a second ``coarse_analyze`` of the
+    ADC's signal, and the restacked ``"output"``.
 
     A stimulus shorter than the expected delay plus ``pipeline_warmup_samples``
     raises ``InvalidSpecError``: its aligned span could not reach steady
@@ -450,7 +407,9 @@ def end_to_end(config, stimulus, adc_bits=None, snr_db=None, seed=1234,
     extras["fine_channels_occupied"] = config.total_fine_channels_occupied
     extras["fine_channels_nominal"] = config.total_fine_channels_nominal
     if capture_spectra:
-        extras["spectra"] = {**coarse_analyze(config, x), "output": restacked}
+        coarse, rate = coarse_analyze(config, x), config.subband_rate_hz
+        streams = {sub: SignalBuffer(coarse[:, sub], rate) for sub in config.occupied_subbands}
+        extras["spectra"] = {**streams, "output": restacked}
     return MetricsReport(delay, mse, rel, per_channel_leakage_db=leakage, extras=extras)
 
 

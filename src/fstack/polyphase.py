@@ -45,8 +45,8 @@ shares it; the synthesis family runs its branches in output-slot
 order, where its taps are the analysis taps.  The N-point channel
 transforms are ``scipy.fft`` calls with one worker per usable CPU.
 Real branch output has conjugate-symmetric channels, so its analysis
-keeps only channels 0..N/2, computed by ``ihfft``, and a Hermitian
-synthesis bank takes those N/2+1 channels and runs ``hfft`` on them.
+keeps only channels 0..N/2, computed by ``ihfft``, and a synthesis bank
+given those N/2+1 channels (the width says so) runs ``hfft`` on them.
 
 Memory order: a (frames, width) frame array is either frame-major
 (C-ordered, one frame per row of memory) or channel-major (the
@@ -357,11 +357,6 @@ class _Bank:
         self._frame_cost = _frame_cost(prototype)
         self.counters = OperationCounters()
 
-    @property
-    def warmup_frames(self):
-        """Whole frames of the matched cascade delay: K for FIR, 2M for all-pass."""
-        return (matched_cascade_delay(self.prototype) + 1) // self.num_branches
-
     def _count(self, n_frames):
         adds, mults = self._frame_cost
         self.counters.real_adds += n_frames * adds
@@ -385,8 +380,8 @@ class AnalysisBank(_Bank):
         the conjugate of channel c), so a real block into a bank that has
         not been fed a complex block (whose delay line is real, as are its
         branch filters and their state) returns only channels 0..N/2, a
-        (frames, N//2 + 1) array: the half a Hermitian ``SynthesisBank``
-        takes.
+        (frames, N//2 + 1) array, which a ``SynthesisBank`` reads by its
+        width as Hermitian.
 
         The frames keep the branch output's memory order: channel-major
         (the transpose of a C-ordered (width, frames) array, so channel c
@@ -422,38 +417,40 @@ class AnalysisBank(_Bank):
 class SynthesisBank(_Bank):
     """Streaming N-channel synthesis bank (mirror of AnalysisBank).
 
-    ``hermitian`` declares every frame conjugate-symmetric (channel N-n
-    holds the conjugate of channel n), as a real restack builds them.
-    Such a bank takes only channels 0..N/2, a (frames, N//2 + 1) array,
-    and transforms them with ``hfft``, whose output is real; the
-    imaginary part of channel 0 (and of N/2 for even N) is ignored.
-    The branches then run on real data, so the output is real for real
-    branch filters.
+    The width of its frames says what they hold.  N columns are every
+    channel, transformed with ``fft``.  N//2 + 1 < N columns are channels
+    0..N/2 of conjugate-symmetric frames (channel N-n holds the conjugate
+    of channel n), as a real analysis returns them and a real restack
+    builds them: ``hfft`` transforms them to real slots, ignoring the
+    imaginary part of channel 0 (and of N/2 for even N), so the branches
+    run on real data and the output is real for real branch filters.  At
+    N = 2 the two widths are one, and it takes the full transform.
     """
 
-    def __init__(self, prototype, hermitian=False):
+    def __init__(self, prototype):
         super().__init__(prototype, _family(prototype, synthesis=True))
-        self.hermitian = hermitian
 
     def process_block(self, frames):
-        """Synthesise a (frames, N) channel array back to F*N samples.
+        """Synthesise a (frames, N) or (frames, N//2 + 1) channel array to F*N samples.
 
-        A ``hermitian`` bank takes (frames, N//2 + 1) arrays.  The
-        transform keeps the input's memory order, so channel-major input
-        gives one contiguous row per branch, which the all-pass family
-        filters in place; branch output not yet in sample order is
-        interleaved into the returned samples.
+        Any other width raises ``FramingError``.  The transform keeps the
+        input's memory order, so channel-major input gives one contiguous
+        row per branch, which the all-pass family filters in place;
+        branch output not yet in sample order is interleaved into the
+        returned samples.
         """
         frames = np.asarray(frames, dtype=np.complex128)
         n = self.num_branches
-        width = n // 2 + 1 if self.hermitian else n
-        if frames.ndim != 2 or frames.shape[1] != width:
-            raise FramingError(f"expected (frames, {width}) input, got {frames.shape}")
+        if frames.ndim != 2 or frames.shape[1] not in (n, n // 2 + 1):
+            raise FramingError(
+                f"expected (frames, {n}) or (frames, {n // 2 + 1}) input, got {frames.shape}"
+            )
         _require_finite(frames)
         n_frames = frames.shape[0]
         if n_frames == 0:
             return np.zeros(0, dtype=np.complex128)
-        slots = _channel_transform(hfft if self.hermitian else fft, frames, n)
+        transform = fft if frames.shape[1] == n else hfft
+        slots = _channel_transform(transform, frames, n)
         # branch n feeds output slot k*N + N-1-n; the family runs in slot order
         out = self._branches.run(slots[:, ::-1])
         self._count(n_frames)

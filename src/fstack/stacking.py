@@ -14,6 +14,7 @@ channel centre by an offset bounded by half the oscillator step.
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import PlanningError
@@ -38,6 +39,9 @@ class StackingInputs:
                 raise PlanningError(f"{name} must be finite, got {getattr(self, name)}")
         if self.f_s <= 0 or self.f_o <= 0:
             raise PlanningError("f_s and f_o must be positive")
+        for name in ("nyquist_zone", "num_channels"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise PlanningError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.nyquist_zone < 1:
             raise PlanningError("Nyquist zone must be >= 1")
         n = self.num_channels
@@ -63,10 +67,14 @@ class FrequencyPlan:
     sign: int
     betas: tuple  # beta_n for n = 1..N/2-1
     centres_hz: tuple  # F_n
-    offsets_hz: tuple  # |F_n - n*fs/N|
     signed_offsets_hz: tuple  # F_n - n*fs/N
     f_p: float
     f_a: float
+
+    @property
+    def offsets_hz(self):
+        """|F_n - n*fs/N| per occupied sub-band."""
+        return tuple(abs(s) for s in self.signed_offsets_hz)
 
     @property
     def guardband_pct(self):
@@ -153,7 +161,7 @@ def plan_stacking(inputs):
     shift = inputs.f_c - rho * inputs.f_s
     spacing = inputs.channel_spacing
 
-    betas, centres, offsets, signed = [], [], [], []
+    betas, centres, signed = [], [], []
     for n in range(1, inputs.num_channels // 2):
         target = n * spacing
         best = _best_beta(target, inputs.f_o, sign, shift, inputs.f_s)
@@ -161,7 +169,7 @@ def plan_stacking(inputs):
             raise PlanningError(
                 f"no LO multiple places sub-band n={n} inside [0, fs/2]"
             )
-        err, beta, f_n = best
+        _, beta, f_n = best
         lo_edge = f_n - inputs.bandwidth / 2.0
         hi_edge = f_n + inputs.bandwidth / 2.0
         if lo_edge < 0.0 or hi_edge > inputs.f_s / 2.0:
@@ -171,9 +179,9 @@ def plan_stacking(inputs):
             )
         betas.append(beta)
         centres.append(f_n)
-        offsets.append(err)
         signed.append(f_n - target)
 
+    offsets = [abs(s) for s in signed]
     f_p = max(offsets) + inputs.bandwidth / 2.0
     f_a = spacing - f_p
     if f_a <= f_p:
@@ -188,7 +196,6 @@ def plan_stacking(inputs):
         sign=sign,
         betas=tuple(betas),
         centres_hz=tuple(centres),
-        offsets_hz=tuple(offsets),
         signed_offsets_hz=tuple(signed),
         f_p=f_p,
         f_a=f_a,

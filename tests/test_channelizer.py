@@ -147,30 +147,14 @@ class TestCoarseStage:
     def test_zero_input_gives_zero_streams(self, pipelines):
         pipe = pipelines["pipes"]["iir"]
         stacked = SignalBuffer(np.zeros(20 * 64), pipe.plan.inputs.f_s)
-        subs = coarse_analyze(pipe, stacked)
-        for buf in subs.values():
-            np.testing.assert_array_equal(buf.samples, 0.0)
+        frames = coarse_analyze(pipe, stacked)
+        assert frames.shape == (64, 11)  # channels 0..N/2
+        np.testing.assert_array_equal(frames, 0.0)
 
     def test_rate_mismatch_rejected(self, pipelines):
         pipe = pipelines["pipes"]["iir"]
         with pytest.raises(RateMismatchError):
             coarse_analyze(pipe, SignalBuffer(np.zeros(400), 1e6))
-
-    def test_unequal_stream_lengths_rejected(self, pipelines):
-        pipe = pipelines["pipes"]["iir"]
-        rate = pipe.subband_rate_hz
-        subs = {1: SignalBuffer(np.zeros(64, dtype=complex), rate),
-                2: SignalBuffer(np.zeros(63, dtype=complex), rate)}
-        with pytest.raises(ConfigError, match="one length"):
-            coarse_synthesize(pipe, subs)
-
-    def test_upper_channel_stream_rejected(self, pipelines, rng):
-        pipe = pipelines["pipes"]["iir"]
-        n, rate = pipe.num_coarse_channels, pipe.subband_rate_hz
-        z = SignalBuffer(rng.standard_normal(256) + 1j * rng.standard_normal(256), rate)
-        for sub in (n - 3, n):
-            with pytest.raises(ConfigError, match=f"sub-band {sub} outside the plan's"):
-                coarse_synthesize(pipe, {3: z, sub: z})
 
     @pytest.mark.parametrize("kind", ["iir", "fir"])
     def test_restack_matches_complex_synthesis(self, pipelines, kind):
@@ -183,13 +167,14 @@ class TestCoarseStage:
         pipe = pipelines["pipes"][kind]
         n = pipe.num_coarse_channels
         stacked = pipelines["stimulus"]
-        subs = coarse_analyze(pipe, SignalBuffer(stacked.samples[: n * 4096], stacked.rate_hz))
+        coarse = coarse_analyze(pipe, SignalBuffer(stacked.samples[: n * 4096], stacked.rate_hz))
+        half = np.zeros_like(coarse)
+        half[:, 1 : n // 2] = coarse[:, 1 : n // 2]  # the sub-bands, as a restack fills them
         frames = np.zeros((4096, n), dtype=complex)
-        for sub, buf in subs.items():
-            frames[:, sub] = buf.samples
-            frames[:, n - sub] = np.conj(buf.samples)
+        frames[:, : n // 2 + 1] = half
+        frames[:, n // 2 + 1 :] = np.conj(half[:, 1 : n // 2][:, ::-1])
         complex_path = np.real(polyphase.SynthesisBank(pipe.coarse_prototype).process_block(frames))
-        restacked = coarse_synthesize(pipe, subs).samples
+        restacked = coarse_synthesize(pipe, half).samples
         assert restacked.dtype == float
         np.testing.assert_allclose(restacked, complex_path, rtol=0,
                                    atol=1e-12 * np.max(np.abs(complex_path)))
@@ -211,10 +196,10 @@ class TestCoarseStage:
 
         el = generate_subband_signal(5, plan, 1 << 12, seed=77)
         stacked = stack_baseband_equivalent([el], plan)
-        subs = coarse_analyze(pipe, stacked)
+        frames = coarse_analyze(pipe, stacked)
         skip = 40 * matched_cascade_delay(pipe.coarse_prototype) // 20
         powers = {
-            sub: np.mean(np.abs(buf.samples[skip:]) ** 2) for sub, buf in subs.items()
+            sub: np.mean(np.abs(frames[skip:, sub]) ** 2) for sub in pipe.occupied_subbands
         }
         for sub, p in powers.items():
             if sub == 5:
@@ -224,8 +209,7 @@ class TestCoarseStage:
     def test_round_trip_transparency(self, pipelines):
         pipe = pipelines["pipes"]["iir"]
         stacked = pipelines["stimulus"]
-        subs = coarse_analyze(pipe, stacked)
-        back = coarse_synthesize(pipe, subs)
+        back = coarse_synthesize(pipe, coarse_analyze(pipe, stacked))
         delay = matched_cascade_delay(pipe.coarse_prototype)
         trim = 4 * delay
         mse, rel = aligned_mse(stacked.samples, back.samples, delay, trim=trim)
@@ -259,7 +243,7 @@ class TestFineStage:
     def test_round_trip(self, pipelines):
         pipe = pipelines["pipes"]["iir"]
         stacked = pipelines["stimulus"]
-        sub = coarse_analyze(pipe, stacked)[4]
+        sub = SignalBuffer(coarse_analyze(pipe, stacked)[:, 4], pipe.subband_rate_hz)
         rebuilt = fine_synthesize(pipe, fine_analyze(pipe, sub))
         delay = matched_cascade_delay(pipe.fine_prototype)
         mse, rel = aligned_mse(sub.samples, rebuilt.samples, delay, trim=2 * delay + 512)
@@ -485,7 +469,7 @@ class TestEndToEnd:
     def test_captured_run_matches_plain_run(self, kind, pipelines, float_reports):
         """Capturing the spectra leaves the delay, the MSEs and the power table as they are.
 
-        The sub-band streams come from a coarse analysis after the pass.
+        The sub-band streams are columns of a second ``coarse_analyze``, after the pass.
         """
         report = end_to_end(pipelines["pipes"][kind], pipelines["stimulus"], capture_spectra=True)
         assert set(report.extras["spectra"]) == {*range(1, 10), "output"}
@@ -495,10 +479,35 @@ class TestEndToEnd:
         assert report.mse_over_signal == plain.mse_over_signal
         assert report.per_channel_leakage_db == plain.per_channel_leakage_db
 
+    @pytest.mark.parametrize("capture, analyses", [(False, 1), (True, 2)])
+    def test_one_coarse_path(self, capture, analyses, pipelines, monkeypatch):
+        """A pass runs ``coarse_analyze`` and ``coarse_synthesize`` once each.
+
+        They are the only builders of the coarse banks; capturing the
+        spectra adds one ``coarse_analyze``.
+        """
+        pipe = pipelines["pipes"]["iir"]
+        calls, coarse_banks = collections.Counter(), collections.Counter()
+        for name in ("coarse_analyze", "coarse_synthesize"):
+            def counting(*args, _name=name, _inner=getattr(channelizer, name)):
+                calls[_name] += 1
+                return _inner(*args)
+
+            monkeypatch.setattr(channelizer, name, counting)
+        for bank in (polyphase.AnalysisBank, polyphase.SynthesisBank):
+            def building(prototype, _bank=bank):
+                coarse_banks[_bank.__name__] += prototype is pipe.coarse_prototype
+                return _bank(prototype)
+
+            monkeypatch.setattr(channelizer, bank.__name__, building)
+        end_to_end(pipe, pipelines["stimulus"], capture_spectra=capture)
+        assert calls == {"coarse_analyze": analyses, "coarse_synthesize": 1}
+        assert coarse_banks == {"AnalysisBank": analyses, "SynthesisBank": 1}
+
     def test_restack_frames_freed_before_delay_search(self, pipelines, monkeypatch):
         """The restack frames die with ``channelize``, before ``find_delay`` runs."""
         frames_refs, alive = [], []
-        restack, search = channelizer._restack, channelizer.find_delay
+        restack, search = channelizer.coarse_synthesize, channelizer.find_delay
 
         def keeping(config, frames):
             frames_refs.append(weakref.ref(frames))
@@ -508,8 +517,27 @@ class TestEndToEnd:
             alive.append(frames_refs[-1]() is not None)
             return search(reference, output, max_lag=max_lag)
 
-        monkeypatch.setattr(channelizer, "_restack", keeping)
+        monkeypatch.setattr(channelizer, "coarse_synthesize", keeping)
         monkeypatch.setattr(channelizer, "find_delay", checking)
+        end_to_end(pipelines["pipes"]["iir"], pipelines["stimulus"])
+        assert alive == [False]
+
+    def test_coarse_frames_freed_before_coarse_synthesize(self, pipelines, monkeypatch):
+        """The coarse analysis frames die before the coarse synthesis allocates."""
+        frames_refs, alive = [], []
+        analyze, synthesize = channelizer.coarse_analyze, channelizer.coarse_synthesize
+
+        def keeping(config, stacked):
+            frames = analyze(config, stacked)
+            frames_refs.append(weakref.ref(frames))
+            return frames
+
+        def checking(config, frames):
+            alive.append(frames_refs[-1]() is not None)
+            return synthesize(config, frames)
+
+        monkeypatch.setattr(channelizer, "coarse_analyze", keeping)
+        monkeypatch.setattr(channelizer, "coarse_synthesize", checking)
         end_to_end(pipelines["pipes"]["iir"], pipelines["stimulus"])
         assert alive == [False]
 
@@ -527,12 +555,15 @@ class TestEndToEnd:
             pipe, stimulus = pipelines["pipes"][kind], pipelines["stimulus"]
         spectra = end_to_end(pipe, stimulus, capture_spectra=True).extras["spectra"]
         restacked = spectra.pop("output").samples
-        processed = {sub: fine_synthesize(pipe, fine_analyze(pipe, buf))
+        processed = {sub: fine_synthesize(pipe, fine_analyze(pipe, buf)).samples
                      for sub, buf in spectra.items()}
-        assert restacked.tobytes() == coarse_synthesize(pipe, processed).samples.tobytes()
-        (fine_rows,) = {len(buf) for buf in processed.values()}
+        (fine_rows,) = {buf.size for buf in processed.values()}
         (coarse_rows,) = {len(buf) for buf in spectra.values()}
         assert (fine_rows < coarse_rows) == (kind == "fir_n14")
+        frames = np.zeros((fine_rows, pipe.num_coarse_channels // 2 + 1), dtype=complex)
+        for sub, samples in processed.items():
+            frames[:, sub] = samples
+        assert restacked.tobytes() == coarse_synthesize(pipe, frames).samples.tobytes()
 
     @pytest.mark.parametrize("kind, budget", [("iir", 3.5), ("fir", 5.5)])
     def test_working_set_budget(self, kind, budget, pipelines, monkeypatch):
@@ -566,12 +597,12 @@ class TestEndToEnd:
         stacked = pipelines["stimulus"]
         composed = float_reports["iir"].mse_over_signal
 
-        subs = coarse_analyze(pipe, stacked)
-        back = coarse_synthesize(pipe, subs)
+        coarse = coarse_analyze(pipe, stacked)
+        back = coarse_synthesize(pipe, coarse)
         d_c = matched_cascade_delay(pipe.coarse_prototype)
         _, coarse_rel = aligned_mse(stacked.samples, back.samples, d_c, trim=4 * d_c)
 
-        sub = subs[4]
+        sub = SignalBuffer(coarse[:, 4], pipe.subband_rate_hz)
         rebuilt = fine_synthesize(pipe, fine_analyze(pipe, sub))
         d_f = matched_cascade_delay(pipe.fine_prototype)
         _, fine_rel = aligned_mse(sub.samples, rebuilt.samples, d_f, trim=2 * d_f + 512)
@@ -588,17 +619,19 @@ class TestEndToEnd:
         seed = 4242
         report = end_to_end(pipe, stimulus, snr_db=35.0, seed=seed)
 
+        rate = pipe.subband_rate_hz
         noisy = add_awgn(stimulus, 35.0, seed=seed)
         noise = SignalBuffer(noisy.samples - stimulus.samples, stimulus.rate_hz)
-        subs = coarse_analyze(pipe, noise)
+        coarse = coarse_analyze(pipe, noise)
         processed = {
-            sub: fine_synthesize(pipe, fine_analyze(pipe, buf))
-            for sub, buf in subs.items()
+            sub: fine_synthesize(pipe, fine_analyze(pipe, SignalBuffer(coarse[:, sub], rate)))
+            for sub in pipe.occupied_subbands
         }
         shortest = min(len(b) for b in processed.values())
+        frames = np.zeros((shortest, coarse.shape[1]), dtype=complex)
         for sub, buf in processed.items():
-            processed[sub] = SignalBuffer(buf.samples[:shortest], buf.rate_hz)
-        passed = coarse_synthesize(pipe, processed)
+            frames[:, sub] = buf.samples[:shortest]
+        passed = coarse_synthesize(pipe, frames)
         warm = pipeline_warmup_samples(pipe)
         passed_power = float(np.mean(passed.samples[warm:] ** 2))
 
@@ -696,14 +729,14 @@ class TestDelaySearch:
         """An output moved by k samples aligns at expected + k, also when
         k is wider than the correlated segment."""
         pipe = pipelines["pipes"]["iir"]
-        inner = channelizer._restack
+        inner = channelizer.coarse_synthesize
 
         def shifted(config, frames):
             y = inner(config, frames).samples
             y = np.concatenate([np.zeros(shift), y]) if shift > 0 else y[-shift:]
             return SignalBuffer(y, pipe.plan.inputs.f_s)
 
-        monkeypatch.setattr(channelizer, "_restack", shifted)
+        monkeypatch.setattr(channelizer, "coarse_synthesize", shifted)
         sizes = self._reference_sizes(monkeypatch)
         report = end_to_end(pipe, pipelines["stimulus"])
         assert report.aligned_delay == pipe.expected_delay_samples() + shift

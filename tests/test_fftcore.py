@@ -3,10 +3,12 @@
 On (frames, N) arrays, ``AnalysisBank`` applies ``ifft(x, axis=1)``
 (inverse kernel, 1/N scaling) to complex branch output, and to real
 branch output ``ihfft(x, axis=1)``: channels 0..N/2 of the same inverse
-transform.  ``SynthesisBank`` applies ``fft(x, axis=1)`` (forward kernel,
-unscaled), and a Hermitian one ``hfft(x, N, axis=1)`` to channels 0..N/2.  These tests pin that
-convention against an independent O(N^2) DFT, at the channelizer sizes
-and at sizes with large prime factors.
+transform.  ``SynthesisBank`` reads the width of its frames: it applies
+``fft(x, axis=1)`` (forward kernel, unscaled) to N channels per frame,
+and ``hfft(x, N, axis=1)`` to N//2 + 1 < N, channels 0..N/2 of
+conjugate-symmetric frames.  These tests pin that convention against an
+independent O(N^2) DFT, at the channelizer sizes and at sizes with large
+prime factors.
 """
 
 import numpy as np

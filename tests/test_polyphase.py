@@ -102,15 +102,15 @@ def on_cpus(monkeypatch, cpus, run, started=None):
 def assert_cpu_count_keeps_outputs(proto, x, monkeypatch):
     """Analysis and synthesis outputs are equal on the usable CPUs, four and one CPU.
 
-    Real input gives channels 0..N/2 and goes back through a Hermitian
-    synthesis, complex input through the full synthesis.
+    Real input gives channels 0..N/2, which the synthesis reads by their
+    width as Hermitian, complex input all N channels and the full
+    synthesis.
     """
 
     def run():
         channels = AnalysisBank(proto).process_block(x)
-        # a Hermitian synthesis takes channels 0..N/2 and runs its
-        # branches on real data
-        out = SynthesisBank(proto, hermitian=np.isrealobj(x)).process_block(channels)
+        # channels 0..N/2 run the synthesis branches on real data
+        out = SynthesisBank(proto).process_block(channels)
         return channels, out
 
     n = proto.spec.num_branches
@@ -138,16 +138,47 @@ class TestFraming:
             bank.process_block(np.zeros(63))
 
     def test_synthesis_frame_shape_rejected(self, fir_small):
+        # N = 4 takes 4 or 3 channels per frame
         bank = SynthesisBank(fir_small[4])
-        with pytest.raises(FramingError):
-            bank.process_block(np.zeros((5, 3)))
+        for shape in [(5, 2), (5, 5), (20,), (5, 4, 1)]:
+            with pytest.raises(FramingError, match=r"\(frames, 4\) or \(frames, 3\)"):
+                bank.process_block(np.zeros(shape))
 
     @pytest.mark.parametrize("kind", ["iir", "fir"])
     def test_hermitian_synthesis_takes_half_width_frames(self, kind, iir_small, fir_small):
-        bank = SynthesisBank((iir_small if kind == "iir" else fir_small)[8], hermitian=True)
-        with pytest.raises(FramingError, match=r"\(frames, 5\)"):
-            bank.process_block(np.ones((6, 8), dtype=complex))
-        assert bank.process_block(np.ones((6, 5), dtype=complex)).shape == (48,)
+        # the width is the rule: N//2 + 1 columns are Hermitian, N are all
+        # channels, and any other width is neither
+        bank = SynthesisBank((iir_small if kind == "iir" else fir_small)[8])
+        with pytest.raises(FramingError, match=r"\(frames, 8\) or \(frames, 5\)"):
+            bank.process_block(np.ones((6, 6), dtype=complex))
+        half = bank.process_block(np.ones((6, 5), dtype=complex))
+        assert half.shape == (48,) and half.dtype == float
+        assert bank.process_block(np.ones((6, 8), dtype=complex)).shape == (48,)
+
+    @pytest.mark.parametrize("kind", ["iir", "fir"])
+    def test_half_width_is_real_part_of_full_synthesis(self, kind, iir_small, fir_small, rng):
+        """N//2 + 1 columns synthesise the real part of their conjugate-symmetric N columns.
+
+        Channels 0 and N/2 keep an imaginary part here: the full
+        synthesis turns it into an imaginary output, which the Hermitian
+        transform ignores.
+        """
+        proto = (iir_small if kind == "iir" else fir_small)[8]
+        half = rng.standard_normal((40, 5)) + 1j * rng.standard_normal((40, 5))
+        full = np.real(SynthesisBank(proto).process_block(full_width(half, 8)))
+        out = SynthesisBank(proto).process_block(half)
+        assert out.dtype == float
+        np.testing.assert_allclose(out, full, rtol=0, atol=1e-12 * np.max(np.abs(full)))
+
+    def test_two_branch_bank_takes_full_transform(self, rng):
+        # at N = 2, N//2 + 1 = N: two columns are every channel, not a
+        # Hermitian half, so imaginary parts reach the output.  With unit
+        # one-tap branches the output is the forward transform in slot order.
+        proto = fir_from_taps(np.ones(2), 2)
+        frames = rng.standard_normal((16, 2)) + 1j * rng.standard_normal((16, 2))
+        out = SynthesisBank(proto).process_block(frames)
+        np.testing.assert_allclose(out, np.fft.fft(frames, axis=1)[:, ::-1].reshape(-1),
+                                   rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("kind", ["iir", "fir"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -202,13 +233,6 @@ class TestFraming:
         frames[2, 1], frames[5, 3] = complex(0.0, np.inf), complex(0.0, -np.inf)
         with pytest.raises(FramingError):
             SynthesisBank(proto).process_block(frames)
-
-    def test_frame_metadata(self, fir_small, iir_small):
-        # the warm-up is the matched cascade delay in whole frames: K for
-        # FIR, twice the sections per branch for all-pass
-        fir, iir = fir_small[4], iir_small[4]
-        assert AnalysisBank(fir).warmup_frames == fir.length // 4
-        assert AnalysisBank(iir).warmup_frames == 2 * iir.sections_per_branch
 
     @pytest.mark.parametrize("kind", ["iir", "fir"])
     @pytest.mark.parametrize("n", [4, 8])
@@ -487,7 +511,7 @@ class TestReconstruction:
     def test_boxcar_cascade_is_pure_delay(self, rng):
         proto = fir_from_taps(np.ones(4), 4)
         x = rng.standard_normal(4 * 64)
-        y = SynthesisBank(proto, hermitian=True).process_block(AnalysisBank(proto).process_block(x))
+        y = SynthesisBank(proto).process_block(AnalysisBank(proto).process_block(x))
         delay = matched_cascade_delay(proto)
         assert delay == 3
         assert np.max(np.abs(np.real(y[delay:]) - x[: y.size - delay])) < 1e-12
@@ -509,7 +533,7 @@ class TestReconstruction:
         proto = pipelines["pipes"][kind].coarse_prototype
         n = proto.spec.num_branches
         x = bandlimited_real(rng, n * 4096, n, proto.spec.fp_norm, occupied=range(1, 10))
-        y = SynthesisBank(proto, hermitian=True).process_block(AnalysisBank(proto).process_block(x))
+        y = SynthesisBank(proto).process_block(AnalysisBank(proto).process_block(x))
         delay = matched_cascade_delay(proto)
         tail = 2 * delay
         err = y[delay + tail :] - x[tail : y.size - delay]
@@ -520,7 +544,7 @@ class TestReconstruction:
         # the minimum-order reference design sits at the 1e-4 level
         n = 20
         x = bandlimited_real(rng, n * 4096, n, iir20.spec.fp_norm, occupied=range(1, 10))
-        y = SynthesisBank(iir20, hermitian=True).process_block(AnalysisBank(iir20).process_block(x))
+        y = SynthesisBank(iir20).process_block(AnalysisBank(iir20).process_block(x))
         delay = matched_cascade_delay(iir20)
         tail = 2 * delay
         err = y[delay + tail :] - x[tail : y.size - delay]
@@ -532,7 +556,7 @@ class TestReconstruction:
         t = np.arange(n * 4096)
         f0 = 3.0 / n + 0.004  # inside channel 3's passband
         x = np.cos(2 * np.pi * f0 * t)
-        y = SynthesisBank(iir20, hermitian=True).process_block(AnalysisBank(iir20).process_block(x))
+        y = SynthesisBank(iir20).process_block(AnalysisBank(iir20).process_block(x))
         spectrum = np.abs(np.fft.rfft(y[matched_cascade_delay(iir20) :] * np.hanning(y.size - matched_cascade_delay(iir20))))
         peak = np.argmax(spectrum) / (y.size - matched_cascade_delay(iir20))
         assert abs(peak - f0) < 1.0 / 4096

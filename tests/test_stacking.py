@@ -145,6 +145,15 @@ class TestPlannerProperties:
         with pytest.raises(PlanningError, match=f"{field} must be finite"):
             StackingInputs(**{**fields, field: value})
 
+    @pytest.mark.parametrize("field, value", [("num_channels", 20.0), ("nyquist_zone", 2.5),
+                                              ("nyquist_zone", 2.0)])
+    def test_non_integer_count_rejected(self, field, value):
+        # counts follow PrototypeSpec's rule: a numbers.Integral, not a whole float
+        fields = dict(f_s=1280e6, f_o=10e6, f_c=1650.75e6, nyquist_zone=2,
+                      bandwidth=48.5e6, num_channels=20)
+        with pytest.raises(PlanningError, match=f"{field} must be an integer"):
+            plan_stacking(StackingInputs(**{**fields, field: value}))
+
 
 class TestGuardband:
     def test_reference_point(self):
