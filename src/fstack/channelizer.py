@@ -80,7 +80,7 @@ class ChanneliserConfig:
         n_f = self.channel_plan.channels_per_subband
         if self.fine_prototype.spec.num_branches != n_f:
             raise ConfigError("fine prototype branch count != fine channel count")
-        expected_rate = self.plan.inputs.f_s / n
+        expected_rate = self.subband_rate_hz
         if abs(self.channel_plan.subband_rate_hz - expected_rate) > 1e-6:
             raise ConfigError(
                 f"channel plan sub-band rate {self.channel_plan.subband_rate_hz} "
@@ -93,7 +93,7 @@ class ChanneliserConfig:
 
     @property
     def subband_rate_hz(self):
-        return self.plan.inputs.f_s / self.num_coarse_channels
+        return self.plan.inputs.channel_spacing
 
     @property
     def total_fine_channels_occupied(self):

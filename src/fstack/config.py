@@ -15,7 +15,8 @@ the value the pipeline uses: a blank ``fir_stopband_db`` is ``stopband_db``,
 gmr1 and gmr2 set ``granularity_hz`` (31.25 and 50 kHz; another value is an
 error), ``occupied_subbands = all`` is 1..N_c - 1, and a blank one or a
 repeated index is an error.  ``num_samples`` must hold at least one coarse
-frame (2 * N_c samples).
+frame (2 * N_c samples), and ``passband_ripple_db`` must lie below
+40*log10(2) dB, where its linear deviation reaches 1.
 """
 
 import configparser
@@ -65,6 +66,10 @@ DEFAULTS = {
 
 # fine.standard -> granularity_hz of the real GMR grids
 GMR_GRANULARITY_HZ = {"gmr1": 31.25e3, "gmr2": 50.0e3}
+
+# a peak-to-peak passband ripple of 40*log10(2) dB or more has a linear
+# peak deviation 10^(pp/40) - 1 of 1 or more, which no prototype can meet
+MAX_PASSBAND_RIPPLE_DB = 40.0 * math.log10(2.0)
 
 
 @dataclass
@@ -148,7 +153,8 @@ def load_config(path=None, overrides=None):
     if kind not in ("fir", "iir"):
         errors.append(f"coarse.prototype: {kind!r} not fir|iir")
     stop_db = _num("coarse", "stopband_db", float, lambda v: v > 0, "(> 0)")
-    pass_db = _num("coarse", "passband_ripple_db", float, lambda v: v > 0, "(> 0)")
+    pass_db = _num("coarse", "passband_ripple_db", float,
+                   lambda v: 0 < v < MAX_PASSBAND_RIPPLE_DB, f"(0, {MAX_PASSBAND_RIPPLE_DB:.6g})")
     fir_stop_db = _opt("coarse", "fir_stopband_db", float, lambda v: v > 0, "(> 0)") or stop_db
 
     standard = data["fine"]["standard"].strip().lower()

@@ -160,7 +160,7 @@ def generate_subband_signal(
             f"sub-band {subband_index} is not occupied in this plan"
         )
     inp = plan.inputs
-    rate = inp.f_s / inp.num_channels
+    rate = inp.channel_spacing
     rng = np.random.default_rng(seed)
     if profile == "noise":
         intervals = [(-inp.bandwidth / 2.0, inp.bandwidth / 2.0)]
@@ -257,7 +257,7 @@ def stack_fdm_stimulus(plan, subbands, element_samples, seed, granularity_hz,
     spectrum = np.zeros(total // 2 + 1, dtype=np.complex128)
     for sub in subbands:
         intervals = fdm_grid_intervals(plan, sub, granularity_hz, guardband_fraction)
-        element, mask = _band_spectrum(element_samples, inp.f_s / inp.num_channels,
+        element, mask = _band_spectrum(element_samples, inp.channel_spacing,
                                        intervals, np.random.default_rng(seed + sub))
         bins = np.flatnonzero(mask)
         draws = element[bins]

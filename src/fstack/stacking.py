@@ -3,8 +3,9 @@
 Given the ADC rate, the master oscillator, the RF centre of the mobile
 allocation and the Nyquist zone to sample in, choose one integer LO
 multiple per sub-band so that every stacked sub-band lands as close as
-possible to its channel centre, then derive the prototype filter band
-edges from the largest residual offset.
+possible to its channel centre.  A plan is its inputs and those
+multiples; the stacked centres, their offsets and the prototype filter
+band edges are derived from them.
 
 All mixing frequencies must be integer multiples of the master
 oscillator (the LOs are phase-locked to it), which is why the stacked
@@ -60,21 +61,81 @@ class StackingInputs:
 
 @dataclass(frozen=True)
 class FrequencyPlan:
-    """Solved stacking plan: LO multiples, stacked centres and band edges."""
+    """Stacking plan: the inputs and one LO multiple beta_n per sub-band.
+
+    A plan whose bands leave [0, fs/2] or whose edges leave no
+    transition band (f_a <= f_p) cannot be built.
+    """
 
     inputs: StackingInputs
-    rho: int
-    sign: int
     betas: tuple  # beta_n for n = 1..N/2-1
-    centres_hz: tuple  # F_n
-    signed_offsets_hz: tuple  # F_n - n*fs/N
-    f_p: float
-    f_a: float
+
+    def __post_init__(self):
+        n_sub = self.inputs.num_channels // 2 - 1
+        if len(self.betas) != n_sub or not all(
+                isinstance(b, numbers.Integral) for b in self.betas):
+            raise PlanningError(
+                f"a plan needs one integer LO multiple per sub-band ({n_sub}), "
+                f"got {self.betas!r}"
+            )
+        half_b = self.inputs.bandwidth / 2.0
+        for n, f_n in zip(self.occupied_subbands, self.centres_hz):
+            lo_edge, hi_edge = f_n - half_b, f_n + half_b
+            if lo_edge < 0.0 or hi_edge > self.inputs.f_s / 2.0:
+                raise PlanningError(
+                    f"stacked sub-band n={n} ([{lo_edge:.6g}, {hi_edge:.6g}] Hz) "
+                    f"falls outside the first Nyquist image"
+                )
+        f_p, f_a = self.f_p, self.f_a
+        if f_a <= f_p:
+            offsets = self.offsets_hz
+            worst = 1 + offsets.index(max(offsets))
+            raise PlanningError(
+                f"infeasible plan: f_a = {f_a:.6g} <= f_p = {f_p:.6g} Hz "
+                f"(largest offset at n={worst}); reduce B or refine f_o"
+            )
+
+    @property
+    def rho(self):
+        return zone_fold_parameters(self.inputs.nyquist_zone)[0]
+
+    @property
+    def sign(self):
+        return zone_fold_parameters(self.inputs.nyquist_zone)[1]
+
+    @property
+    def centres_hz(self):
+        """Stacked centre F_n = s * (beta_n * f_o - (f_c - rho * f_s)) per sub-band."""
+        inp = self.inputs
+        shift = inp.f_c - self.rho * inp.f_s
+        return tuple(self.sign * (beta * inp.f_o - shift) for beta in self.betas)
+
+    @property
+    def signed_offsets_hz(self):
+        """F_n - n*fs/N per occupied sub-band."""
+        spacing = self.inputs.channel_spacing
+        return tuple(c - n * spacing for n, c in zip(self.occupied_subbands, self.centres_hz))
 
     @property
     def offsets_hz(self):
         """|F_n - n*fs/N| per occupied sub-band."""
         return tuple(abs(s) for s in self.signed_offsets_hz)
+
+    @property
+    def f_p(self):
+        """Passband edge: the largest offset plus B/2."""
+        return max(self.offsets_hz) + self.inputs.bandwidth / 2.0
+
+    @property
+    def f_a(self):
+        """Stopband edge: fs/N - f_p."""
+        return self.inputs.channel_spacing - self.f_p
+
+    @property
+    def margins_hz(self):
+        """f_p - (phi_n + B/2) per occupied sub-band: >= 0, and 0 at the largest offset."""
+        f_p, half_b = self.f_p, self.inputs.bandwidth / 2.0
+        return tuple(f_p - (phi + half_b) for phi in self.offsets_hz)
 
     @property
     def guardband_pct(self):
@@ -95,10 +156,9 @@ class FrequencyPlan:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["n", "beta_n", "F_n_hz", "phi_n_hz"])
-            for i, n in enumerate(self.occupied_subbands):
-                writer.writerow(
-                    [n, self.betas[i], repr(self.centres_hz[i]), repr(self.offsets_hz[i])]
-                )
+            for n, beta, f_n, phi in zip(self.occupied_subbands, self.betas, self.centres_hz,
+                                         self.offsets_hz):
+                writer.writerow([n, beta, repr(f_n), repr(phi)])
 
     def to_text(self):
         inp = self.inputs
@@ -111,10 +171,11 @@ class FrequencyPlan:
             f"guardband_pct={self.guardband_pct:.6g}",
             f"  {RESERVED_NOTE}",
         ]
-        for i, n in enumerate(self.occupied_subbands):
+        for n, beta, f_n, phi in zip(self.occupied_subbands, self.betas, self.centres_hz,
+                                     self.offsets_hz):
             lines.append(
-                f"  n={n:2d}  beta={self.betas[i]:6d}  LO={self.betas[i] * inp.f_o:.6g} Hz"
-                f"  F_n={self.centres_hz[i]:.6g} Hz  phi_n={self.offsets_hz[i]:.6g} Hz"
+                f"  n={n:2d}  beta={beta:6d}  LO={beta * inp.f_o:.6g} Hz"
+                f"  F_n={f_n:.6g} Hz  phi_n={phi:.6g} Hz"
             )
         return "\n".join(lines)
 
@@ -135,7 +196,8 @@ def _best_beta(target, f_o, sign, shift, f_s):
 
     Candidates are restricted to F_n inside [0, fs/2]; anything outside
     cannot hold a stacked sub-band.  Ties break toward the smaller
-    multiple so lower mixer frequencies are preferred.
+    multiple so lower mixer frequencies are preferred.  None when no
+    multiple lands inside.
     """
     # F = sign * (beta*f_o - shift); invert for the beta window
     if sign > 0:
@@ -144,62 +206,27 @@ def _best_beta(target, f_o, sign, shift, f_s):
         lo, hi = shift - f_s / 2.0, shift
     b_min = max(1, math.ceil(lo / f_o - 1e-9))
     b_max = math.floor(hi / f_o + 1e-9)
-    if b_max < b_min:
-        return None
-    best = None
+    best_err, best_beta = None, None
     for beta in range(b_min, b_max + 1):
-        f_n = sign * (beta * f_o - shift)
-        err = abs(f_n - target)
-        if best is None or err < best[0] - 1e-12:
-            best = (err, beta, f_n)
-    return best
+        err = abs(sign * (beta * f_o - shift) - target)
+        if best_err is None or err < best_err - 1e-12:
+            best_err, best_beta = err, beta
+    return best_beta
 
 
 def plan_stacking(inputs):
-    """Run the stacking framework and return the solved FrequencyPlan."""
+    """Choose the LO multiple of each sub-band and return the FrequencyPlan."""
     rho, sign = zone_fold_parameters(inputs.nyquist_zone)
     shift = inputs.f_c - rho * inputs.f_s
-    spacing = inputs.channel_spacing
-
-    betas, centres, signed = [], [], []
+    betas = []
     for n in range(1, inputs.num_channels // 2):
-        target = n * spacing
-        best = _best_beta(target, inputs.f_o, sign, shift, inputs.f_s)
-        if best is None:
+        beta = _best_beta(n * inputs.channel_spacing, inputs.f_o, sign, shift, inputs.f_s)
+        if beta is None:
             raise PlanningError(
                 f"no LO multiple places sub-band n={n} inside [0, fs/2]"
             )
-        _, beta, f_n = best
-        lo_edge = f_n - inputs.bandwidth / 2.0
-        hi_edge = f_n + inputs.bandwidth / 2.0
-        if lo_edge < 0.0 or hi_edge > inputs.f_s / 2.0:
-            raise PlanningError(
-                f"stacked sub-band n={n} ([{lo_edge:.6g}, {hi_edge:.6g}] Hz) "
-                f"falls outside the first Nyquist image"
-            )
         betas.append(beta)
-        centres.append(f_n)
-        signed.append(f_n - target)
-
-    offsets = [abs(s) for s in signed]
-    f_p = max(offsets) + inputs.bandwidth / 2.0
-    f_a = spacing - f_p
-    if f_a <= f_p:
-        worst = 1 + int(max(range(len(offsets)), key=offsets.__getitem__))
-        raise PlanningError(
-            f"infeasible plan: f_a = {f_a:.6g} <= f_p = {f_p:.6g} Hz "
-            f"(largest offset at n={worst}); reduce B or refine f_o"
-        )
-    return FrequencyPlan(
-        inputs=inputs,
-        rho=rho,
-        sign=sign,
-        betas=tuple(betas),
-        centres_hz=tuple(centres),
-        signed_offsets_hz=tuple(signed),
-        f_p=f_p,
-        f_a=f_a,
-    )
+    return FrequencyPlan(inputs, tuple(betas))
 
 
 def guardband_percentage(delta_f, num_channels):
@@ -211,47 +238,3 @@ def guardband_percentage(delta_f, num_channels):
             f"normalized transition width must lie in (0, 1/N], got {delta_f}"
         )
     return delta_f * num_channels * 100.0
-
-
-@dataclass(frozen=True)
-class PlanCheck:
-    """validate_plan output: per-sub-band margins against the passband edges."""
-
-    ok: bool
-    margins_hz: tuple  # f_p - (phi_n + B/2) per occupied n
-    failures: tuple  # offending n
-    reserved_empty: bool  # no sub-band placed on DC / Nyquist channels
-
-    def to_text(self):
-        lines = [f"plan check: {'pass' if self.ok else 'FAIL'} ({RESERVED_NOTE})"]
-        for i, m in enumerate(self.margins_hz, start=1):
-            status = "ok" if m >= 0 else "VIOLATION"
-            lines.append(f"  n={i:2d} margin={m:.6g} Hz {status}")
-        return "\n".join(lines)
-
-
-def validate_plan(plan):
-    """Check every stacked band sits inside its channel's passband window.
-
-    Report-only: returns margins rather than raising, so a caller can
-    inspect how tight the plan is (the worst sub-bands have zero margin
-    by construction).
-    """
-    f_p = plan.f_p
-    inp = plan.inputs
-    half_b = inp.bandwidth / 2.0
-    margins, failures = [], []
-    for i, n in enumerate(plan.occupied_subbands):
-        margin = f_p - (plan.offsets_hz[i] + half_b)
-        margins.append(margin)
-        if margin < -1e-9:
-            failures.append(n)
-    reserved_empty = all(
-        abs(c - 0.0) > f_p and abs(c - inp.f_s / 2.0) > f_p for c in plan.centres_hz
-    ) and 0 not in plan.occupied_subbands and inp.num_channels // 2 not in plan.occupied_subbands
-    return PlanCheck(
-        ok=not failures,
-        margins_hz=tuple(margins),
-        failures=tuple(failures),
-        reserved_empty=reserved_empty,
-    )

@@ -27,7 +27,7 @@ from fstack.channelizer import (
     pipeline_warmup_samples,
 )
 from fstack.config import load_config
-from fstack.errors import ConfigError, InvalidSpecError, RateMismatchError
+from fstack.errors import ConfigError, InvalidSpecError, PlanningError, RateMismatchError
 from fstack import channelizer, pipeline, polyphase
 from fstack.filter_design import (
     FirPrototype,
@@ -37,6 +37,7 @@ from fstack.filter_design import (
 )
 from fstack.frontend import AdcModel, SignalBuffer, adc_quantize, add_awgn
 from fstack.pipeline import (
+    build_candidate_configs,
     build_channel_plan,
     build_fine_prototype,
     build_pipeline_config,
@@ -416,6 +417,41 @@ class TestEndToEnd:
         report = end_to_end(pipe, build_stimulus(cfg, plan, channel_plan, pipe.occupied_subbands))
         assert report.aligned_delay == pipe.expected_delay_samples()
         assert report.mse_over_signal < 1e-4
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("n", range(4, 31, 2))
+    def test_default_mission_at_every_even_n(self, n, request):
+        """The default mission at every even N from 4 to 30.
+
+        N = 4, 8, 10, 16 and 20 design both candidates and land on their
+        delays inside c08's 1e-5; the others are rejected before any
+        design: the 1 MHz grid does not divide f_s/N, the plan leaves no
+        transition band, or B no longer fits one coarse channel.
+        """
+        cfg = load_config(overrides={"plan.num_coarse_channels": n // 2})
+        off_grid = (InvalidSpecError, "does not divide the sub-band rate")
+        infeasible = (PlanningError, "infeasible plan")
+        too_wide = (PlanningError, "must fit one coarse channel")
+        rejected = {6: off_grid, 12: off_grid, 14: off_grid, 18: off_grid, 22: off_grid,
+                    24: infeasible, 26: infeasible, 28: too_wide, 30: too_wide}
+        if n in rejected:
+            error, message = rejected[n]
+            with pytest.raises(error, match=message):
+                build_plan(cfg)
+                build_channel_plan(cfg)
+            return
+        if n == 20:
+            pipes = request.getfixturevalue("pipelines")["pipes"]
+            reports = request.getfixturevalue("float_reports")
+        else:
+            plan, channel_plan = build_plan(cfg), build_channel_plan(cfg)
+            pipes = build_candidate_configs(cfg, plan, channel_plan)
+            stimulus = build_stimulus(cfg, plan, channel_plan, pipes["iir"].occupied_subbands)
+            reports = {kind: end_to_end(pipe, stimulus) for kind, pipe in pipes.items()}
+        for kind, pipe in pipes.items():
+            assert pipe.num_coarse_channels == n
+            assert reports[kind].aligned_delay == pipe.expected_delay_samples(), kind
+            assert reports[kind].mse_over_signal < 1e-5, kind
 
     def test_coarse_fir_spectrum_built_once_per_data_kind(
         self, pipelines, float_reports, monkeypatch

@@ -86,6 +86,26 @@ class TestPlanCommand:
             out2 / "plan_report.txt"
         ).read_bytes()
 
+    @pytest.mark.parametrize("plan_keys, csv_digest, report_digest", [
+        ("", "ac49aa64763ac0f642613852d9649d65928d75613ef5a0b463a1021d676ef2e9",
+         "ad326d9fbe76ccdc70ad71e1ae2dd9cefc41b0a7543389bb775870d58d965ffe"),
+        ("fc_hz = 610.75e6\nnyquist_zone = 1\n",
+         "76595c1a60a14eb8cdcaedf8820162ab0393748743d03e3aa3fb6ff0beaf71be",
+         "42fa8745d00cee60bd5105321b73b9fef011d74fdae541a9802bd4a97c335621"),
+        ("fc_hz = 1930.75e6\nnyquist_zone = 3\n",
+         "aae123b6ad567346479d6dce63be69a706e8576997a00233fce7e35cd2187fb8",
+         "1e36b2705bbd91850071f22004cb7076d72f7acb7fed948578ea1b67d0d7ddd2"),
+    ], ids=["default", "zone1", "zone3"])
+    def test_plan_files_pinned(self, tmp_path, plan_keys, csv_digest, report_digest):
+        """The sha256 of ``plan.csv`` and ``plan_report.txt``: every beta,
+        centre, offset, band edge and margin to the last digit.  Zones 1
+        and 3 sample with s = -1, which the default zone 2 never takes."""
+        path = tmp_path / "plan.ini"
+        path.write_text("[plan]\n" + plan_keys)
+        assert main(["plan", "--config", str(path), "--out", str(tmp_path)]) == 0
+        for name, digest in (("plan.csv", csv_digest), ("plan_report.txt", report_digest)):
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
 
 class TestEstimateCommand:
     def test_recursive_candidate_wins_every_row(self, tmp_path):
@@ -365,6 +385,17 @@ class TestConfigHandling:
         # listed with the other bad keys
         with pytest.raises(ConfigError, match=r"coarse\.stopband_db.*; sim\.num_samples"):
             load_config(overrides={"coarse.stopband_db": "-3", "sim.num_samples": "19"})
+
+    @pytest.mark.parametrize("command", ["plan", "design", "run"])
+    def test_ripple_with_no_linear_meaning_exits_2(self, tmp_path, capsys, command):
+        # 12.1 dB peak to peak is a linear deviation of 10^(12.1/40) - 1 = 1.0068;
+        # the range ends at 40*log10(2) = 12.0412 dB, where it reaches 1
+        cfg = write_mini(tmp_path, **{"passband_ripple_db = 0.01": "passband_ripple_db = 12.1"})
+        assert main([command, "--config", cfg]) == 2
+        assert "coarse.passband_ripple_db: '12.1' out of range (0, 12.0412)" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert load_config(cfg, {"coarse.passband_ripple_db": "12.0"}).passband_ripple_db == 12.0
 
     def test_readme_config_block_matches_defaults(self):
         parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))

@@ -1,7 +1,7 @@
 """Front-end tests: stimulus, stacking paths, ADC, AWGN, signal files."""
 
-import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
@@ -287,10 +287,14 @@ class TestFdmStimulus:
         fast = stack_fdm_stimulus(plan, plan.occupied_subbands, m, 5,
                                   grid.granularity_hz, grid.guardband_fraction)
         # the oracle's elements come from the true plan (their grid offsets
-        # included); only the stacking centres move to the bins
+        # included); only the stacking centres move to the bins, in a
+        # stand-in with the plan's inputs and sub-bands (a FrequencyPlan
+        # derives its centres from its LO multiples)
         elements = fdm_elements(plan, plan.occupied_subbands, m, 5, grid)
-        slow = stack_baseband_equivalent(
-            elements, dataclasses.replace(plan, centres_hz=tuple(snapped)))
+        snapped_plan = types.SimpleNamespace(
+            inputs=inputs, occupied_subbands=plan.occupied_subbands,
+            centre=dict(zip(plan.occupied_subbands, snapped)).__getitem__)
+        slow = stack_baseband_equivalent(elements, snapped_plan)
         err = np.linalg.norm(fast.samples - slow.samples) / np.linalg.norm(slow.samples)
         assert err <= 1e-9
 

@@ -4,13 +4,16 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fstack.cli import main
 from fstack.errors import PlanningError
 from fstack.stacking import (
+    FrequencyPlan,
     StackingInputs,
     guardband_percentage,
     plan_stacking,
-    validate_plan,
     zone_fold_parameters,
 )
 
@@ -175,25 +178,75 @@ class TestGuardband:
 
 
 class TestValidatePlan:
+    """The plan check ``fstack plan`` reports, read from ``FrequencyPlan.margins_hz``."""
+
     def test_reference_margins(self, table2_plan):
-        check = validate_plan(table2_plan)
-        assert check.ok
-        assert check.reserved_empty
-        margins = np.asarray(check.margins_hz)
+        margins = np.asarray(table2_plan.margins_hz)
         assert np.all(margins >= -1e-9)
         # offsets of 4.75 MHz at n=1 and n=6 make those sub-bands tight
         assert margins[0] == pytest.approx(0.0, abs=1e-6)
         assert margins[5] == pytest.approx(0.0, abs=1e-6)
 
-    def test_undersized_passband_fails_everywhere(self, table2_plan):
-        check = validate_plan(dataclasses.replace(table2_plan, f_p=20e6))
-        assert not check.ok
-        assert len(check.failures) == len(table2_plan.occupied_subbands)
-
-    def test_report_text(self, table2_plan):
-        text = validate_plan(table2_plan).to_text()
+    def test_report_text(self, tmp_path):
+        assert main(["plan", "--out", str(tmp_path)]) == 0
+        text = (tmp_path / "plan_report.txt").read_text()
         assert "pass" in text
         assert "n= 1" in text
+        lines = text.splitlines()
+        assert lines[-10].startswith("plan check: pass (")
+        assert lines[-9] == "  n= 1 margin=0 Hz ok" and lines[-4] == "  n= 6 margin=0 Hz ok"
+
+
+class TestPlanType:
+    """A FrequencyPlan is its inputs and its betas; every other value is derived."""
+
+    @settings(max_examples=200)
+    @given(
+        f_s=st.floats(200e6, 3e9),
+        f_o=st.floats(0.5e6, 40e6),
+        f_c=st.floats(100e6, 6e9),
+        zone=st.integers(1, 6),
+        channels=st.integers(2, 20),
+        fill=st.floats(0.05, 0.95),
+    )
+    def test_planned_plans_are_consistent(self, f_s, f_o, f_c, zone, channels, fill):
+        n = 2 * channels
+        inputs = StackingInputs(f_s, f_o, f_c, zone, fill * f_s / n, n)
+        try:
+            plan = plan_stacking(inputs)
+        except PlanningError:
+            return
+        margins = plan.margins_hz
+        assert min(margins) == 0.0 and all(m >= 0.0 for m in margins)
+        assert plan.f_p + plan.f_a == pytest.approx(inputs.channel_spacing, rel=1e-12)
+        shift = inputs.f_c - plan.rho * inputs.f_s
+        for beta, centre in zip(plan.betas, plan.centres_hz):
+            assert centre == plan.sign * (beta * inputs.f_o - shift)
+
+    def test_wrong_beta_count_rejected(self, table2_inputs):
+        with pytest.raises(PlanningError, match=r"one integer LO multiple per sub-band \(9\)"):
+            FrequencyPlan(table2_inputs, tuple(REF_BETAS[:-1]))
+        with pytest.raises(PlanningError, match="one integer LO multiple"):
+            FrequencyPlan(table2_inputs, (43.5,) + tuple(REF_BETAS[1:]))
+
+    def test_band_outside_first_image_rejected(self, table2_inputs):
+        # beta_1 = 38 stacks sub-band 1 at 9.25 MHz, less than B/2 from DC
+        with pytest.raises(PlanningError, match="n=1 .* falls outside the first Nyquist image"):
+            FrequencyPlan(table2_inputs, (38,) + tuple(REF_BETAS[1:]))
+
+    def test_no_transition_band_rejected(self, table2_inputs):
+        # beta_1 = 45 puts sub-band 1 15.25 MHz off its channel centre:
+        # f_p = 39.5 MHz > f_a = 24.5 MHz
+        with pytest.raises(PlanningError, match=r"infeasible plan: .*largest offset at n=1\)"):
+            FrequencyPlan(table2_inputs, (45,) + tuple(REF_BETAS[1:]))
+
+    def test_replaced_betas_derive_every_value(self, table2_plan):
+        assert dataclasses.replace(table2_plan, betas=tuple(REF_BETAS)) == table2_plan
+        moved = dataclasses.replace(table2_plan, betas=(44,) + tuple(REF_BETAS[1:]))
+        assert moved.centres_hz[0] == 69.25e6 and moved.centres_hz[1:] == table2_plan.centres_hz[1:]
+        assert moved.offsets_hz[0] == 5.25e6
+        assert moved.f_p == 29.5e6 and moved.f_a == 34.5e6
+        assert moved.margins_hz[0] == 0.0 and moved.margins_hz[5] == 0.5e6
 
 
 class TestSerialization:
