@@ -43,7 +43,7 @@ class ChannelPlan:
                 "per-channel guardband must be in (0, 0.1] of the channel bandwidth"
             )
         ratio = self.subband_rate_hz / self.granularity_hz
-        if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 2:
+        if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 2:
             raise InvalidSpecError(
                 f"granularity {self.granularity_hz} does not divide the sub-band rate "
                 f"{self.subband_rate_hz}"
@@ -89,6 +89,7 @@ class ChanneliserConfig:
 
     @property
     def num_coarse_channels(self):
+        """N, the coarse bank's channel count (``RunConfig.num_coarse_channels`` is N/2)."""
         return self.plan.inputs.num_channels
 
     @property
@@ -204,13 +205,11 @@ def pipeline_warmup_samples(config):
 
     An analysis/synthesis cascade cancels its branch dispersion only
     once the whole product-filter span is inside the data, so the
-    warm-up is twice the cascade delay (plus margin); both stages
-    contribute.
+    warm-up is twice the cascade delay of both stages,
+    ``expected_delay_samples``, plus a margin of 8 fine frames.
     """
     n = config.num_coarse_channels
-    coarse = matched_cascade_delay(config.coarse_prototype)
-    fine = matched_cascade_delay(config.fine_prototype)
-    return 2 * (coarse + n * fine) + 8 * n * config.channel_plan.channels_per_subband
+    return 2 * config.expected_delay_samples() + 8 * n * config.channel_plan.channels_per_subband
 
 
 def find_delay(reference, output, max_lag=None):

@@ -16,14 +16,17 @@ gmr1 and gmr2 set ``granularity_hz`` (31.25 and 50 kHz; another value is an
 error), ``occupied_subbands = all`` is 1..N_c - 1, and a blank one or a
 repeated index is an error.  ``num_samples`` must hold at least one coarse
 frame (2 * N_c samples), and ``passband_ripple_db`` must lie below
-40*log10(2) dB, where its linear deviation reaches 1.
+40*log10(2) dB, where its linear deviation reaches 1.  B must fit one coarse
+channel and ``granularity_hz`` split f_s / (2 * N_c) into 2 or more channels.
 """
 
 import configparser
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError
+from .channelizer import ChannelPlan
+from .errors import ConfigError, InvalidSpecError, PlanningError
+from .stacking import StackingInputs
 
 DEFAULTS = {
     "plan": {
@@ -74,6 +77,8 @@ MAX_PASSBAND_RIPPLE_DB = 40.0 * math.log10(2.0)
 
 @dataclass
 class RunConfig:
+    """Validated settings; ``num_coarse_channels`` is N/2 (``ChanneliserConfig``'s is N)."""
+
     fs_hz: float
     fo_hz: float
     fc_hz: float
@@ -169,6 +174,16 @@ def load_config(path=None, overrides=None):
     guard = _num(
         "fine", "guardband_fraction", float, lambda v: 0 < v <= 0.1, "(0, 0.1]"
     )
+
+    if None not in (fs, fo, fc, zone, bw, n_c, gran):
+        try:
+            StackingInputs(fs, fo, fc, zone, bw, 2 * n_c)
+        except PlanningError as exc:
+            errors.append(f"plan.bandwidth_hz: {exc}")
+        try:
+            ChannelPlan(gran, fs / (2 * n_c))
+        except InvalidSpecError as exc:
+            errors.append(f"fine.granularity_hz: {exc}")
 
     seed = _num("sim", "seed", int, lambda v: v >= 0, "(>= 0)")
     frame = 2 * n_c if n_c is not None else 0  # one coarse frame: N = 2 * N_c samples

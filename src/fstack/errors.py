@@ -31,7 +31,7 @@ class PlanningError(FstackError):
 
 
 class StackingError(FstackError):
-    """Stacked sub-bands overlap or fall outside the Nyquist zone."""
+    """Sub-bands cannot be stacked as given: repeated, overlapping or of unequal length."""
 
 
 class RateMismatchError(FstackError):

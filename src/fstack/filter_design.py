@@ -205,9 +205,9 @@ def estimate_fir_length(passband_ripple, stopband_ripple, delta_f):
 def estimate_iir_sections(stopband_ripple, delta_f):
     """Empirical total all-pass coefficient count for the recursive candidate.
 
-    Returns L_IIR (= N * sections per branch).  A zero return means the
-    requested attenuation is below the validity floor of the fit and
-    should be treated as an infeasible-spec warning by the caller.
+    Returns L_IIR (= N * sections per branch); it is 0 up to just above
+    the fit's 20 dB validity floor.  No caller warns: ``estimate_iir_order``
+    floors the order at one section per branch, where design and sweep start.
     """
     if delta_f <= 0:
         raise InvalidSpecError(f"transition width must be positive, got {delta_f}")
@@ -564,7 +564,6 @@ class AlpCheck:
     passband_dev: float  # linear
     passband_dev_db: float
     stopband_max: float  # linear, guarded grid
-    stopband_atten_db: float
     spike_max_db: float
     phase_dev_deg: float
     group_delay: float  # full-rate samples
@@ -573,6 +572,10 @@ class AlpCheck:
     ok_phase: bool
     branch_phase_err_rad: tuple = ()
     branch_fit_steps: tuple = ()
+
+    @property
+    def stopband_atten_db(self):
+        return -20.0 * math.log10(max(self.stopband_max, 1e-300))
 
     @property
     def ok(self):
@@ -604,7 +607,6 @@ def verify_allpass(proto):
         passband_dev=pass_dev,
         passband_dev_db=pass_dev_db,
         stopband_max=stop_max,
-        stopband_atten_db=-20.0 * math.log10(max(stop_max, 1e-300)),
         spike_max_db=20.0 * math.log10(max(spike_max, 1e-300)),
         phase_dev_deg=phase_dev,
         group_delay=float(-slope),

@@ -14,7 +14,9 @@ ingests:
 
 ``stack_fdm_stimulus`` is the fast form of the first path for the
 seeded FDM stimulus: it writes every element's bins straight into one
-full-rate spectrum instead of upsampling and mixing each element.
+full-rate spectrum instead of upsampling and mixing each element.  Only
+the RF chain, which folds its bands from the LOs alone, checks them for
+overlap; the others trust the plan, which keeps its bands apart (f_a > f_p).
 
 Element stimuli are seeded and exactly band-limited (frequency-domain
 masked noise), either flat over the occupied bandwidth or laid out as
@@ -91,31 +93,28 @@ class AdcModel:
 # stimulus generation
 
 
-def _band_spectrum(n_samples, rate_hz, intervals, rng):
-    """Element spectrum in FFT order: complex normal draws on the bins the bands cover.
-
-    Returns the spectrum and its mask.  The draws fill the masked bins in
-    FFT order, so every stimulus built from one seed gets the same values.
-    """
+def _band_draws(n_samples, rate_hz, intervals, rng):
+    """The FFT bins the bands cover, in FFT order, and their complex normal
+    draws in that order, so every stimulus built from one seed gets the same values."""
     # bins in ascending order: each band [lo, hi] is one contiguous run
     freqs = np.fft.fftshift(np.fft.fftfreq(n_samples, d=1.0 / rate_hz))
     mask = np.zeros(n_samples, dtype=bool)
     for lo, hi in intervals:
         mask[np.searchsorted(freqs, lo, "left") : np.searchsorted(freqs, hi, "right")] = True
-    mask = np.fft.ifftshift(mask)
-    if not np.any(mask):
+    bins = np.flatnonzero(np.fft.ifftshift(mask))
+    if not bins.size:
         raise InvalidSpecError("stimulus mask is empty; intervals too narrow")
-    spectrum = np.zeros(n_samples, dtype=np.complex128)
-    k = int(np.count_nonzero(mask))
-    spectrum[mask] = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-    return spectrum, mask
+    return bins, rng.standard_normal(bins.size) + 1j * rng.standard_normal(bins.size)
 
 
 def _masked_noise(n_samples, rate_hz, intervals, rng):
     """Unit-power complex noise whose spectrum lives on the given bands."""
-    spectrum, _ = _band_spectrum(n_samples, rate_hz, intervals, rng)
+    bins, draws = _band_draws(n_samples, rate_hz, intervals, rng)
+    spectrum = np.zeros(n_samples, dtype=np.complex128)
+    spectrum[bins] = draws
+    del bins, draws  # freed before the transform allocates its output
     x = np.fft.ifft(spectrum)
-    x /= math.sqrt(np.mean(np.abs(x) ** 2))
+    x /= math.sqrt(mean_power(x))
     return x
 
 
@@ -192,33 +191,25 @@ def _fft_upsample(x, factor):
     return np.fft.ifft(out) * factor
 
 
-def _check_disjoint(bands):
-    bands = sorted(bands)
-    for (lo1, hi1), (lo2, hi2) in zip(bands, bands[1:]):
-        if hi1 > lo2:
-            raise StackingError(
-                f"stacked bands overlap: [{lo1:.6g}, {hi1:.6g}] and [{lo2:.6g}, {hi2:.6g}]"
-            )
-
-
-def _check_stackable(plan, indices):
+def _check_stackable(indices):
     if len(set(indices)) != len(indices):
         raise StackingError("duplicate sub-band indices")
-    half_b = plan.inputs.bandwidth / 2.0
-    _check_disjoint([(plan.centre(i) - half_b, plan.centre(i) + half_b) for i in indices])
+
+
+def _element_length(elements):
+    """The one length every element's baseband shares (0 for no element)."""
+    sizes = {len(e.baseband) for e in elements}
+    if len(sizes) > 1:
+        raise StackingError("all elements must have the same length")
+    return max(sizes, default=0)
 
 
 def stack_baseband_equivalent(elements, plan):
     """Post-ADC equivalent stacked real signal at rate f_s (no quantization)."""
     inp = plan.inputs
     n = inp.num_channels
-    if not elements:
-        return SignalBuffer(np.zeros(0), inp.f_s)
-    sizes = {len(e.baseband) for e in elements}
-    if len(sizes) != 1:
-        raise StackingError("all elements must have the same length")
-    _check_stackable(plan, [e.subband_index for e in elements])
-    total = sizes.pop() * n
+    total = _element_length(elements) * n
+    _check_stackable([e.subband_index for e in elements])
     t = np.arange(total) / inp.f_s
     acc = np.zeros(total)
     for element in elements:
@@ -232,10 +223,10 @@ def stack_fdm_stimulus(plan, subbands, element_samples, seed, granularity_hz,
                        guardband_fraction=0.1):
     """Stacked FDM stimulus at rate f_s, built in one real spectrum.
 
-    Sub-band ``sub`` draws the bins and values that
+    Sub-band ``sub`` takes its bins and values from the call that
     ``generate_subband_signal(sub, plan, element_samples, seed + sub,
-    "fdm", ...)`` puts in its element spectrum, scaled to the same unit
-    power, and adds them at the bin offset round(F_n / df) of one
+    "fdm", ...)`` makes for its element spectrum, scales them to the same
+    unit power and adds them at the bin offset round(F_n / df) of one
     full-rate spectrum (df = f_s / (N * element_samples)); one ``irfft``
     gives the stacked signal.  With every F_n on a whole bin (the
     reference plan at 983 040 and at 7 142 400 samples, for example) this
@@ -251,16 +242,14 @@ def stack_fdm_stimulus(plan, subbands, element_samples, seed, granularity_hz,
             raise InvalidSpecError(f"sub-band {sub} is not occupied in this plan")
     if not (isinstance(element_samples, numbers.Integral) and element_samples >= 1):
         raise InvalidSpecError(f"element_samples must be an integer >= 1, got {element_samples}")
-    _check_stackable(plan, list(subbands))
+    _check_stackable(list(subbands))
     total = element_samples * inp.num_channels
     df = inp.f_s / total
     spectrum = np.zeros(total // 2 + 1, dtype=np.complex128)
     for sub in subbands:
         intervals = fdm_grid_intervals(plan, sub, granularity_hz, guardband_fraction)
-        element, mask = _band_spectrum(element_samples, inp.channel_spacing,
-                                       intervals, np.random.default_rng(seed + sub))
-        bins = np.flatnonzero(mask)
-        draws = element[bins]
+        bins, draws = _band_draws(element_samples, inp.channel_spacing,
+                                  intervals, np.random.default_rng(seed + sub))
         bins[bins >= (element_samples + 1) // 2] -= element_samples  # signed frequency index
         # the unit-power element, upsampled and mixed to its bin offset,
         # is Re(ifft(Z)) with Z = total * draws / |draws| on its bins; as
@@ -284,38 +273,32 @@ def simulate_rf_chain(elements, plan, oversample_factor=8):
         raise InvalidSpecError("oversample_factor must be >= 4")
     inp = plan.inputs
     n = inp.num_channels
-    if not elements:
-        return SignalBuffer(np.zeros(0), inp.f_s)
-    sizes = {len(e.baseband) for e in elements}
-    if len(sizes) != 1:
-        raise StackingError("all elements must have the same length")
+    total = _element_length(elements) * n * oversample_factor
     rf_rate = oversample_factor * inp.f_s
     if inp.f_c + inp.bandwidth / 2.0 >= rf_rate / 2.0:
         raise StackingError("oversample_factor too small to represent the RF carrier")
-    total = sizes.pop() * n * oversample_factor
     t = np.arange(total) / rf_rate
     freqs = np.fft.fftfreq(total, d=1.0 / rf_rate)
-    half_b = inp.bandwidth / 2.0
 
     acc = np.zeros(total)
     folded = []
     for element in elements:
-        idx = element.subband_index
         up = _fft_upsample(element.baseband.samples, n * oversample_factor)
         rf = np.real(up * np.exp(2j * np.pi * inp.f_c * t))
-        lo_hz = plan.betas[idx - 1] * inp.f_o
+        lo_hz = plan.betas[element.subband_index - 1] * inp.f_o
         mixed = rf * 2.0 * np.cos(2.0 * np.pi * lo_hz * t)
         # ideal band-pass keeping only the difference product
         centre = abs(inp.f_c - lo_hz)
         spectrum = np.fft.fft(mixed)
-        keep = (np.abs(np.abs(freqs) - centre) <= half_b * 1.02)
-        mixed = np.real(np.fft.ifft(spectrum * keep))
-        acc += mixed
+        keep = (np.abs(np.abs(freqs) - centre) <= inp.bandwidth / 2.0 * 1.02)
+        acc += np.real(np.fft.ifft(spectrum * keep))
         fold = centre % inp.f_s
         folded.append(min(fold, inp.f_s - fold))
-    _check_disjoint([(c - half_b, c + half_b) for c in folded])
-    sampled = acc[::oversample_factor]
-    return SignalBuffer(sampled, inp.f_s)
+    folded.sort()
+    for below, above in zip(folded, folded[1:]):
+        if above - below < inp.bandwidth:
+            raise StackingError(f"stacked bands at {below:.6g} and {above:.6g} Hz overlap")
+    return SignalBuffer(acc[::oversample_factor], inp.f_s)
 
 
 # ---------------------------------------------------------------------------

@@ -424,22 +424,25 @@ class TestEndToEnd:
         """The default mission at every even N from 4 to 30.
 
         N = 4, 8, 10, 16 and 20 design both candidates and land on their
-        delays inside c08's 1e-5; the others are rejected before any
-        design: the 1 MHz grid does not divide f_s/N, the plan leaves no
-        transition band, or B no longer fits one coarse channel.
+        delays inside c08's 1e-5; the config rejects the others before any
+        design: the 1 MHz grid does not divide f_s/N, and from N = 28 on B
+        no longer fits one coarse channel either (both are listed).  The
+        plans of N = 24 and 26 leave no transition band as well, which the
+        planner rejects.
         """
-        cfg = load_config(overrides={"plan.num_coarse_channels": n // 2})
-        off_grid = (InvalidSpecError, "does not divide the sub-band rate")
-        infeasible = (PlanningError, "infeasible plan")
-        too_wide = (PlanningError, "must fit one coarse channel")
+        overrides = {"plan.num_coarse_channels": n // 2}
+        off_grid = "fine.granularity_hz: granularity 1000000.0 does not divide the sub-band rate"
+        both = "plan.bandwidth_hz: .* must fit one coarse channel .*; " + off_grid
         rejected = {6: off_grid, 12: off_grid, 14: off_grid, 18: off_grid, 22: off_grid,
-                    24: infeasible, 26: infeasible, 28: too_wide, 30: too_wide}
+                    24: off_grid, 26: off_grid, 28: both, 30: both}
         if n in rejected:
-            error, message = rejected[n]
-            with pytest.raises(error, match=message):
-                build_plan(cfg)
-                build_channel_plan(cfg)
+            with pytest.raises(ConfigError, match=rejected[n]):
+                load_config(overrides=overrides)
+            if n in (24, 26):
+                with pytest.raises(PlanningError, match="infeasible plan"):
+                    build_plan(dataclasses.replace(load_config(), num_coarse_channels=n // 2))
             return
+        cfg = load_config(overrides=overrides)
         if n == 20:
             pipes = request.getfixturevalue("pipelines")["pipes"]
             reports = request.getfixturevalue("float_reports")

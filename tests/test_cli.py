@@ -397,6 +397,23 @@ class TestConfigHandling:
         assert not (tmp_path / "out").exists()
         assert load_config(cfg, {"coarse.passband_ripple_db": "12.0"}).passband_ripple_db == 12.0
 
+    @pytest.mark.parametrize("command", ["plan", "design", "run"])
+    @pytest.mark.parametrize("mini, bad, error", [
+        ("granularity_hz = 40e6", "granularity_hz = 30e6",  # 320 MHz / 30 MHz = 10.67
+         "fine.granularity_hz: granularity 30000000.0 does not divide the sub-band rate 320000000.0"),
+        ("granularity_hz = 40e6", "granularity_hz = 1e-320",  # the ratio overflows to inf
+         "fine.granularity_hz: granularity 1e-320 does not divide the sub-band rate 320000000.0"),
+        ("bandwidth_hz = 240e6", "bandwidth_hz = 330e6",
+         "plan.bandwidth_hz: sub-band bandwidth 330000000.0 must fit one coarse channel "
+         "(320000000.0)"),
+    ], ids=["grid", "tiny_grid", "bandwidth"])
+    def test_rules_of_several_keys_exit_2(self, tmp_path, capsys, command, mini, bad, error):
+        # each key is valid on its own; only the sub-band rate f_s / N rejects it
+        cfg = write_mini(tmp_path, **{mini: bad})
+        assert main([command, "--config", cfg]) == 2
+        assert error in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_readme_config_block_matches_defaults(self):
         parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
         parser.read_string(_readme_config_block())

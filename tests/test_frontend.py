@@ -370,6 +370,16 @@ class TestRfChain:
         with pytest.raises(InvalidSpecError):
             simulate_rf_chain([], table2_plan, oversample_factor=2)
 
+    def test_overlapping_folds_rejected(self, table2_plan):
+        # the RF chain folds its bands from the LOs alone; two sub-bands on one
+        # LO multiple fold onto one centre, which no FrequencyPlan can hold
+        stand_in = types.SimpleNamespace(inputs=table2_plan.inputs,
+                                         betas=(table2_plan.betas[0],) * 2)
+        rate = table2_plan.inputs.channel_spacing
+        elements = [frontend.ElementSignal(n, symmetric_multitone(rate, 256)) for n in (1, 2)]
+        with pytest.raises(StackingError, match="overlap"):
+            simulate_rf_chain(elements, stand_in, oversample_factor=4)
+
 
 class TestAdc:
     def test_fine_quantization_is_transparent(self, rng):

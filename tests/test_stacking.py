@@ -222,6 +222,10 @@ class TestPlanType:
         shift = inputs.f_c - plan.rho * inputs.f_s
         for beta, centre in zip(plan.betas, plan.centres_hz):
             assert centre == plan.sign * (beta * inputs.f_o - shift)
+        # the stimulus relies on this: each stacked band ends before the next begins
+        half_b = inputs.bandwidth / 2.0
+        for below, above in zip(plan.centres_hz, plan.centres_hz[1:]):
+            assert below + half_b < above - half_b
 
     def test_wrong_beta_count_rejected(self, table2_inputs):
         with pytest.raises(PlanningError, match=r"one integer LO multiple per sub-band \(9\)"):
