@@ -167,9 +167,13 @@ def coarse_synthesize(config, frames):
     left at zero stays empty.  The synthesis bank reads the width as
     channels 0..N/2 of conjugate-symmetric frames, so the output is real.
     Channel-major frames give the all-pass synthesis one contiguous row
-    per branch, which it filters in place.
+    per branch, which it filters in place.  The frames are handed on to
+    the bank with no name kept here, so when the caller keeps none either
+    (``channelize``), they are freed once the bank's channel transform
+    has read them; a caller that keeps its frames gets the same result.
     """
-    y = SynthesisBank(config.coarse_prototype).process_block(frames)
+    frames = [frames]  # the list's reference is popped into the call
+    y = SynthesisBank(config.coarse_prototype).process_block(frames.pop())
     return SignalBuffer(np.real(y), config.plan.inputs.f_s)
 
 
@@ -191,8 +195,8 @@ def fine_analyze(config, subband):
 
 def fine_synthesize(config, channels):
     """Rebuild one sub-band stream from its (frames, N_f) channel array."""
-    bank = SynthesisBank(config.fine_prototype)
-    y = bank.process_block(np.asarray(channels, dtype=np.complex128))
+    channels = [np.asarray(channels, dtype=np.complex128)]  # popped into the call
+    y = SynthesisBank(config.fine_prototype).process_block(channels.pop())
     return SignalBuffer(y, config.subband_rate_hz)
 
 
@@ -220,7 +224,10 @@ def find_delay(reference, output, max_lag=None):
     searched lag without wrap-around; it is a complex transform when
     either input is complex, a real one otherwise.  The two forward
     transforms are two blocks of one ``run_blocks`` run, so they run at
-    once on two usable CPUs.
+    once on two usable CPUs.  Each spectrum is freed once it is used:
+    the reference's is conjugated in place and multiplied into the
+    output's, and the output's once the inverse transform has read it;
+    a real correlation takes its magnitude in place.
     """
     ref, out = np.asarray(reference), np.asarray(output)
     real = not (np.iscomplexobj(ref) or np.iscomplexobj(out))
@@ -236,10 +243,12 @@ def find_delay(reference, output, max_lag=None):
         spectra[i] = fwd(spectra[i], nfft)
 
     run_blocks(forward, range(2))
-    spec_out, spec_ref = spectra
-    spec_out *= np.conj(spec_ref)
+    spec_out = spectra[0]
+    spec_out *= np.conjugate(spectra[1], out=spectra[1])
+    del spectra[:]
     corr = inv(spec_out, nfft)[: max_lag + 1]
-    return int(np.argmax(np.abs(corr)))
+    del spec_out
+    return int(np.argmax(np.abs(corr, out=corr if real else None)))
 
 
 def aligned_mse(reference, output, delay, trim=0):
@@ -321,26 +330,31 @@ def channelize(config, x):
     analysis and synthesis is one block of ``run_blocks``: the sub-bands
     run on every usable CPU, each cascade's transforms on one worker
     (``usable_cpus``), and the output does not depend on the thread that
-    runs a block.  Cascade s reads column s of the coarse frames and
-    writes column s of zeroed channel-major restack frames, one
-    contiguous row each, as long as a cascade's output (whole fine
-    frames of the coarse frames).  The coarse frames are freed before
-    ``coarse_synthesize`` runs, the restack frames when this function
-    returns.
+    runs a block.  The restack is the analysis array itself: once the
+    power table has read it, cascade s reads column s and writes its
+    output (whole fine frames of the coarse frames) back into the first
+    ``rows`` rows of that column, the other columns are zeroed, and
+    ``coarse_synthesize`` is handed those rows.  No name here keeps them,
+    so the synthesis frees them once its channel transform has read them
+    (CPython 3.11 and later move a call's arguments into the callee; on
+    3.10 the caller's stack keeps them until the call returns).
     """
     n_f = config.channel_plan.channels_per_subband
     rate = config.subband_rate_hz
     coarse = coarse_analyze(config, x)
     leakage = _channel_power_table(config, coarse)
-    frames = np.zeros((coarse.shape[1], (coarse.shape[0] // n_f) * n_f), dtype=np.complex128).T
+    rows = (coarse.shape[0] // n_f) * n_f
 
     def cascade(sub):
         subband = SignalBuffer(coarse[:, sub], rate)
-        frames[:, sub] = fine_synthesize(config, fine_analyze(config, subband)).samples
+        coarse[:rows, sub] = fine_synthesize(config, fine_analyze(config, subband)).samples
 
     run_blocks(cascade, config.occupied_subbands)
-    del coarse  # its last reference: freed before the synthesis allocates
-    return coarse_synthesize(config, frames), leakage
+    idle = [c for c in range(coarse.shape[1]) if c not in config.occupied_subbands]
+    coarse[:rows, idle] = 0.0
+    restack = [coarse[:rows]]
+    del coarse  # the restack's one reference is the list's, popped into the call
+    return coarse_synthesize(config, restack.pop()), leakage
 
 
 def measure(reference, output, expected_delay, warmup):

@@ -154,10 +154,7 @@ def generate_subband_signal(
     power on a user-channel grid with per-channel guardbands (pass
     granularity_hz, normally the fine channelizer granularity).
     """
-    if subband_index not in plan.occupied_subbands:
-        raise InvalidSpecError(
-            f"sub-band {subband_index} is not occupied in this plan"
-        )
+    _check_subbands(plan, [subband_index])
     inp = plan.inputs
     rate = inp.channel_spacing
     rng = np.random.default_rng(seed)
@@ -191,7 +188,12 @@ def _fft_upsample(x, factor):
     return np.fft.ifft(out) * factor
 
 
-def _check_stackable(indices):
+def _check_subbands(plan, indices):
+    """Each index is one of ``plan``'s sub-bands (else ``InvalidSpecError``)
+    and none repeats (else ``StackingError``)."""
+    for n in indices:
+        if n not in plan.occupied_subbands:
+            raise InvalidSpecError(f"sub-band {n} is not occupied in this plan")
     if len(set(indices)) != len(indices):
         raise StackingError("duplicate sub-band indices")
 
@@ -208,8 +210,8 @@ def stack_baseband_equivalent(elements, plan):
     """Post-ADC equivalent stacked real signal at rate f_s (no quantization)."""
     inp = plan.inputs
     n = inp.num_channels
+    _check_subbands(plan, [e.subband_index for e in elements])
     total = _element_length(elements) * n
-    _check_stackable([e.subband_index for e in elements])
     t = np.arange(total) / inp.f_s
     acc = np.zeros(total)
     for element in elements:
@@ -237,12 +239,9 @@ def stack_fdm_stimulus(plan, subbands, element_samples, seed, granularity_hz,
     inp = plan.inputs
     if not subbands:
         return SignalBuffer(np.zeros(0), inp.f_s)
-    for sub in subbands:
-        if sub not in plan.occupied_subbands:
-            raise InvalidSpecError(f"sub-band {sub} is not occupied in this plan")
+    _check_subbands(plan, list(subbands))
     if not (isinstance(element_samples, numbers.Integral) and element_samples >= 1):
         raise InvalidSpecError(f"element_samples must be an integer >= 1, got {element_samples}")
-    _check_stackable(list(subbands))
     total = element_samples * inp.num_channels
     df = inp.f_s / total
     spectrum = np.zeros(total // 2 + 1, dtype=np.complex128)
@@ -271,6 +270,7 @@ def simulate_rf_chain(elements, plan, oversample_factor=8):
     """
     if oversample_factor < 4:
         raise InvalidSpecError("oversample_factor must be >= 4")
+    _check_subbands(plan, [e.subband_index for e in elements])
     inp = plan.inputs
     n = inp.num_channels
     total = _element_length(elements) * n * oversample_factor

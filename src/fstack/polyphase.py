@@ -30,11 +30,12 @@ the same real sections.  Each branch writes one contiguous row of the
 output and applies the family's scale in that pass (for synthesis the
 scale holds the cascade gain).  The FIR family is one (K, N) tap matrix
 with K-1 frames of history, and all N branches are filtered at once by
-an overlap-save convolution along the frame axis, in column blocks.
-Both families share their work out with ``run_blocks`` (which the
-channelizer also uses for its sub-band cascades): the calling thread
-and helper threads started for the run, one thread per usable CPU,
-take all-pass branches or FIR column blocks from one queue; a block's
+an overlap-save convolution along the frame axis, in column blocks,
+written over the bank's own input buffer.  Both families share their
+work out with ``run_blocks`` (which the channelizer also uses for its
+sub-band cascades): the calling thread and helper threads started for
+the run, one thread per usable CPU, take all-pass branches or FIR
+column blocks from one queue; a block's
 arithmetic does not depend on the thread that runs it, so neither does
 the output.  While a thread runs a block, ``usable_cpus()`` is 1 on
 it: a nested run starts no helper, and a block's channel transforms
@@ -50,12 +51,16 @@ given those N/2+1 channels (the width says so) runs ``hfft`` on them.
 
 Memory order: a (frames, width) frame array is either frame-major
 (C-ordered, one frame per row of memory) or channel-major (the
-transpose of a C-ordered (width, frames) array, so each channel is one
-contiguous row).  The channel transforms keep the order they are given.
-The all-pass analysis returns channel-major frames, built from the
-branch rows; the FIR analysis returns frame-major frames.  A synthesis
-bank takes either; from channel-major input the all-pass synthesis
-gets one contiguous row per branch and filters it in place.
+transpose of a C-ordered (width, frames) array, or its first rows, so
+each channel is one contiguous row).  The channel transforms keep the
+order they are given, which they read from the strides.  The all-pass
+analysis returns channel-major frames, built from the branch rows; the
+FIR analysis returns frame-major frames.  A synthesis bank takes
+either; from channel-major input the all-pass synthesis gets one
+contiguous row per branch and filters it in place.  The channelizer's
+restack is its coarse analysis array, whose first rows it hands to the
+synthesis bank with no reference kept, and the bank drops its own once
+its transform has read them: one coarse frames array is alive per pass.
 
 Operation counters do not count what the realisation executes; they
 follow the per-frame accounting model: branch work counted as
@@ -176,7 +181,11 @@ class _FirFamily:
     so at most two of its three buffers are alive at once.  Each block
     has its own buffers and writes its own output columns, so the blocks
     can run on several threads (``run_blocks``): pocketfft and numpy
-    release the GIL.
+    release the GIL.  The output is written over the input when the two
+    share a dtype: both banks hand ``run`` a buffer of their own (the
+    analysis delay line, the synthesis transform output).  The history
+    rows are kept before any block runs, and a block reads its columns
+    into its buffer before it writes them back.
     """
 
     def __init__(self, prototype, scale):
@@ -193,7 +202,8 @@ class _FirFamily:
         nfft = next_fast_len(frames + delay, real)
         taps = _tap_spectrum(self.prototype, nfft, real)
         fwd, inv = (rfft, irfft) if real else (fft, ifft)
-        y = np.empty(u.shape, dtype=dtype)
+        self._hist = np.concatenate([hist[frames:], u[max(frames - delay, 0) :]], dtype=dtype)
+        y = u if u.dtype == dtype else np.empty(u.shape, dtype=dtype)
 
         def block(cols):
             ext = np.empty((nfft, cols.stop - cols.start), dtype=dtype)
@@ -210,7 +220,6 @@ class _FirFamily:
         n = u.shape[1]
         run_blocks(block, [slice(c, min(c + _FIR_COLUMN_BLOCK, n))
                            for c in range(0, n, _FIR_COLUMN_BLOCK)])
-        self._hist = np.concatenate([hist[frames:], u[max(frames - delay, 0) :]], dtype=dtype)
         return y
 
 
@@ -387,8 +396,10 @@ class AnalysisBank(_Bank):
         (the transpose of a C-ordered (width, frames) array, so channel c
         is one contiguous row) from the all-pass family, frame-major from
         the FIR family.  The block's delay line (the kept history followed
-        by the block, a copy of the input) is freed once the branches have
-        run, before the channel transform allocates the frames.
+        by the block, a copy of the input) is freed once the all-pass
+        branches have run, before the channel transform allocates the
+        frames; the FIR family filters it in place, so there it is the
+        branch output and is freed once the transform has read it.
         """
         x = np.asarray(samples)
         n = self.num_branches
@@ -407,7 +418,7 @@ class AnalysisBank(_Bank):
             return np.zeros((0, n // 2 + 1 if real else n), dtype=np.complex128)
         self._hist = ext[ext.size - (n - 1) :].copy()
         branch_out = self._branches.run(branch_in)
-        del ext, branch_in  # the delay line is freed before the transform's output exists
+        del ext, branch_in  # an all-pass delay line is freed before the transform's output exists
         # channels 0..N/2 of the ifft of real data are its ihfft
         frames = _channel_transform(ihfft if real else ifft, branch_out)
         self._count(n_frames)
@@ -437,7 +448,10 @@ class SynthesisBank(_Bank):
         input's memory order, so channel-major input gives one contiguous
         row per branch, which the all-pass family filters in place;
         branch output not yet in sample order is interleaved into the
-        returned samples.
+        returned samples.  The bank drops its reference to the frames once
+        the transform has read them, so frames that the caller handed over
+        with no name kept (``coarse_synthesize``) are freed before the
+        branches run and the interleaved samples are allocated.
         """
         frames = np.asarray(frames, dtype=np.complex128)
         n = self.num_branches
@@ -451,6 +465,7 @@ class SynthesisBank(_Bank):
             return np.zeros(0, dtype=np.complex128)
         transform = fft if frames.shape[1] == n else hfft
         slots = _channel_transform(transform, frames, n)
+        del frames  # the caller's frames are freed here if it kept no name for them
         # branch n feeds output slot k*N + N-1-n; the family runs in slot order
         out = self._branches.run(slots[:, ::-1])
         self._count(n_frames)
@@ -460,11 +475,13 @@ class SynthesisBank(_Bank):
 def _channel_transform(transform, frames, n=None):
     """``transform`` over the channels of (frames, width) ``frames``, in its memory order.
 
-    Channel-major input (the transpose of a C-ordered (width, frames)
-    array) is transformed along axis 0 of that array and comes back
-    channel-major; frame-major input comes back frame-major.
+    Channel-major input, whose channels are contiguous rows (the
+    transpose of a C-ordered (width, frames) array, or its first rows as
+    the restack hands them over), is known by its strides, transformed
+    along axis 0 of its transpose and comes back channel-major;
+    frame-major input comes back frame-major.
     """
-    if frames.flags.f_contiguous and not frames.flags.c_contiguous:
+    if frames.strides[0] == frames.itemsize != frames.strides[1]:
         return transform(frames.T, n, axis=0, workers=usable_cpus()).T
     return transform(frames, n, axis=1, workers=usable_cpus())
 

@@ -147,10 +147,19 @@ class FrequencyPlan:
         return tuple(range(1, self.inputs.num_channels // 2))
 
     def centre(self, n):
-        return self.centres_hz[n - 1]
+        """F_n of sub-band n; an n outside 1..N/2-1 raises ``PlanningError``."""
+        return self.centres_hz[self._position(n)]
 
     def signed_offset(self, n):
-        return self.signed_offsets_hz[n - 1]
+        """F_n - n*fs/N of sub-band n; an n outside 1..N/2-1 raises ``PlanningError``."""
+        return self.signed_offsets_hz[self._position(n)]
+
+    def _position(self, n):
+        if n not in self.occupied_subbands:
+            raise PlanningError(
+                f"sub-band {n!r} outside the plan's 1..{self.inputs.num_channels // 2 - 1}"
+            )
+        return self.occupied_subbands.index(n)
 
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:

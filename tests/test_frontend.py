@@ -208,6 +208,20 @@ class TestStackingPaths:
         with pytest.raises(StackingError):
             stack_baseband_equivalent([el, el], table2_plan)
 
+    @pytest.mark.parametrize("index", [0, -1, 10])
+    def test_unoccupied_element_rejected(self, table2_plan, index):
+        """Both oracles check occupancy before they read the plan.
+
+        An element of sub-band 0 used to stack at sub-band 9's centre
+        (``centres_hz[-1]``), and the RF chain mixed it with ``betas[-1]``.
+        """
+        rate = table2_plan.inputs.channel_spacing
+        elements = [frontend.ElementSignal(n, symmetric_multitone(rate, 256)) for n in (2, index)]
+        with pytest.raises(InvalidSpecError, match=f"sub-band {index} is not occupied"):
+            stack_baseband_equivalent(elements, table2_plan)
+        with pytest.raises(InvalidSpecError, match=f"sub-band {index} is not occupied"):
+            simulate_rf_chain(elements, table2_plan, oversample_factor=4)
+
     def test_mismatched_lengths_rejected(self, table2_plan):
         a = generate_subband_signal(2, table2_plan, DUR, seed=1)
         b = generate_subband_signal(3, table2_plan, DUR // 2, seed=2)
@@ -373,7 +387,7 @@ class TestRfChain:
     def test_overlapping_folds_rejected(self, table2_plan):
         # the RF chain folds its bands from the LOs alone; two sub-bands on one
         # LO multiple fold onto one centre, which no FrequencyPlan can hold
-        stand_in = types.SimpleNamespace(inputs=table2_plan.inputs,
+        stand_in = types.SimpleNamespace(inputs=table2_plan.inputs, occupied_subbands=(1, 2),
                                          betas=(table2_plan.betas[0],) * 2)
         rate = table2_plan.inputs.channel_spacing
         elements = [frontend.ElementSignal(n, symmetric_multitone(rate, 256)) for n in (1, 2)]

@@ -244,6 +244,14 @@ class TestPlanType:
         with pytest.raises(PlanningError, match=r"infeasible plan: .*largest offset at n=1\)"):
             FrequencyPlan(table2_inputs, (45,) + tuple(REF_BETAS[1:]))
 
+    @pytest.mark.parametrize("n", [0, -1, 10, 2.5])
+    def test_centre_outside_the_plan_rejected(self, table2_plan, n):
+        """Sub-band n is one of 1..N/2-1; centre(0) used to read sub-band 9's
+        579.25 MHz and centre(10) raised a bare ``IndexError``."""
+        for lookup in (table2_plan.centre, table2_plan.signed_offset):
+            with pytest.raises(PlanningError, match=r"outside the plan's 1\.\.9"):
+                lookup(n)
+
     def test_replaced_betas_derive_every_value(self, table2_plan):
         assert dataclasses.replace(table2_plan, betas=tuple(REF_BETAS)) == table2_plan
         moved = dataclasses.replace(table2_plan, betas=(44,) + tuple(REF_BETAS[1:]))
